@@ -246,6 +246,8 @@ class ChromaticModel:
     offsets_high: tuple[float, float, float] = (171e-6, 0.0, 130e-6)
 
     def __post_init__(self) -> None:
+        if not (len(self.wavelengths) == len(self.offsets_low) == len(self.offsets_high) == 3):
+            raise ValueError("wavelengths, offsets_low and offsets_high need exactly 3 entries")
         w = self.wavelengths
         if not (w[0] < w[1] < w[2]):
             raise ValueError("wavelength samples must be strictly increasing")
@@ -364,17 +366,6 @@ def command_divergence(
     use_branch = branch if branch is not None else state.branch
     target_x = position_from_divergence(theta_target, use_branch, state.dmap)
     state.branch = use_branch
-    state.target_position = target_x
-    state.in_motion = target_x != state.lens_position
-    return MotionPlan(target_x, abs(target_x - state.lens_position) / state.motor_speed)
-
-
-def command_position(state: ActuatorState, target_x: float, branch: Optional[Branch] = None) -> MotionPlan:
-    """Command a raw lens position (used by lookup-table corrections)."""
-    if abs(target_x) > state.dmap.max_travel:
-        raise TravelRangeError(f"target position {target_x} m outside travel")
-    if branch is not None:
-        state.branch = branch
     state.target_position = target_x
     state.in_motion = target_x != state.lens_position
     return MotionPlan(target_x, abs(target_x - state.lens_position) / state.motor_speed)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .actuator import ChromaticModel, DivergenceMap, ThermalModel
 from .beam_optics import DivergenceAngle, GaussianBeam
+from .config import ConfigError
 
 __all__ = [
     "PROFILER_RESOLUTION_M",
@@ -476,21 +477,30 @@ def sample_position_map(dmap: DivergenceMap, points_per_branch: int = 8) -> list
 
 
 def _read_csv_columns(path, required: Sequence[str], optional: Sequence[str] = ()) -> list[dict]:
+    """Numeric columns of a measurement CSV, one dict per row; input errors are ConfigErrors."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in required:
             if col not in header:
-                raise ValueError(f"missing column '{col}' in {path}")
+                raise ConfigError(f"missing column '{col}' in {path}")
+        columns = (*required, *optional)
         rows = []
         for row in reader:
-            out = {col: float(row[col]) for col in required}
-            for col in optional:
-                if col in header and row[col] not in (None, ""):
-                    out[col] = float(row[col])
+            out = {}
+            for col in columns:
+                cell = row.get(col)
+                if cell in (None, "") and col in optional:
+                    continue
+                try:
+                    out[col] = float(cell)
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"non-numeric value {cell!r} in column '{col}' of {path}, line {reader.line_num}"
+                    ) from None
             rows.append(out)
     if not rows:
-        raise ValueError(f"no data rows in {path}")
+        raise ConfigError(f"no data rows in {path}")
     return rows
 
 

@@ -16,10 +16,10 @@ import json
 import sys
 
 from . import calibration
-from .actuator import TravelRangeError, run_script
-from .beam_optics import Convention, DivergenceAngle, QuadratureError
+from .actuator import DivergenceMap, TravelRangeError, run_script
+from .beam_optics import QuadratureError
 from .calibration import CalibrationTable
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .link_budget import LinkClosedError, budget_report
 from .pointing import GainConvention, gain_improvement_db, optimal_divergence, rule_of_thumb_divergence
 from .sim import run_pass, steps_to_csv
@@ -50,39 +50,9 @@ def _angle_human(rad: float) -> str:
     return f"{rad * 1e3:.4f} mrad"
 
 
-def _load(args) -> RunConfig:
-    if args.config:
-        return load_config(args.config)
-    return load_config_defaults()
-
-
-def load_config_defaults() -> RunConfig:
-    """Design-point RunConfig without touching the filesystem."""
-    from .actuator import ChromaticModel, DivergenceMap, ThermalModel
-    from .config import DESIGN_ANCHOR
-    from .link_budget import LinkConfig, calibrate_sensitivity
-    from .sim import ControlPolicy, PassGeometry
-
-    link = LinkConfig(
-        tx_power_w=2.0,
-        wavelength=1.55e-6,
-        tx_divergence=DivergenceAngle(90e-6, Convention.FWHM),
-        rx_aperture_diameter=0.35,
-    )
-    link = link.with_sensitivity(calibrate_sensitivity(link, *DESIGN_ANCHOR))
-    return RunConfig(
-        link=link,
-        dmap=DivergenceMap(),
-        thermal=ThermalModel(),
-        chromatic=ChromaticModel(),
-        geometry=PassGeometry(),
-        policy=ControlPolicy(margin_floor_db=5.0),
-    )
-
-
 def cmd_budget(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc), command="budget")
     try:
@@ -146,7 +116,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_emulate(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc), command="emulate")
     state = cfg.make_actuator_state()
@@ -200,13 +170,10 @@ def cmd_calibrate(args) -> int:
             rows = calibration.read_chromatic_csv(args.chromatic)
             chromatic_fit = calibration.build_chromatic_model(rows)
             provenance["chromatic"] = {"source": args.chromatic, "rows": len(rows)}
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc), command="calibrate")
     except ValueError as exc:
-        # Missing columns and malformed values are config-class errors.
-        msg = str(exc)
-        code = EXIT_CONFIG if "column" in msg or "No such file" in msg else EXIT_NUMERICAL
-        return _fail(code, msg, command="calibrate")
+        return _fail(EXIT_NUMERICAL, str(exc), command="calibrate")
     table = CalibrationTable(
         position=position_fit, thermal=thermal_fit, chromatic=chromatic_fit, provenance=provenance
     )
@@ -224,7 +191,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc), command="simulate")
     seed = args.seed if args.seed is not None else cfg.seed
@@ -275,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-deg", dest="sigma_deg", type=float, help="sigma in degrees (converted)")
     p.add_argument("--convention", choices=[c.value for c in GainConvention], default="quadratic",
                    help="gain scaling used in the gain*loss objective")
-    p.add_argument("--min-divergence", type=float, default=90e-6, help="hardware minimum, radians FWHM")
-    p.add_argument("--max-divergence", type=float, default=6.14e-3, help="hardware maximum, radians FWHM")
+    p.add_argument("--min-divergence", type=float, default=DivergenceMap().collimated_divergence,
+                   help="hardware minimum, radians FWHM")
+    p.add_argument("--max-divergence", type=float, default=DivergenceMap().diverging_max,
+                   help="hardware maximum, radians FWHM")
     p.add_argument("--reference-divergence", type=float,
                    help="report gain improvement versus this divergence (radians)")
     p.add_argument("--format", choices=["json", "table"], default="table")

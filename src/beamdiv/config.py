@@ -5,6 +5,12 @@ same structure as JSON (chosen by file extension).  Every key is validated
 against the schema and unknown keys are rejected by name, so a typo fails
 loudly instead of silently falling back to a default.
 
+Defaults live in one place: a key a file leaves out keeps the value of the
+design point, which is the model dataclasses' own defaults plus the design
+``LinkConfig``, ``ControlPolicy`` and sensitivity anchor defined below.
+``load_config(None)`` returns the design point, equal to loading a file with
+no keys.
+
 All angles in files are radians, all distances meters, powers watts, rates
 bit/s; dB values say so in their key names.
 """
@@ -12,8 +18,11 @@ bit/s; dB values say so in their key names.
 from __future__ import annotations
 
 import configparser
+import enum
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .actuator import ActuatorState, ChromaticModel, DivergenceMap, ThermalModel
 from .beam_optics import Convention, DivergenceAngle
@@ -21,23 +30,24 @@ from .link_budget import LinkConfig, SensitivityModel, calibrate_sensitivity
 from .pointing import GainConvention
 from .sim import ControlPolicy, PassGeometry, Strategy
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "DESIGN_ANCHOR"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "DESIGN_ANCHOR", "DESIGN_LINK", "DESIGN_POLICY"]
 
-# Design operating point used to calibrate sensitivity when a config gives
-# no explicit [sensitivity] section: 10 Gbit/s with 5 dB margin at 600 km.
+# Design point, for the fields that have no dataclass default or whose
+# default differs from the design.  Sensitivity is calibrated at
+# DESIGN_ANCHOR (600 km, 10 Gbit/s, 5 dB margin) unless a file pins it, and
+# the policy holds that same margin as its floor.
+DESIGN_LINK = LinkConfig(
+    tx_power_w=2.0,
+    wavelength=1.55e-6,
+    tx_divergence=DivergenceAngle(90e-6, Convention.FWHM),
+    rx_aperture_diameter=0.35,
+)
 DESIGN_ANCHOR = (600e3, 10e9, 5.0)
+DESIGN_POLICY = ControlPolicy(margin_floor_db=DESIGN_ANCHOR[2])
 
 
 class ConfigError(ValueError):
-    """A config file failed validation; the message names the offending key."""
-
-
-def _parse_float(raw) -> float:
-    return float(raw)
-
-
-def _parse_int(raw) -> int:
-    return int(raw)
+    """Invalid config or measurement-file input; the message names the key, column or file."""
 
 
 def _parse_float_list(raw) -> tuple[float, ...]:
@@ -46,87 +56,81 @@ def _parse_float_list(raw) -> tuple[float, ...]:
     return tuple(float(part) for part in str(raw).split(",") if part.strip())
 
 
-def _parse_convention(raw) -> Convention:
-    try:
-        return Convention(str(raw).lower())
-    except ValueError:
-        raise ConfigError(f"tx_divergence_convention must be one of {[c.value for c in Convention]}, got {raw!r}")
+def _parse_enum(kind: type[enum.Enum]):
+    def parse(raw):
+        try:
+            return kind(str(raw).lower())
+        except ValueError:
+            raise ValueError(f"must be one of {[k.value for k in kind]}, got {raw!r}") from None
+
+    return parse
 
 
-def _parse_gain_convention(raw) -> GainConvention:
-    try:
-        return GainConvention(str(raw).lower())
-    except ValueError:
-        raise ConfigError(f"convention must be one of {[c.value for c in GainConvention]}, got {raw!r}")
-
-
-def _parse_strategy(raw) -> Strategy:
-    try:
-        return Strategy(str(raw).lower())
-    except ValueError:
-        raise ConfigError(f"strategy must be one of {[s.value for s in Strategy]}, got {raw!r}")
-
-
+# section -> key -> (parser, field, slot).  ``field`` is the attribute the key
+# sets on the section's model; ``slot`` is the tuple index, or attribute of a
+# nested model, that it sets inside that field.  [anchor] fields are the
+# arguments of calibrate_sensitivity.  [policy] and [run] apply to RunConfig
+# itself: the policy keys set attributes of its ``policy``.
 _SCHEMA = {
     "link": {
-        "tx_power_w": _parse_float,
-        "wavelength_m": _parse_float,
-        "tx_divergence_rad": _parse_float,
-        "tx_divergence_convention": _parse_convention,
-        "rx_aperture_diameter_m": _parse_float,
-        "insertion_loss_db": _parse_float,
-        "misc_loss_db": _parse_float,
+        "tx_power_w": (float, "tx_power_w", None),
+        "wavelength_m": (float, "wavelength", None),
+        "tx_divergence_rad": (float, "tx_divergence", "value"),
+        "tx_divergence_convention": (_parse_enum(Convention), "tx_divergence", "convention"),
+        "rx_aperture_diameter_m": (float, "rx_aperture_diameter", None),
+        "insertion_loss_db": (float, "insertion_loss_db", None),
+        "misc_loss_db": (float, "misc_loss_db", None),
     },
     "sensitivity": {
-        "ref_rate_bps": _parse_float,
-        "ref_sensitivity_dbm": _parse_float,
+        "ref_rate_bps": (float, "ref_rate", None),
+        "ref_sensitivity_dbm": (float, "ref_sensitivity_dbm", None),
     },
     "anchor": {
-        "distance_m": _parse_float,
-        "rate_bps": _parse_float,
-        "margin_db": _parse_float,
+        "distance_m": (float, "distance", None),
+        "rate_bps": (float, "rate", None),
+        "margin_db": (float, "margin_db", None),
     },
     "map": {
-        "collimated_divergence_rad": _parse_float,
-        "diverging_slope_rad_per_m": _parse_float,
-        "converging_slope_rad_per_m": _parse_float,
-        "max_travel_m": _parse_float,
+        "collimated_divergence_rad": (float, "collimated_divergence", None),
+        "diverging_slope_rad_per_m": (float, "diverging_slope", None),
+        "converging_slope_rad_per_m": (float, "converging_slope", None),
+        "max_travel_m": (float, "max_travel", None),
     },
     "thermal": {
-        "reference_temperature_c": _parse_float,
-        "cold_temperature_c": _parse_float,
-        "hot_temperature_c": _parse_float,
-        "anchor_low_rad": _parse_float,
-        "anchor_high_rad": _parse_float,
-        "cold_output_low_rad": _parse_float,
-        "cold_output_high_rad": _parse_float,
-        "hot_output_low_rad": _parse_float,
-        "hot_output_high_rad": _parse_float,
+        "reference_temperature_c": (float, "reference_temperature_c", None),
+        "cold_temperature_c": (float, "cold_temperature_c", None),
+        "hot_temperature_c": (float, "hot_temperature_c", None),
+        "anchor_low_rad": (float, "anchor_settings", 0),
+        "anchor_high_rad": (float, "anchor_settings", 1),
+        "cold_output_low_rad": (float, "cold_outputs", 0),
+        "cold_output_high_rad": (float, "cold_outputs", 1),
+        "hot_output_low_rad": (float, "hot_outputs", 0),
+        "hot_output_high_rad": (float, "hot_outputs", 1),
     },
     "chromatic": {
-        "wavelengths_m": _parse_float_list,
-        "anchor_low_rad": _parse_float,
-        "anchor_high_rad": _parse_float,
-        "offsets_low_rad": _parse_float_list,
-        "offsets_high_rad": _parse_float_list,
+        "wavelengths_m": (_parse_float_list, "wavelengths", None),
+        "anchor_low_rad": (float, "anchor_settings", 0),
+        "anchor_high_rad": (float, "anchor_settings", 1),
+        "offsets_low_rad": (_parse_float_list, "offsets_low", None),
+        "offsets_high_rad": (_parse_float_list, "offsets_high", None),
     },
     "geometry": {
-        "altitude_m": _parse_float,
-        "min_elevation_deg": _parse_float,
-        "max_elevation_deg": _parse_float,
-        "dt_s": _parse_float,
-        "max_range_m": _parse_float,
+        "altitude_m": (float, "altitude_m", None),
+        "min_elevation_deg": (float, "min_elevation_deg", None),
+        "max_elevation_deg": (float, "max_elevation_deg", None),
+        "dt_s": (float, "dt_s", None),
+        "max_range_m": (float, "max_range_m", None),
     },
     "policy": {
-        "strategy": _parse_strategy,
-        "margin_floor_db": _parse_float,
-        "convention": _parse_gain_convention,
-        "fixed_divergence_rad": _parse_float,
-        "rate_ladder_bps": _parse_float_list,
-        "sigma_p_rad": _parse_float,
+        "strategy": (_parse_enum(Strategy), "policy", "strategy"),
+        "margin_floor_db": (float, "policy", "margin_floor_db"),
+        "convention": (_parse_enum(GainConvention), "policy", "convention"),
+        "fixed_divergence_rad": (float, "policy", "fixed_divergence_rad"),
+        "rate_ladder_bps": (_parse_float_list, "policy", "rate_ladder_bps"),
+        "sigma_p_rad": (float, "sigma_p_rad", None),
     },
     "run": {
-        "seed": _parse_int,
+        "seed": (int, "seed", None),
     },
 }
 
@@ -143,24 +147,25 @@ class RunConfig:
     policy: ControlPolicy
     sigma_p_rad: float = 0.0
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
     def make_actuator_state(self) -> ActuatorState:
         return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic)
 
 
 def _read_sections(path: str) -> dict:
-    if str(path).endswith(".json"):
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
-            raise ConfigError("JSON config must be an object of section objects")
-        return data
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file not found or unreadable: {path}")
-    return {section: dict(cp.items(section)) for section in cp.sections()}
+    try:
+        if str(path).endswith(".json"):
+            with open(path) as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
+                raise ConfigError("JSON config must be an object of section objects")
+            return data
+        cp = configparser.ConfigParser()
+        if not cp.read(path):
+            raise ConfigError(f"config file not found or unreadable: {path}")
+        return {section: dict(cp.items(section)) for section in cp.sections()}
+    except (json.JSONDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
 
 def _validate(sections: dict) -> dict:
@@ -174,141 +179,75 @@ def _validate(sections: dict) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             try:
-                out[key] = schema[key](raw)
-            except ConfigError:
-                raise
+                out[key] = schema[key][0](raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid value for '{key}' in section [{section}]: {exc}") from exc
         parsed[section] = out
     return parsed
 
 
-def load_config(path: str) -> RunConfig:
+@contextmanager
+def _invalid(section: str):
+    """Re-raise a model's validation error as a ConfigError naming the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{section}] section: {exc}") from exc
+
+
+def _fields(section: str, entries: dict, base) -> dict:
+    """Model fields set by a section's keys; slotted keys merge into ``base``'s value."""
+    fields: dict = {}
+    slots: dict = {}
+    for key, value in entries.items():
+        _, name, slot = _SCHEMA[section][key]
+        if slot is None:
+            fields[name] = value
+        else:
+            slots.setdefault(name, {})[slot] = value
+    for name, values in slots.items():
+        current = getattr(base, name)
+        if isinstance(current, tuple):
+            fields[name] = tuple(values.get(i, v) for i, v in enumerate(current))
+        else:
+            fields[name] = replace(current, **values)
+    return fields
+
+
+def load_config(path: Optional[str] = None) -> RunConfig:
     """Load and validate a config file (INI-style, or JSON by extension).
 
-    Missing sections fall back to the design defaults; if neither a
-    [sensitivity] nor an [anchor] section is present, the sensitivity is
-    calibrated at the default design anchor (600 km, 10 Gbit/s, 5 dB).
+    Each model starts from the design point and takes only the keys the file
+    sets, so ``load_config(None)`` is the design point itself.  Unless a
+    [sensitivity] section pins the sensitivity, it is calibrated at the
+    [anchor] operating point, which defaults to ``DESIGN_ANCHOR``.
     """
-    parsed = _validate(_read_sections(path))
+    sections = {} if path is None else _validate(_read_sections(path))
 
-    link_kv = parsed.get("link", {})
-    convention = link_kv.get("tx_divergence_convention", Convention.FWHM)
-    divergence = DivergenceAngle(link_kv.get("tx_divergence_rad", 90e-6), convention)
-    try:
-        link = LinkConfig(
-            tx_power_w=link_kv.get("tx_power_w", 2.0),
-            wavelength=link_kv.get("wavelength_m", 1.55e-6),
-            tx_divergence=divergence,
-            rx_aperture_diameter=link_kv.get("rx_aperture_diameter_m", 0.35),
-            insertion_loss_db=link_kv.get("insertion_loss_db", 0.026),
-            misc_loss_db=link_kv.get("misc_loss_db", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [link] section: {exc}") from exc
+    def model(section: str, base):
+        if section not in sections:
+            return base
+        with _invalid(section):
+            return replace(base, **_fields(section, sections[section], base))
 
-    if "sensitivity" in parsed:
-        kv = parsed["sensitivity"]
-        if set(kv) != set(_SCHEMA["sensitivity"]):
-            missing = set(_SCHEMA["sensitivity"]) - set(kv)
+    link = model("link", DESIGN_LINK)
+    if "sensitivity" in sections:
+        missing = set(_SCHEMA["sensitivity"]) - set(sections["sensitivity"])
+        if missing:
             raise ConfigError(f"[sensitivity] missing key(s): {sorted(missing)}")
-        sensitivity = SensitivityModel(kv["ref_rate_bps"], kv["ref_sensitivity_dbm"])
+        with _invalid("sensitivity"):
+            sensitivity = SensitivityModel(**_fields("sensitivity", sections["sensitivity"], None))
     else:
-        anchor = parsed.get("anchor", {})
-        distance = anchor.get("distance_m", DESIGN_ANCHOR[0])
-        rate = anchor.get("rate_bps", DESIGN_ANCHOR[1])
-        margin = anchor.get("margin_db", DESIGN_ANCHOR[2])
-        sensitivity = calibrate_sensitivity(link, distance, rate, margin)
-    link = link.with_sensitivity(sensitivity)
-
-    kv = parsed.get("map", {})
-    try:
-        dmap = DivergenceMap(
-            collimated_divergence=kv.get("collimated_divergence_rad", DivergenceMap().collimated_divergence),
-            diverging_slope=kv.get("diverging_slope_rad_per_m", DivergenceMap().diverging_slope),
-            converging_slope=kv.get("converging_slope_rad_per_m", DivergenceMap().converging_slope),
-            max_travel=kv.get("max_travel_m", DivergenceMap().max_travel),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [map] section: {exc}") from exc
-
-    kv = parsed.get("thermal", {})
-    default_thermal = ThermalModel()
-    try:
-        thermal = ThermalModel(
-            reference_temperature_c=kv.get("reference_temperature_c", default_thermal.reference_temperature_c),
-            cold_temperature_c=kv.get("cold_temperature_c", default_thermal.cold_temperature_c),
-            hot_temperature_c=kv.get("hot_temperature_c", default_thermal.hot_temperature_c),
-            anchor_settings=(
-                kv.get("anchor_low_rad", default_thermal.anchor_settings[0]),
-                kv.get("anchor_high_rad", default_thermal.anchor_settings[1]),
-            ),
-            cold_outputs=(
-                kv.get("cold_output_low_rad", default_thermal.cold_outputs[0]),
-                kv.get("cold_output_high_rad", default_thermal.cold_outputs[1]),
-            ),
-            hot_outputs=(
-                kv.get("hot_output_low_rad", default_thermal.hot_outputs[0]),
-                kv.get("hot_output_high_rad", default_thermal.hot_outputs[1]),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [thermal] section: {exc}") from exc
-
-    kv = parsed.get("chromatic", {})
-    default_chromatic = ChromaticModel()
-    try:
-        wavelengths = kv.get("wavelengths_m", default_chromatic.wavelengths)
-        offsets_low = kv.get("offsets_low_rad", default_chromatic.offsets_low)
-        offsets_high = kv.get("offsets_high_rad", default_chromatic.offsets_high)
-        if len(wavelengths) != 3 or len(offsets_low) != 3 or len(offsets_high) != 3:
-            raise ConfigError("[chromatic] wavelengths_m/offsets_*_rad need exactly 3 entries")
-        chromatic = ChromaticModel(
-            wavelengths=tuple(wavelengths),
-            anchor_settings=(
-                kv.get("anchor_low_rad", default_chromatic.anchor_settings[0]),
-                kv.get("anchor_high_rad", default_chromatic.anchor_settings[1]),
-            ),
-            offsets_low=tuple(offsets_low),
-            offsets_high=tuple(offsets_high),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid [chromatic] section: {exc}") from exc
-
-    kv = parsed.get("geometry", {})
-    try:
-        geometry = PassGeometry(
-            altitude_m=kv.get("altitude_m", 600e3),
-            min_elevation_deg=kv.get("min_elevation_deg", 5.0),
-            max_elevation_deg=kv.get("max_elevation_deg", 90.0),
-            dt_s=kv.get("dt_s", 1.0),
-            max_range_m=kv.get("max_range_m"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [geometry] section: {exc}") from exc
-
-    kv = parsed.get("policy", {})
-    try:
-        policy = ControlPolicy(
-            strategy=kv.get("strategy", Strategy.EXACT_OPT),
-            margin_floor_db=kv.get("margin_floor_db", 5.0),
-            convention=kv.get("convention", GainConvention.QUADRATIC),
-            fixed_divergence_rad=kv.get("fixed_divergence_rad"),
-            rate_ladder_bps=kv.get("rate_ladder_bps"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [policy] section: {exc}") from exc
-
-    return RunConfig(
-        link=link,
-        dmap=dmap,
-        thermal=thermal,
-        chromatic=chromatic,
-        geometry=geometry,
-        policy=policy,
-        sigma_p_rad=kv.get("sigma_p_rad", 0.0),
-        seed=parsed.get("run", {}).get("seed", 0),
-        raw=parsed,
+        anchor = dict(zip(("distance", "rate", "margin_db"), DESIGN_ANCHOR))
+        anchor.update(_fields("anchor", sections.get("anchor", {}), None))
+        with _invalid("anchor"):
+            sensitivity = calibrate_sensitivity(link, **anchor)
+    run = RunConfig(
+        link=link.with_sensitivity(sensitivity),
+        dmap=model("map", DivergenceMap()),
+        thermal=model("thermal", ThermalModel()),
+        chromatic=model("chromatic", ChromaticModel()),
+        geometry=model("geometry", PassGeometry()),
+        policy=DESIGN_POLICY,
     )
+    return model("run", model("policy", run))

@@ -11,14 +11,13 @@ design is specified by its nearest/farthest operating distances.
 ``run_pass`` closes the loop each tick: read the jitter schedule, pick a
 divergence with the configured policy, command the actuator emulator, step
 its motion, then evaluate pointing loss, link margin, and the supported data
-rate with the achieved divergence.  Everything is deterministic for a fixed
-seed.
+rate with the achieved divergence.  Everything is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -159,7 +158,8 @@ def pass_profile(geometry: PassGeometry) -> PassProfile:
     t = np.linspace(-t_end, t_end, 2 * n_half + 1)
     cos_psi = math.cos(psi_peak) * np.cos(omega * t)
     rng = np.sqrt(re**2 + r**2 - 2.0 * re * r * cos_psi)
-    elev = np.degrees(np.arcsin((r * cos_psi - re) / rng))
+    # At a 90 deg peak the sine can round past 1; clip so culmination is 90, not NaN.
+    elev = np.degrees(np.arcsin(np.clip((r * cos_psi - re) / rng, -1.0, 1.0)))
     return PassProfile(t_s=t, elevation_deg=elev, slant_range_m=rng)
 
 
@@ -274,15 +274,14 @@ def run_pass(
     evaluate the budget with the *achieved* divergence and pointing loss and
     record the data rate that holds the margin floor.
 
-    Deterministic for fixed inputs and seed.  ``seed`` feeds any stochastic
-    emulator extensions; the baseline loop is noise-free.
+    The loop is noise-free, so the result is deterministic for fixed inputs.
+    ``seed`` draws nothing; it is recorded in the summary as the run's seed.
     """
     if config.sensitivity is None:
         raise ValueError("link config has no sensitivity model; calibrate one first")
     st = state if state is not None else ActuatorState()
     profile = pass_profile(geometry)
     sigma_at = _sigma_lookup(jitter, len(profile))
-    _ = np.random.default_rng(seed)  # reserved for stochastic schedules; keeps the seed in the signature
 
     steps: list[SimStep] = []
     lag_abs: list[float] = []
@@ -357,7 +356,3 @@ def steps_to_csv(steps: Sequence[SimStep]) -> str:
 def write_steps_csv(steps: Sequence[SimStep], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(steps_to_csv(steps))
-
-
-def summary_to_json(result: PassResult, indent: int = 2) -> str:
-    return json.dumps(result.summary, indent=indent)

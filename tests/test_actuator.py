@@ -217,6 +217,18 @@ class TestChromaticModel:
         off = CHROMA.offset(90e-6, 1.54e-6)
         assert 0.0 < off < 10e-6
 
+    @pytest.mark.parametrize("field,values", [
+        ("wavelengths", (1.53e-6, 1.55e-6)),
+        ("wavelengths", (1.53e-6, 1.54e-6, 1.55e-6, 1.565e-6)),
+        ("offsets_low", (10e-6, 0.0)),
+        ("offsets_low", (10e-6, 0.0, 3e-6, 5e-6)),
+        ("offsets_high", (171e-6, 0.0)),
+        ("offsets_high", (171e-6, 0.0, 130e-6, 150e-6)),
+    ])
+    def test_needs_exactly_three_samples(self, field, values):
+        with pytest.raises(ValueError, match="exactly 3"):
+            ChromaticModel(**{field: values})
+
     def test_out_of_band_rejected(self):
         with pytest.raises(ValueError):
             apply_wavelength(90e-6, 1.52e-6, CHROMA)

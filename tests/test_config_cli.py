@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from beamdiv.actuator import DivergenceMap, ThermalModel, apply_temperature
 from beamdiv.calibration import sample_position_map
 from beamdiv.cli import main
-from beamdiv.config import ConfigError, load_config
+from beamdiv.config import _SCHEMA, ConfigError, load_config
 from beamdiv.sim import Strategy
 
 DESIGN_INI = """\
@@ -99,6 +101,128 @@ class TestConfigLoading:
         from beamdiv.link_budget import link_margin_db
 
         assert link_margin_db(cfg.link, 600e3, 10e9) == pytest.approx(5.0, abs=1e-9)
+
+
+# Every config key, with a distinct valid value as written in a file and the
+# RunConfig path that value must land on.
+KEY_PROBES = {
+    ("link", "tx_power_w"): ("1.5", "link.tx_power_w"),
+    ("link", "wavelength_m"): ("1.56e-6", "link.wavelength"),
+    ("link", "tx_divergence_rad"): ("100e-6", "link.tx_divergence.value"),
+    ("link", "tx_divergence_convention"): ("full_1e2", "link.tx_divergence.convention"),
+    ("link", "rx_aperture_diameter_m"): ("0.3", "link.rx_aperture_diameter"),
+    ("link", "insertion_loss_db"): ("0.05", "link.insertion_loss_db"),
+    ("link", "misc_loss_db"): ("1.0", "link.misc_loss_db"),
+    ("sensitivity", "ref_rate_bps"): ("5e9", "link.sensitivity.ref_rate"),
+    ("sensitivity", "ref_sensitivity_dbm"): ("-30.0", "link.sensitivity.ref_sensitivity_dbm"),
+    ("anchor", "distance_m"): ("700e3", "link.sensitivity"),
+    ("anchor", "rate_bps"): ("5e9", "link.sensitivity"),
+    ("anchor", "margin_db"): ("4.0", "link.sensitivity"),
+    ("map", "collimated_divergence_rad"): ("100e-6", "dmap.collimated_divergence"),
+    ("map", "diverging_slope_rad_per_m"): ("1.5", "dmap.diverging_slope"),
+    ("map", "converging_slope_rad_per_m"): ("1.6", "dmap.converging_slope"),
+    ("map", "max_travel_m"): ("3e-3", "dmap.max_travel"),
+    ("thermal", "reference_temperature_c"): ("25.0", "thermal.reference_temperature_c"),
+    ("thermal", "cold_temperature_c"): ("-40.0", "thermal.cold_temperature_c"),
+    ("thermal", "hot_temperature_c"): ("70.0", "thermal.hot_temperature_c"),
+    ("thermal", "anchor_low_rad"): ("100e-6", "thermal.anchor_settings.0"),
+    ("thermal", "anchor_high_rad"): ("6e-3", "thermal.anchor_settings.1"),
+    ("thermal", "cold_output_low_rad"): ("600e-6", "thermal.cold_outputs.0"),
+    ("thermal", "cold_output_high_rad"): ("4e-3", "thermal.cold_outputs.1"),
+    ("thermal", "hot_output_low_rad"): ("400e-6", "thermal.hot_outputs.0"),
+    ("thermal", "hot_output_high_rad"): ("5.6e-3", "thermal.hot_outputs.1"),
+    ("chromatic", "wavelengths_m"): ("1.52e-6, 1.55e-6, 1.57e-6", "chromatic.wavelengths"),
+    ("chromatic", "anchor_low_rad"): ("100e-6", "chromatic.anchor_settings.0"),
+    ("chromatic", "anchor_high_rad"): ("6e-3", "chromatic.anchor_settings.1"),
+    ("chromatic", "offsets_low_rad"): ("11e-6, 0.0, 3e-6", "chromatic.offsets_low"),
+    ("chromatic", "offsets_high_rad"): ("170e-6, 0.0, 130e-6", "chromatic.offsets_high"),
+    ("geometry", "altitude_m"): ("650e3", "geometry.altitude_m"),
+    ("geometry", "min_elevation_deg"): ("10.0", "geometry.min_elevation_deg"),
+    ("geometry", "max_elevation_deg"): ("80.0", "geometry.max_elevation_deg"),
+    ("geometry", "dt_s"): ("2.0", "geometry.dt_s"),
+    ("geometry", "max_range_m"): ("1100e3", "geometry.max_range_m"),
+    ("policy", "strategy"): ("rule_5_sigma", "policy.strategy"),
+    ("policy", "margin_floor_db"): ("4.0", "policy.margin_floor_db"),
+    ("policy", "convention"): ("linear", "policy.convention"),
+    ("policy", "fixed_divergence_rad"): ("1e-3", "policy.fixed_divergence_rad"),
+    ("policy", "rate_ladder_bps"): ("1e9, 2e9", "policy.rate_ladder_bps"),
+    ("policy", "sigma_p_rad"): ("1e-5", "sigma_p_rad"),
+    ("run", "seed"): ("7", "seed"),
+}
+
+
+def leaves(obj, prefix=""):
+    """Flatten nested dataclasses and tuples to {dotted path: value}."""
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, tuple):
+        items = list(enumerate(obj))
+    else:
+        return {prefix: obj}
+    out = {}
+    for name, value in items:
+        out.update(leaves(value, f"{prefix}.{name}" if prefix else str(name)))
+    return out
+
+
+def _under(path, root):
+    return path == root or path.startswith(root + ".")
+
+
+class TestSchemaTable:
+    def test_every_key_is_probed(self):
+        assert set(KEY_PROBES) == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+
+    @pytest.mark.parametrize("section,key", sorted(KEY_PROBES))
+    def test_key_sets_only_its_field(self, section, key, tmp_path):
+        value, target = KEY_PROBES[section, key]
+        design = load_config(None)
+        entries = {key: value}
+        if section == "sensitivity":
+            # The section is all-or-nothing; the other key keeps its design value.
+            sens = design.link.sensitivity
+            entries = {"ref_rate_bps": repr(sens.ref_rate), "ref_sensitivity_dbm": repr(sens.ref_sensitivity_dbm),
+                       **entries}
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        before, after = leaves(design), leaves(load_config(str(path)))
+        changed = {p for p in before.keys() | after.keys() if before.get(p, KeyError) != after.get(p, KeyError)}
+        assert any(_under(p, target) for p in changed)
+        # A [link] key may also move the sensitivity calibrated from that link.
+        allowed = (target, "link.sensitivity") if section == "link" else (target,)
+        assert all(any(_under(p, root) for root in allowed) for p in changed), sorted(changed)
+
+    def test_none_is_an_empty_file(self, tmp_path):
+        (tmp_path / "empty.ini").write_text("")
+        (tmp_path / "empty.json").write_text("{}")
+        design = load_config(None)
+        assert design == load_config(str(tmp_path / "empty.ini"))
+        assert design == load_config(str(tmp_path / "empty.json"))
+
+    def test_none_is_the_design_point(self):
+        from beamdiv.link_budget import link_margin_db
+
+        cfg = load_config(None)
+        assert (cfg.link.tx_power_w, cfg.link.wavelength, cfg.link.rx_aperture_diameter) == (2.0, 1.55e-6, 0.35)
+        assert cfg.link.tx_divergence.value == 90e-6
+        assert cfg.policy.margin_floor_db == 5.0
+        assert link_margin_db(cfg.link, 600e3, 10e9) == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name,text,named", [
+        ("anchor.ini", "[anchor]\nrate_bps = -1\n", "[anchor]"),
+        ("divergence.ini", "[link]\ntx_divergence_rad = -1e-6\n", "[link]"),
+        ("sensitivity.ini", "[sensitivity]\nref_rate_bps = -1\nref_sensitivity_dbm = -30\n", "[sensitivity]"),
+        ("chromatic.ini", "[chromatic]\nwavelengths_m = 1.52e-6, 1.53e-6, 1.55e-6, 1.57e-6\n", "[chromatic]"),
+        ("headerless.ini", "tx_power_w = 2.0\n", "headerless.ini"),
+        ("broken.json", "{", "broken.json"),
+    ])
+    def test_model_errors_are_config_errors(self, name, text, named, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(str(path))
+        assert main(["budget", "--config", str(path), "--distance", "600e3", "--rate", "10e9"]) == 2
+        assert named in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestBudgetCommand:
@@ -230,6 +354,18 @@ class TestCalibrateCommand:
         code = main(["calibrate", "--positions", str(path)])
         assert code == 2
         assert "divergence_rad" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("text,named", [
+        ("position_m,divergence_rad\n0.0,9e-05\n1e-4,abc\n", "divergence_rad"),
+        ("position_m,divergence_rad\n", "no data rows"),
+    ])
+    def test_malformed_input_exits_2(self, text, named, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main(["calibrate", "--positions", str(path)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert named in error and str(path) in error
 
     def test_no_inputs_exits_2(self, capsys):
         assert main(["calibrate"]) == 2

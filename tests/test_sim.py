@@ -67,6 +67,15 @@ class TestPassProfile:
         assert profile.slant_range_m[mid] == 600e3
         assert profile.elevation_deg[mid] == pytest.approx(90.0, abs=1e-9)
 
+    def test_overhead_elevations_finite_over_altitudes(self):
+        # At a 90 deg peak the arcsin argument can round past 1; 687,654.3 m
+        # is an altitude where it does.
+        for altitude in [*np.linspace(400e3, 1200e3, 300), 687_654.3]:
+            geom = PassGeometry(altitude_m=float(altitude), dt_s=30.0)
+            elevation = pass_profile(geom).elevation_deg
+            assert np.all(np.isfinite(elevation)) and np.all(elevation <= 90.0)
+            assert elevation[len(elevation) // 2] == pytest.approx(geom.max_elevation_deg, abs=1e-4)
+
     def test_range_clip_hits_endpoints_exactly(self):
         profile = pass_profile(GEOM)
         assert profile.slant_range_m[0] == pytest.approx(1200e3, abs=1e-3)
