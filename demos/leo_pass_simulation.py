@@ -8,8 +8,6 @@ the adaptive policy absorbs by widening the beam.
 
 import math
 
-import numpy as np
-
 from beamdiv.beam_optics import Convention, DivergenceAngle
 from beamdiv.link_budget import LinkConfig, calibrate_sensitivity
 from beamdiv.sim import ControlPolicy, PassGeometry, Strategy, run_pass, write_steps_csv
@@ -29,10 +27,10 @@ ideal = run_pass(geometry, policy, link, jitter=0.0, seed=0)
 mid = ideal.steps[len(ideal.steps) // 2]
 edge = ideal.steps[0]
 print(f"pass duration {ideal.summary['duration_s']:.0f} s over {ideal.summary['ticks']} ticks")
-print(f"closest approach {mid.slant_range_m / 1e3:6.0f} km -> {mid.rate_bps / 1e9:6.2f} Gbit/s "
-      f"at {mid.margin_db:.1f} dB margin")
-print(f"window edge      {edge.slant_range_m / 1e3:6.0f} km -> {edge.rate_bps / 1e9:6.2f} Gbit/s "
-      f"at {edge.margin_db:.1f} dB margin")
+print(f"closest approach {mid['slant_range_m'] / 1e3:6.0f} km -> {mid['rate_bps'] / 1e9:6.2f} Gbit/s "
+      f"at {mid['margin_db']:.1f} dB margin")
+print(f"window edge      {edge['slant_range_m'] / 1e3:6.0f} km -> {edge['rate_bps'] / 1e9:6.2f} Gbit/s "
+      f"at {edge['margin_db']:.1f} dB margin")
 print(f"delivered {ideal.summary['total_bits'] / 8e9:.1f} GB in one pass")
 
 print()
@@ -49,8 +47,8 @@ shaken = run_pass(geometry, policy, link, jitter=jitter_schedule, seed=0)
 print(f"{'t [s]':>7} {'range [km]':>10} {'sigma [ur]':>10} {'theta [ur]':>10} {'rate [Gb/s]':>11}")
 for i in range(0, len(shaken.steps), len(shaken.steps) // 10):
     s = shaken.steps[i]
-    print(f"{s.t_s:7.0f} {s.slant_range_m / 1e3:10.0f} {s.sigma_p_rad * 1e6:10.1f} "
-          f"{s.theta_actual_rad * 1e6:10.1f} {s.rate_bps / 1e9:11.2f}")
+    print(f"{s['t_s']:7.0f} {s['slant_range_m'] / 1e3:10.0f} {s['sigma_p_rad'] * 1e6:10.1f} "
+          f"{s['theta_actual_rad'] * 1e6:10.1f} {s['rate_bps'] / 1e9:11.2f}")
 loss = (1.0 - shaken.summary["total_bits"] / ideal.summary["total_bits"]) * 100
 print(f"episode cost: {loss:.1f} % of the pass throughput "
       f"({shaken.summary['total_bits'] / 8e9:.1f} GB delivered)")
@@ -64,16 +62,17 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    t = np.array([s.t_s for s in shaken.steps])
+    steps = shaken.steps
+    t = steps["t_s"]
     fig, axes = plt.subplots(3, 1, figsize=(8, 7), sharex=True)
-    axes[0].plot(t, [s.sigma_p_rad * 1e6 for s in shaken.steps])
+    axes[0].plot(t, steps["sigma_p_rad"] * 1e6)
     axes[0].set_ylabel("sigma_p [urad]")
-    axes[1].plot(t, [s.theta_actual_rad * 1e6 for s in shaken.steps], label="achieved")
-    axes[1].plot(t, [s.theta_commanded_rad * 1e6 for s in shaken.steps], "--", label="commanded")
+    axes[1].plot(t, steps["theta_actual_rad"] * 1e6, label="achieved")
+    axes[1].plot(t, steps["theta_commanded_rad"] * 1e6, "--", label="commanded")
     axes[1].set_ylabel("divergence [urad]")
     axes[1].legend()
-    axes[2].plot(t, [s.rate_bps / 1e9 for s in shaken.steps])
-    axes[2].plot(t, [s.rate_bps / 1e9 for s in ideal.steps], "--", label="ideal pointing")
+    axes[2].plot(t, steps["rate_bps"] / 1e9)
+    axes[2].plot(t, ideal.steps["rate_bps"] / 1e9, "--", label="ideal pointing")
     axes[2].set_ylabel("rate [Gbit/s]")
     axes[2].set_xlabel("time from culmination [s]")
     axes[2].legend()

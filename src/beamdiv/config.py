@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import enum
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -50,9 +51,22 @@ class ConfigError(ValueError):
     """Invalid config or measurement-file input; the message names the key, column or file."""
 
 
+def _parse_float(raw) -> float:
+    # float() and int() take JSON's true/false as 1/0.
+    if isinstance(raw, bool):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
+def _parse_int(raw) -> int:
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_float_list(raw) -> tuple[float, ...]:
     if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
+        return tuple(_parse_float(v) for v in raw)
     return tuple(float(part) for part in str(raw).split(",") if part.strip())
 
 
@@ -73,64 +87,64 @@ def _parse_enum(kind: type[enum.Enum]):
 # itself: the policy keys set attributes of its ``policy``.
 _SCHEMA = {
     "link": {
-        "tx_power_w": (float, "tx_power_w", None),
-        "wavelength_m": (float, "wavelength", None),
-        "tx_divergence_rad": (float, "tx_divergence", "value"),
+        "tx_power_w": (_parse_float, "tx_power_w", None),
+        "wavelength_m": (_parse_float, "wavelength", None),
+        "tx_divergence_rad": (_parse_float, "tx_divergence", "value"),
         "tx_divergence_convention": (_parse_enum(Convention), "tx_divergence", "convention"),
-        "rx_aperture_diameter_m": (float, "rx_aperture_diameter", None),
-        "insertion_loss_db": (float, "insertion_loss_db", None),
-        "misc_loss_db": (float, "misc_loss_db", None),
+        "rx_aperture_diameter_m": (_parse_float, "rx_aperture_diameter", None),
+        "insertion_loss_db": (_parse_float, "insertion_loss_db", None),
+        "misc_loss_db": (_parse_float, "misc_loss_db", None),
     },
     "sensitivity": {
-        "ref_rate_bps": (float, "ref_rate", None),
-        "ref_sensitivity_dbm": (float, "ref_sensitivity_dbm", None),
+        "ref_rate_bps": (_parse_float, "ref_rate", None),
+        "ref_sensitivity_dbm": (_parse_float, "ref_sensitivity_dbm", None),
     },
     "anchor": {
-        "distance_m": (float, "distance", None),
-        "rate_bps": (float, "rate", None),
-        "margin_db": (float, "margin_db", None),
+        "distance_m": (_parse_float, "distance", None),
+        "rate_bps": (_parse_float, "rate", None),
+        "margin_db": (_parse_float, "margin_db", None),
     },
     "map": {
-        "collimated_divergence_rad": (float, "collimated_divergence", None),
-        "diverging_slope_rad_per_m": (float, "diverging_slope", None),
-        "converging_slope_rad_per_m": (float, "converging_slope", None),
-        "max_travel_m": (float, "max_travel", None),
+        "collimated_divergence_rad": (_parse_float, "collimated_divergence", None),
+        "diverging_slope_rad_per_m": (_parse_float, "diverging_slope", None),
+        "converging_slope_rad_per_m": (_parse_float, "converging_slope", None),
+        "max_travel_m": (_parse_float, "max_travel", None),
     },
     "thermal": {
-        "reference_temperature_c": (float, "reference_temperature_c", None),
-        "cold_temperature_c": (float, "cold_temperature_c", None),
-        "hot_temperature_c": (float, "hot_temperature_c", None),
-        "anchor_low_rad": (float, "anchor_settings", 0),
-        "anchor_high_rad": (float, "anchor_settings", 1),
-        "cold_output_low_rad": (float, "cold_outputs", 0),
-        "cold_output_high_rad": (float, "cold_outputs", 1),
-        "hot_output_low_rad": (float, "hot_outputs", 0),
-        "hot_output_high_rad": (float, "hot_outputs", 1),
+        "reference_temperature_c": (_parse_float, "reference_temperature_c", None),
+        "cold_temperature_c": (_parse_float, "cold_temperature_c", None),
+        "hot_temperature_c": (_parse_float, "hot_temperature_c", None),
+        "anchor_low_rad": (_parse_float, "anchor_settings", 0),
+        "anchor_high_rad": (_parse_float, "anchor_settings", 1),
+        "cold_output_low_rad": (_parse_float, "cold_outputs", 0),
+        "cold_output_high_rad": (_parse_float, "cold_outputs", 1),
+        "hot_output_low_rad": (_parse_float, "hot_outputs", 0),
+        "hot_output_high_rad": (_parse_float, "hot_outputs", 1),
     },
     "chromatic": {
         "wavelengths_m": (_parse_float_list, "wavelengths", None),
-        "anchor_low_rad": (float, "anchor_settings", 0),
-        "anchor_high_rad": (float, "anchor_settings", 1),
+        "anchor_low_rad": (_parse_float, "anchor_settings", 0),
+        "anchor_high_rad": (_parse_float, "anchor_settings", 1),
         "offsets_low_rad": (_parse_float_list, "offsets_low", None),
         "offsets_high_rad": (_parse_float_list, "offsets_high", None),
     },
     "geometry": {
-        "altitude_m": (float, "altitude_m", None),
-        "min_elevation_deg": (float, "min_elevation_deg", None),
-        "max_elevation_deg": (float, "max_elevation_deg", None),
-        "dt_s": (float, "dt_s", None),
-        "max_range_m": (float, "max_range_m", None),
+        "altitude_m": (_parse_float, "altitude_m", None),
+        "min_elevation_deg": (_parse_float, "min_elevation_deg", None),
+        "max_elevation_deg": (_parse_float, "max_elevation_deg", None),
+        "dt_s": (_parse_float, "dt_s", None),
+        "max_range_m": (_parse_float, "max_range_m", None),
     },
     "policy": {
         "strategy": (_parse_enum(Strategy), "policy", "strategy"),
-        "margin_floor_db": (float, "policy", "margin_floor_db"),
+        "margin_floor_db": (_parse_float, "policy", "margin_floor_db"),
         "convention": (_parse_enum(GainConvention), "policy", "convention"),
-        "fixed_divergence_rad": (float, "policy", "fixed_divergence_rad"),
+        "fixed_divergence_rad": (_parse_float, "policy", "fixed_divergence_rad"),
         "rate_ladder_bps": (_parse_float_list, "policy", "rate_ladder_bps"),
-        "sigma_p_rad": (float, "sigma_p_rad", None),
+        "sigma_p_rad": (_parse_float, "sigma_p_rad", None),
     },
     "run": {
-        "seed": (int, "seed", None),
+        "seed": (_parse_int, "seed", None),
     },
 }
 
@@ -147,6 +161,10 @@ class RunConfig:
     policy: ControlPolicy
     sigma_p_rad: float = 0.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.sigma_p_rad) and self.sigma_p_rad >= 0.0):
+            raise ValueError(f"sigma_p_rad must be finite and >= 0, got {self.sigma_p_rad}")
 
     def make_actuator_state(self) -> ActuatorState:
         return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic)

@@ -95,8 +95,10 @@ class LinkConfig:
             raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength}")
         if not (math.isfinite(self.rx_aperture_diameter) and self.rx_aperture_diameter > 0.0):
             raise ValueError(f"rx_aperture_diameter must be > 0, got {self.rx_aperture_diameter}")
-        if self.insertion_loss_db < 0.0 or self.misc_loss_db < 0.0:
-            raise ValueError("losses must be >= 0 dB")
+        for name in ("insertion_loss_db", "misc_loss_db"):
+            loss = getattr(self, name)
+            if not (math.isfinite(loss) and loss >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0 dB, got {loss}")
 
     def with_sensitivity(self, sensitivity: SensitivityModel) -> "LinkConfig":
         return replace(self, sensitivity=sensitivity)

@@ -62,20 +62,20 @@ class PointingModel:
 
 def pointing_loss(sigma: float, theta_d: float) -> float:
     """Mean pointing-loss fraction ``10**(-2 beta^2)``, in (0, 1]."""
-    if theta_d <= 0.0:
-        raise ValueError(f"theta_d must be > 0, got {theta_d}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(theta_d) and theta_d > 0.0):
+        raise ValueError(f"theta_d must be finite and > 0, got {theta_d}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     beta = 2.0 * sigma / theta_d
     return 10.0 ** (-2.0 * beta**2)
 
 
 def pointing_loss_db(sigma: float, theta_d: float) -> float:
     """Pointing loss in dB: ``10*log10(L_p) = -20 beta^2`` (always <= 0)."""
-    if theta_d <= 0.0:
-        raise ValueError(f"theta_d must be > 0, got {theta_d}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(theta_d) and theta_d > 0.0):
+        raise ValueError(f"theta_d must be finite and > 0, got {theta_d}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     beta = 2.0 * sigma / theta_d
     return -20.0 * beta**2
 

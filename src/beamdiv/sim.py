@@ -8,11 +8,12 @@ at a minimum elevation or at a maximum slant range; range clipping puts the
 first and last ticks exactly at the range limit, which is convenient when a
 design is specified by its nearest/farthest operating distances.
 
-``run_pass`` closes the loop each tick: read the jitter schedule, pick a
-divergence with the configured policy, command the actuator emulator, step
-its motion, then evaluate pointing loss, link margin, and the supported data
-rate with the achieved divergence.  Everything is deterministic for fixed
-inputs.
+``run_pass`` evaluates the jitter schedule once, then closes the loop each
+tick: pick a divergence with the configured policy, command the actuator
+emulator, step its motion, then evaluate pointing loss, link margin, and the
+supported data rate with the achieved divergence.  The pass is one
+structured array, ``STEP_DTYPE``, with a column per CSV field.  Everything is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "PassProfile",
     "Strategy",
     "ControlPolicy",
-    "SimStep",
+    "STEP_DTYPE",
     "PassResult",
     "slant_range",
     "elevation_for_range_deg",
@@ -66,16 +67,19 @@ class PassGeometry:
     max_range_m: Optional[float] = None  # clips the pass at this slant range
 
     def __post_init__(self) -> None:
-        if self.altitude_m <= 0.0:
-            raise ValueError("altitude must be > 0")
+        if not (math.isfinite(self.altitude_m) and self.altitude_m > 0.0):
+            raise ValueError(f"altitude must be finite and > 0, got {self.altitude_m}")
+        if not (math.isfinite(self.earth_radius_m) and self.earth_radius_m > 0.0):
+            raise ValueError(f"earth_radius_m must be finite and > 0, got {self.earth_radius_m}")
         if not (0.0 < self.min_elevation_deg < 90.0):
             raise ValueError("min_elevation_deg must be in (0, 90)")
         if not (0.0 < self.max_elevation_deg <= 90.0):
             raise ValueError("max_elevation_deg must be in (0, 90]")
-        if self.dt_s <= 0.0:
-            raise ValueError("dt_s must be > 0")
-        if self.max_range_m is not None and self.max_range_m <= self.altitude_m:
-            raise ValueError("max_range_m must exceed the altitude")
+        if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
+            raise ValueError(f"dt_s must be finite and > 0, got {self.dt_s}")
+        clip = self.max_range_m
+        if clip is not None and not (math.isfinite(clip) and clip > self.altitude_m):
+            raise ValueError(f"max_range_m must be finite and exceed the altitude, got {clip}")
 
     @property
     def orbit_radius_m(self) -> float:
@@ -188,13 +192,16 @@ class ControlPolicy:
     rate_ladder_bps: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.margin_floor_db < 0.0:
-            raise ValueError("margin_floor_db must be >= 0")
+        if not (math.isfinite(self.margin_floor_db) and self.margin_floor_db >= 0.0):
+            raise ValueError(f"margin_floor_db must be finite and >= 0, got {self.margin_floor_db}")
         if self.strategy is Strategy.FIXED and self.fixed_divergence_rad is None:
             raise ValueError("FIXED strategy needs fixed_divergence_rad")
+        fixed = self.fixed_divergence_rad
+        if fixed is not None and not (math.isfinite(fixed) and fixed > 0.0):
+            raise ValueError(f"fixed_divergence_rad must be finite and > 0, got {fixed}")
         if self.rate_ladder_bps is not None:
-            if not self.rate_ladder_bps or any(r <= 0 for r in self.rate_ladder_bps):
-                raise ValueError("rate ladder entries must be > 0")
+            if not self.rate_ladder_bps or not all(math.isfinite(r) and r > 0 for r in self.rate_ladder_bps):
+                raise ValueError(f"rate ladder entries must be finite and > 0, got {self.rate_ladder_bps}")
 
 
 def adaptive_policy(
@@ -215,48 +222,23 @@ def adaptive_policy(
     return min(max(raw, lo), hi)
 
 
-@dataclass(frozen=True)
-class SimStep:
-    """One tick of the closed-loop pass simulation."""
-
-    t_s: float
-    elevation_deg: float
-    slant_range_m: float
-    sigma_p_rad: float
-    theta_commanded_rad: float
-    theta_actual_rad: float
-    pointing_loss_db: float
-    margin_db: float
-    rate_bps: float
-
-    FIELDS = (
-        "t_s",
-        "elevation_deg",
-        "slant_range_m",
-        "sigma_p_rad",
-        "theta_commanded_rad",
-        "theta_actual_rad",
-        "pointing_loss_db",
-        "margin_db",
-        "rate_bps",
-    )
+# One float64 field per CSV column, in CSV order: ``steps["rate_bps"]`` is a
+# column of a pass and ``steps[i]`` one tick.
+STEP_DTYPE = np.dtype(
+    [
+        (name, np.float64)
+        for name in ("t_s", "elevation_deg", "slant_range_m", "sigma_p_rad", "theta_commanded_rad",
+                     "theta_actual_rad", "pointing_loss_db", "margin_db", "rate_bps")
+    ]
+)
 
 
 @dataclass(frozen=True)
 class PassResult:
-    steps: tuple[SimStep, ...]
+    """One simulated pass: ``steps`` is a ``STEP_DTYPE`` array with one row per tick."""
+
+    steps: np.ndarray
     summary: dict = field(default_factory=dict)
-
-
-def _sigma_lookup(jitter: JitterSchedule, n_ticks: int) -> Callable[[int, float], float]:
-    if callable(jitter):
-        return lambda i, t: float(jitter(t))
-    if isinstance(jitter, (int, float)):
-        return lambda i, t: float(jitter)
-    values = np.asarray(jitter, dtype=float)
-    if len(values) != n_ticks:
-        raise ValueError(f"jitter schedule has {len(values)} entries for {n_ticks} ticks")
-    return lambda i, t: float(values[i])
 
 
 def run_pass(
@@ -269,10 +251,12 @@ def run_pass(
 ) -> PassResult:
     """Simulate one pass of the adaptive-divergence downlink.
 
-    Each tick: sample the jitter schedule, choose a divergence per the
-    policy, command the emulator and advance its motion by ``dt``, then
-    evaluate the budget with the *achieved* divergence and pointing loss and
-    record the data rate that holds the margin floor.
+    The jitter schedule (a scalar, one value per tick, or a callable of the
+    tick time) is evaluated once and must be finite and >= 0 everywhere.
+    Each tick: choose a divergence per the policy, command the emulator and
+    advance its motion by ``dt``, then evaluate the budget with the
+    *achieved* divergence and pointing loss and record the data rate that
+    holds the margin floor.
 
     The loop is noise-free, so the result is deterministic for fixed inputs.
     ``seed`` draws nothing; it is recorded in the summary as the run's seed.
@@ -281,23 +265,28 @@ def run_pass(
         raise ValueError("link config has no sensitivity model; calibrate one first")
     st = state if state is not None else ActuatorState()
     profile = pass_profile(geometry)
-    sigma_at = _sigma_lookup(jitter, len(profile))
+    n = len(profile)
+    steps = np.empty(n, STEP_DTYPE)
+    steps["t_s"] = profile.t_s
+    steps["elevation_deg"] = profile.elevation_deg
+    steps["slant_range_m"] = profile.slant_range_m
+    values = [jitter(t) for t in profile.t_s.tolist()] if callable(jitter) else np.asarray(jitter, dtype=float)
+    if np.ndim(values) and len(values) != n:
+        raise ValueError(f"jitter schedule has {len(values)} entries for {n} ticks")
+    sigma = steps["sigma_p_rad"]
+    sigma[:] = values
+    bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma >= 0.0)))
+    if bad.size:
+        t, value = profile.t_s[bad[0]], sigma[bad[0]]
+        raise ValueError(f"jitter schedule gives sigma = {value} rad at t = {t} s; need finite and >= 0")
 
-    steps: list[SimStep] = []
-    lag_abs: list[float] = []
-    total_bits = 0.0
-    ticks_at_floor = 0
-    for i in range(len(profile)):
-        t = float(profile.t_s[i])
-        distance = float(profile.slant_range_m[i])
-        sigma = sigma_at(i, t)
-        if sigma < 0.0:
-            raise ValueError(f"jitter schedule produced sigma < 0 at t={t}")
-        theta_cmd = adaptive_policy(policy, sigma, st)
+    computed = steps[list(STEP_DTYPE.names[4:])]  # view of the fields the loop fills
+    for i, (distance, sig) in enumerate(zip(profile.slant_range_m.tolist(), sigma.tolist())):
+        theta_cmd = adaptive_policy(policy, sig, st)
         actuator.command_divergence(st, theta_cmd)
         actuator.step(st, geometry.dt_s)
         theta_act = actuator.actual_divergence(st).value
-        lp_db = pointing_loss_db(sigma, theta_act)  # <= 0, FWHM convention
+        lp_db = pointing_loss_db(sig, theta_act)  # <= 0, FWHM convention
         live = config.with_divergence(DivergenceAngle(theta_act, Convention.FWHM))
         rate = max_rate(live, distance, policy.margin_floor_db, pointing_loss_db=-lp_db)
         margin = policy.margin_floor_db
@@ -312,47 +301,35 @@ def run_pass(
             else:
                 rate = 0.0
                 margin = -math.inf
-        steps.append(
-            SimStep(
-                t_s=t,
-                elevation_deg=float(profile.elevation_deg[i]),
-                slant_range_m=distance,
-                sigma_p_rad=sigma,
-                theta_commanded_rad=theta_cmd,
-                theta_actual_rad=theta_act,
-                pointing_loss_db=lp_db,
-                margin_db=margin,
-                rate_bps=rate,
-            )
-        )
-        lag_abs.append(abs(theta_cmd - theta_act))
-        if margin >= policy.margin_floor_db:
-            ticks_at_floor += 1
-            total_bits += rate * geometry.dt_s
+        computed[i] = (theta_cmd, theta_act, lp_db, margin, rate)
 
+    at_floor = steps["margin_db"] >= policy.margin_floor_db
+    lag = np.abs(steps["theta_commanded_rad"] - steps["theta_actual_rad"])
+    # Summed in tick order, as a running total would: np.sum's pairwise order
+    # changes the last digit.
+    bits = np.add.accumulate(np.where(at_floor, steps["rate_bps"] * geometry.dt_s, 0.0))
     summary = {
-        "ticks": len(steps),
+        "ticks": n,
         "dt_s": geometry.dt_s,
         "duration_s": float(profile.t_s[-1] - profile.t_s[0]),
         "min_range_m": float(np.min(profile.slant_range_m)),
         "max_range_m": float(np.max(profile.slant_range_m)),
-        "total_bits": total_bits,
-        "fraction_at_margin_floor": ticks_at_floor / len(steps),
-        "mean_command_lag_rad": float(np.mean(lag_abs)),
-        "max_command_lag_rad": float(np.max(lag_abs)),
+        "total_bits": float(bits[-1]),
+        "fraction_at_margin_floor": int(np.count_nonzero(at_floor)) / n,
+        "mean_command_lag_rad": float(np.mean(lag)),
+        "max_command_lag_rad": float(np.max(lag)),
         "seed": seed,
     }
-    return PassResult(steps=tuple(steps), summary=summary)
+    return PassResult(steps=steps, summary=summary)
 
 
-def steps_to_csv(steps: Sequence[SimStep]) -> str:
-    """Render SimSteps as CSV with full-precision floats (repr round-trip)."""
-    lines = [",".join(SimStep.FIELDS)]
-    for s in steps:
-        lines.append(",".join(repr(getattr(s, f)) for f in SimStep.FIELDS))
+def steps_to_csv(steps: np.ndarray) -> str:
+    """Render a ``STEP_DTYPE`` array as CSV with full-precision floats (repr round-trip)."""
+    lines = [",".join(steps.dtype.names)]
+    lines.extend(",".join(map(repr, row)) for row in steps.tolist())
     return "\n".join(lines) + "\n"
 
 
-def write_steps_csv(steps: Sequence[SimStep], path) -> None:
+def write_steps_csv(steps: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(steps_to_csv(steps))

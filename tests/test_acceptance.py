@@ -238,11 +238,11 @@ def test_simulation_anchors_and_determinism():
     result = run_pass(geometry, policy, design_link(), jitter=0.0, seed=0)
     mid = result.steps[len(result.steps) // 2]
     first = result.steps[0]
-    assert mid.slant_range_m == 600e3
-    assert mid.rate_bps == pytest.approx(10e9, rel=1e-6)
-    assert first.slant_range_m == pytest.approx(1200e3, abs=1e-3)
-    assert first.rate_bps == pytest.approx(2.5e9, rel=1e-6)
-    assert mid.margin_db == 5.0
+    assert mid["slant_range_m"] == 600e3
+    assert mid["rate_bps"] == pytest.approx(10e9, rel=1e-6)
+    assert first["slant_range_m"] == pytest.approx(1200e3, abs=1e-3)
+    assert first["rate_bps"] == pytest.approx(2.5e9, rel=1e-6)
+    assert mid["margin_db"] == 5.0
 
     again = run_pass(geometry, policy, design_link(), jitter=0.0, seed=0)
     assert steps_to_csv(again.steps) == steps_to_csv(result.steps)
@@ -256,6 +256,6 @@ def test_simulation_anchors_and_determinism():
     drift = abs(fine.summary["total_bits"] - result.summary["total_bits"]) / result.summary["total_bits"]
     assert drift < 0.01
     return (
-        f"rates {mid.rate_bps / 1e9:.3f}/{first.rate_bps / 1e9:.3f} Gbit/s in-loop, "
+        f"rates {mid['rate_bps'] / 1e9:.3f}/{first['rate_bps'] / 1e9:.3f} Gbit/s in-loop, "
         f"dt-halving bit drift {drift:.2e}"
     )

@@ -215,6 +215,13 @@ class TestSchemaTable:
         ("chromatic.ini", "[chromatic]\nwavelengths_m = 1.52e-6, 1.53e-6, 1.55e-6, 1.57e-6\n", "[chromatic]"),
         ("headerless.ini", "tx_power_w = 2.0\n", "headerless.ini"),
         ("broken.json", "{", "broken.json"),
+        # float() and int() would take these as 3, 1.0 and (1e9, 1.0).
+        ("seed.json", '{"run": {"seed": 3.7}}', "seed"),
+        ("power.json", '{"link": {"tx_power_w": true}}', "tx_power_w"),
+        ("ladder.json", '{"policy": {"rate_ladder_bps": [1e9, true]}}', "rate_ladder_bps"),
+        ("sigma_nan.ini", "[policy]\nsigma_p_rad = nan\n", "sigma_p_rad"),
+        ("sigma_inf.ini", "[policy]\nsigma_p_rad = inf\n", "sigma_p_rad"),
+        ("sigma_negative.ini", "[policy]\nsigma_p_rad = -1e-6\n", "sigma_p_rad"),
     ])
     def test_model_errors_are_config_errors(self, name, text, named, tmp_path, capsys):
         path = tmp_path / name
@@ -387,6 +394,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", design_ini]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t_s,")
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1e-6"])
+    def test_bad_sigma_exits_2(self, sigma, tmp_path, capsys):
+        path = tmp_path / "sigma.ini"
+        path.write_text(f"[policy]\nsigma_p_rad = {sigma}\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "sigma_p_rad" in json.loads(capsys.readouterr().err)["error"]
 
     def test_seed_flag_overrides(self, design_ini, tmp_path, capsys):
         out = tmp_path / "s.csv"

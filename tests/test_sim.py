@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from beamdiv.actuator import ActuatorState
 from beamdiv.beam_optics import Convention, DivergenceAngle
 from beamdiv.link_budget import LinkConfig, calibrate_sensitivity
+from beamdiv.pointing import pointing_loss, pointing_loss_db
 from beamdiv.sim import (
     ControlPolicy,
     PassGeometry,
@@ -137,18 +140,18 @@ class TestRunPass:
     def test_design_operating_points_in_loop(self):
         result = run_pass(GEOM, DESIGN_POLICY, design_link())
         first, mid = result.steps[0], result.steps[len(result.steps) // 2]
-        assert mid.slant_range_m == 600e3
-        assert mid.rate_bps == pytest.approx(10e9, rel=1e-6)
-        assert mid.margin_db == 5.0
-        assert first.slant_range_m == pytest.approx(1200e3, abs=1e-3)
-        assert first.rate_bps == pytest.approx(2.5e9, rel=1e-6)
-        assert first.theta_actual_rad == 90e-6
-        assert first.pointing_loss_db == 0.0
+        assert mid["slant_range_m"] == 600e3
+        assert mid["rate_bps"] == pytest.approx(10e9, rel=1e-6)
+        assert mid["margin_db"] == 5.0
+        assert first["slant_range_m"] == pytest.approx(1200e3, abs=1e-3)
+        assert first["rate_bps"] == pytest.approx(2.5e9, rel=1e-6)
+        assert first["theta_actual_rad"] == 90e-6
+        assert first["pointing_loss_db"] == 0.0
 
     def test_deterministic_and_byte_identical(self):
         a = run_pass(GEOM, DESIGN_POLICY, design_link(), seed=3)
         b = run_pass(GEOM, DESIGN_POLICY, design_link(), seed=3)
-        assert a.steps == b.steps
+        assert np.array_equal(a.steps, b.steps)
         assert steps_to_csv(a.steps) == steps_to_csv(b.steps)
         assert a.summary == b.summary
 
@@ -161,7 +164,7 @@ class TestRunPass:
 
     def test_summary_bits_match_ticks(self):
         result = run_pass(GEOM, DESIGN_POLICY, design_link())
-        expected = sum(s.rate_bps for s in result.steps if s.margin_db >= 5.0) * GEOM.dt_s
+        expected = sum(s["rate_bps"] for s in result.steps if s["margin_db"] >= 5.0) * GEOM.dt_s
         assert result.summary["total_bits"] == pytest.approx(expected, rel=1e-12)
         assert result.summary["fraction_at_margin_floor"] == 1.0
 
@@ -170,7 +173,7 @@ class TestRunPass:
         a = run_pass(GEOM, DESIGN_POLICY, design_link())
         b = run_pass(GEOM, fixed, design_link())
         for sa, sb in zip(a.steps, b.steps):
-            assert sa.rate_bps == sb.rate_bps
+            assert sa["rate_bps"] == sb["rate_bps"]
 
     def test_wider_sigma_never_beats_smaller(self):
         rates = []
@@ -184,19 +187,32 @@ class TestRunPass:
         schedule = np.full(n, 100e-6)
         result = run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=schedule)
         theta_star = 100e-6 * math.sqrt(8.0 * math.log(10.0))
-        assert result.steps[-1].theta_commanded_rad == pytest.approx(theta_star, rel=1e-12)
+        assert result.steps[-1]["theta_commanded_rad"] == pytest.approx(theta_star, rel=1e-12)
 
     def test_jitter_schedule_length_checked(self):
         with pytest.raises(ValueError):
             run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=[1e-6, 2e-6])
+
+    @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-6])
+    def test_bad_jitter_schedule_names_tick_and_value(self, form, bad):
+        # The bad value sits at one tick (t = 0 for the array and callable)
+        # and the error names that tick and the value.
+        n = len(pass_profile(GEOM))
+        schedule = np.full(n, 20e-6)
+        schedule[n // 2] = bad
+        jitter = {"scalar": bad, "array": schedule, "callable": lambda t: bad if t == 0.0 else 20e-6}[form]
+        t = pass_profile(GEOM).t_s[0] if form == "scalar" else 0.0
+        with pytest.raises(ValueError, match=re.escape(f"sigma = {bad} rad at t = {t} s")):
+            run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=jitter)
 
     def test_commanded_divergence_always_in_hardware_range(self):
         schedule = lambda t: 2e-3 * (1.0 + math.sin(t / 20.0)) + 1e-6
         result = run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=schedule)
         st = ActuatorState()
         for s in result.steps:
-            assert st.dmap.collimated_divergence <= s.theta_commanded_rad <= st.dmap.diverging_max
-            assert s.theta_actual_rad <= st.dmap.diverging_max + 1e-12
+            assert st.dmap.collimated_divergence <= s["theta_commanded_rad"] <= st.dmap.diverging_max
+            assert s["theta_actual_rad"] <= st.dmap.diverging_max + 1e-12
 
     def test_actual_trails_command_within_slew(self):
         # Step the jitter hard halfway through; the actual divergence must
@@ -206,16 +222,16 @@ class TestRunPass:
         st = ActuatorState()
         max_slew = st.motor_speed * GEOM.dt_s * max(st.dmap.diverging_slope, st.dmap.converging_slope)
         for s in result.steps:
-            assert abs(s.theta_actual_rad - s.theta_commanded_rad) <= max_slew + 1e-12
+            assert abs(s["theta_actual_rad"] - s["theta_commanded_rad"]) <= max_slew + 1e-12
 
     def test_rate_ladder(self):
         ladder = (2.5e9, 5e9, 10e9)
         policy = ControlPolicy(strategy=Strategy.EXACT_OPT, margin_floor_db=5.0, rate_ladder_bps=ladder)
         result = run_pass(GEOM, policy, design_link())
         mid = result.steps[len(result.steps) // 2]
-        assert mid.rate_bps == 10e9
-        assert all(s.rate_bps in ladder for s in result.steps)
-        assert all(s.margin_db >= 5.0 - 1e-9 for s in result.steps)
+        assert mid["rate_bps"] == 10e9
+        assert all(s["rate_bps"] in ladder for s in result.steps)
+        assert all(s["margin_db"] >= 5.0 - 1e-9 for s in result.steps)
 
     def test_requires_sensitivity(self):
         bare = LinkConfig(
@@ -231,6 +247,44 @@ class TestRunPass:
         result = run_pass(GEOM, DESIGN_POLICY, design_link())
         text = steps_to_csv(result.steps)
         header = text.splitlines()[0].split(",")
+        assert tuple(header) == result.steps.dtype.names
         assert header[0] == "t_s"
         assert "rate_bps" in header
         assert len(text.splitlines()) == len(result.steps) + 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dataclasses.replace(design_link(), insertion_loss_db=math.nan),
+        lambda: dataclasses.replace(design_link(), misc_loss_db=math.nan),
+        lambda: dataclasses.replace(design_link(), misc_loss_db=math.inf),
+        lambda: ControlPolicy(margin_floor_db=math.nan),
+        lambda: ControlPolicy(margin_floor_db=math.inf),
+        lambda: ControlPolicy(strategy=Strategy.FIXED, fixed_divergence_rad=math.nan),
+        lambda: ControlPolicy(strategy=Strategy.FIXED, fixed_divergence_rad=math.inf),
+        lambda: ControlPolicy(rate_ladder_bps=(1e9, math.nan)),
+        lambda: ControlPolicy(rate_ladder_bps=(1e9, math.inf)),
+        lambda: PassGeometry(dt_s=math.nan),
+        lambda: PassGeometry(dt_s=math.inf),
+        lambda: PassGeometry(altitude_m=math.nan),
+        lambda: PassGeometry(altitude_m=math.inf),
+        lambda: PassGeometry(earth_radius_m=math.nan),
+        lambda: PassGeometry(max_range_m=math.nan),
+        lambda: PassGeometry(max_range_m=math.inf),
+        lambda: pointing_loss(math.nan, 1e-3),
+        lambda: pointing_loss(1e-5, math.nan),
+        lambda: pointing_loss_db(math.nan, 1e-3),
+        lambda: pointing_loss_db(1e-5, math.nan),
+    ],
+    ids=[
+        "insertion_loss_nan", "misc_loss_nan", "misc_loss_inf", "margin_floor_nan", "margin_floor_inf",
+        "fixed_divergence_nan", "fixed_divergence_inf", "ladder_nan", "ladder_inf", "dt_nan", "dt_inf",
+        "altitude_nan", "altitude_inf", "earth_radius_nan", "max_range_nan", "max_range_inf",
+        "pointing_loss_sigma_nan", "pointing_loss_theta_nan", "pointing_loss_db_sigma_nan",
+        "pointing_loss_db_theta_nan",
+    ],
+)
+def test_non_finite_input_rejected_at_the_boundary(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
