@@ -50,8 +50,10 @@ __all__ = [
     "apply_wavelength",
     "temperature_corrected_position",
     "command_divergence",
+    "track",
     "step",
     "actual_divergence",
+    "achieved_divergence",
     "set_temperature",
     "set_wavelength",
     "steer",
@@ -108,12 +110,10 @@ class DivergenceMap:
     max_travel: float = 3.5e-3
 
     def __post_init__(self) -> None:
-        if self.collimated_divergence <= 0.0:
-            raise ValueError("collimated_divergence must be > 0")
-        if self.diverging_slope <= 0.0 or self.converging_slope <= 0.0:
-            raise ValueError("slopes must be > 0")
-        if self.max_travel <= 0.0:
-            raise ValueError("max_travel must be > 0")
+        for name in ("collimated_divergence", "diverging_slope", "converging_slope", "max_travel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def diverging_max(self) -> float:
@@ -132,24 +132,39 @@ class DivergenceMap:
         return self.diverging_max if branch is Branch.DIVERGING else self.converging_max
 
 
+def _within_travel(x, dmap: DivergenceMap):
+    """True where a lens position (a float or an array) lies inside the stroke; NaN is outside."""
+    return abs(x) <= dmap.max_travel
+
+
+def _check_travel(x: float, dmap: DivergenceMap, what: str = "lens position") -> None:
+    if not _within_travel(x, dmap):
+        raise TravelRangeError(f"{what} {x} m outside +-{dmap.max_travel} m travel")
+
+
 def divergence_from_position(x: float, dmap: DivergenceMap) -> DivergenceAngle:
     """Nominal FWHM divergence at lens position ``x`` (signed, meters)."""
-    if abs(x) > dmap.max_travel:
-        raise TravelRangeError(f"lens position {x} m outside +-{dmap.max_travel} m travel")
+    _check_travel(x, dmap)
     slope = dmap.diverging_slope if x >= 0.0 else dmap.converging_slope
     return DivergenceAngle(dmap.collimated_divergence + slope * abs(x), Convention.FWHM)
 
 
-def position_from_divergence(theta: AngleLike, branch: Branch, dmap: DivergenceMap) -> float:
+def position_from_divergence(
+    theta: Union[AngleLike, np.ndarray], branch: Branch, dmap: DivergenceMap
+) -> Union[float, np.ndarray]:
     """Signed lens position realizing ``theta`` on the given branch.
 
-    Exact inverse of :func:`divergence_from_position` on that branch.
+    Exact inverse of :func:`divergence_from_position` on that branch.  An
+    array of FWHM angles gives the array of positions, element for element
+    the same floats.
     """
-    value = _fwhm_rad(theta)
+    value = theta if isinstance(theta, np.ndarray) else _fwhm_rad(theta)
     hi = dmap.branch_max(branch)
-    if not (dmap.collimated_divergence <= value <= hi):
+    values = np.asarray(value)
+    outside = ~((dmap.collimated_divergence <= values) & (values <= hi))
+    if outside.any():
         raise ValueError(
-            f"divergence {value} rad outside [{dmap.collimated_divergence}, {hi}] rad "
+            f"divergence {values[outside][0]} rad outside [{dmap.collimated_divergence}, {hi}] rad "
             f"for the {branch.value} branch"
         )
     travel = (value - dmap.collimated_divergence) / dmap.slope(branch)
@@ -163,8 +178,12 @@ def setting_on_branch(x: float, branch: Branch, dmap: DivergenceMap) -> float:
     Past the collimation point the line continues below the collimated value
     (a virtual setting); that region is what thermal corrections use.
     """
-    if abs(x) > dmap.max_travel:
-        raise TravelRangeError(f"lens position {x} m outside +-{dmap.max_travel} m travel")
+    _check_travel(x, dmap)
+    return _setting(x, branch, dmap)
+
+
+def _setting(x, branch: Branch, dmap: DivergenceMap):
+    # setting_on_branch without the travel check; x may be an array.
     signed = x if branch is Branch.DIVERGING else -x
     return dmap.collimated_divergence + dmap.slope(branch) * signed
 
@@ -188,23 +207,31 @@ class ThermalModel:
     hot_outputs: tuple[float, float] = (423e-6, 5.5e-3)
 
     def __post_init__(self) -> None:
+        values = (self.reference_temperature_c, self.cold_temperature_c, self.hot_temperature_c,
+                  *self.anchor_settings, *self.cold_outputs, *self.hot_outputs)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"thermal model values must be finite, got {values}")
         if not (self.cold_temperature_c < self.reference_temperature_c < self.hot_temperature_c):
             raise ValueError("need cold < reference < hot temperature")
         if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
             raise ValueError("anchor settings must be positive and increasing")
 
-    def deviation(self, theta_set: float, temperature_c: float) -> float:
-        """Divergence deviation (radians, signed) at a nominal setting.
-
-        ``theta_set`` may lie outside the anchor interval (including virtual
-        settings below the collimated value); the linear interpolation in the
-        setting extrapolates.
-        """
+    def check_temperature(self, temperature_c: float) -> None:
+        """Raise ``ValueError`` unless the temperature lies in the qualified range."""
         if not (self.cold_temperature_c <= temperature_c <= self.hot_temperature_c):
             raise ValueError(
                 f"temperature {temperature_c} C outside qualified range "
                 f"[{self.cold_temperature_c}, {self.hot_temperature_c}] C"
             )
+
+    def deviation(self, theta_set, temperature_c: float):
+        """Divergence deviation (radians, signed) at a nominal setting.
+
+        ``theta_set`` may lie outside the anchor interval (including virtual
+        settings below the collimated value); the linear interpolation in the
+        setting extrapolates.  An array of settings gives an array.
+        """
+        self.check_temperature(temperature_c)
         ref = self.reference_temperature_c
         if temperature_c == ref:
             return 0.0
@@ -248,17 +275,26 @@ class ChromaticModel:
     def __post_init__(self) -> None:
         if not (len(self.wavelengths) == len(self.offsets_low) == len(self.offsets_high) == 3):
             raise ValueError("wavelengths, offsets_low and offsets_high need exactly 3 entries")
+        values = (*self.wavelengths, *self.anchor_settings, *self.offsets_low, *self.offsets_high)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"chromatic model values must be finite, got {values}")
         w = self.wavelengths
         if not (w[0] < w[1] < w[2]):
             raise ValueError("wavelength samples must be strictly increasing")
+        if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
+            raise ValueError("anchor settings must be positive and increasing")
         if 0.0 not in self.offsets_low or 0.0 not in self.offsets_high:
             raise ValueError("one sampled wavelength must carry zero offset (the optimization wavelength)")
 
-    def offset(self, theta_set: float, wavelength: float) -> float:
-        """Divergence offset (radians, >= 0 at the band edges) at a setting."""
-        w0, w1, w2 = self.wavelengths
+    def check_wavelength(self, wavelength: float) -> None:
+        """Raise ``ValueError`` unless the wavelength lies in the sampled band."""
+        w0, _, w2 = self.wavelengths
         if not (w0 <= wavelength <= w2):
             raise ValueError(f"wavelength {wavelength} m outside sampled band [{w0}, {w2}] m")
+
+    def offset(self, theta_set, wavelength: float):
+        """Divergence offset (radians, >= 0 at the band edges) at a setting or an array of them."""
+        self.check_wavelength(wavelength)
         off0 = _quadratic_through(self.wavelengths, self.offsets_low, wavelength)
         off1 = _quadratic_through(self.wavelengths, self.offsets_high, wavelength)
         a0, a1 = self.anchor_settings
@@ -345,6 +381,24 @@ class ActuatorState:
     in_motion: bool = False
     time_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject a state the motion rule and the optics models cannot start from.
+
+        Runs at construction; ``sim.run_pass`` runs it again before its first
+        tick, since fields may be assigned in between.
+        """
+        if not (math.isfinite(self.motor_speed) and self.motor_speed > 0.0):
+            raise ValueError(f"motor_speed must be finite and > 0, got {self.motor_speed}")
+        if not (math.isfinite(self.step_size) and self.step_size >= 0.0):
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
+        _check_travel(self.lens_position, self.dmap)
+        _check_travel(self.target_position, self.dmap, "target position")
+        self.thermal.check_temperature(self.temperature_c)
+        self.chromatic.check_wavelength(self.wavelength)
+
 
 @dataclass(frozen=True)
 class MotionPlan:
@@ -371,31 +425,51 @@ def command_divergence(
     return MotionPlan(target_x, abs(target_x - state.lens_position) / state.motor_speed)
 
 
-def step(state: ActuatorState, dt: float) -> ActuatorState:
-    """Advance the motion by one tick of ``dt`` seconds.
+def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[float]:
+    """Command each target position in turn and advance the lens one tick of ``dt``.
 
-    The lens moves toward the target at constant speed and the position is
-    quantized to the step grid; it never overshoots the target by more than
-    one quantization step.  ``in_motion`` clears on arrival.
+    The motion rule: the lens moves toward the target at constant speed and
+    the position is quantized to the step grid; it never overshoots the
+    target by more than one quantization step, and a target within one
+    tick's travel is reached exactly.  Returns the lens position after each
+    tick and leaves ``state`` as after the last one, ``in_motion`` set while
+    the lens is short of its target.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    state.time_s += dt
-    remaining = state.target_position - state.lens_position
-    if remaining == 0.0:
-        state.in_motion = False
-        return state
     travel = state.motor_speed * dt
-    if abs(remaining) <= travel:
-        state.lens_position = state.target_position
-        state.in_motion = False
-        return state
-    new_pos = state.lens_position + math.copysign(travel, remaining)
-    if state.step_size > 0.0:
-        new_pos = round(new_pos / state.step_size) * state.step_size
-    state.lens_position = new_pos
-    state.in_motion = new_pos != state.target_position
+    quantum = state.step_size
+    lens, time_s = state.lens_position, state.time_s
+    positions = []
+    for target in targets:
+        time_s += dt
+        remaining = target - lens
+        if remaining != 0.0:
+            if abs(remaining) <= travel:
+                lens = target
+            else:
+                lens += math.copysign(travel, remaining)
+                if quantum > 0.0:
+                    lens = round(lens / quantum) * quantum
+        positions.append(lens)
+    if positions:
+        state.lens_position, state.target_position, state.time_s = lens, target, time_s
+        state.in_motion = lens != target
+    return positions
+
+
+def step(state: ActuatorState, dt: float) -> ActuatorState:
+    """Advance the motion toward the current target by one tick of ``dt`` seconds (see :func:`track`)."""
+    track(state, (state.target_position,), dt)
     return state
+
+
+def _achieved(state: ActuatorState, u):
+    # Nominal setting(s) u plus the temperature and wavelength deviations,
+    # folded back at the collimated minimum; u may be an array.
+    raw = u + state.thermal.deviation(u, state.temperature_c) + state.chromatic.offset(u, state.wavelength)
+    floor = state.dmap.collimated_divergence
+    return floor + abs(raw - floor)
 
 
 def actual_divergence(state: ActuatorState) -> DivergenceAngle:
@@ -408,28 +482,26 @@ def actual_divergence(state: ActuatorState) -> DivergenceAngle:
     minimum).
     """
     u = setting_on_branch(state.lens_position, state.branch, state.dmap)
-    raw = (
-        u
-        + state.thermal.deviation(u, state.temperature_c)
-        + state.chromatic.offset(u, state.wavelength)
-    )
-    floor = state.dmap.collimated_divergence
-    return DivergenceAngle(floor + abs(raw - floor), Convention.FWHM)
+    return DivergenceAngle(_achieved(state, u), Convention.FWHM)
+
+
+def achieved_divergence(state: ActuatorState, positions: np.ndarray) -> np.ndarray:
+    """:func:`actual_divergence` at each lens position, radians FWHM, as the same floats.
+
+    NaN marks a position outside the stroke, where ``actual_divergence``
+    raises :class:`TravelRangeError`.
+    """
+    theta = _achieved(state, _setting(positions, state.branch, state.dmap))
+    return np.where(_within_travel(positions, state.dmap), theta, np.nan)
 
 
 def set_temperature(state: ActuatorState, temperature_c: float) -> None:
-    if not (state.thermal.cold_temperature_c <= temperature_c <= state.thermal.hot_temperature_c):
-        raise ValueError(
-            f"temperature {temperature_c} C outside qualified range "
-            f"[{state.thermal.cold_temperature_c}, {state.thermal.hot_temperature_c}] C"
-        )
+    state.thermal.check_temperature(temperature_c)
     state.temperature_c = temperature_c
 
 
 def set_wavelength(state: ActuatorState, wavelength: float) -> None:
-    w0, _, w2 = state.chromatic.wavelengths
-    if not (w0 <= wavelength <= w2):
-        raise ValueError(f"wavelength {wavelength} m outside sampled band [{w0}, {w2}] m")
+    state.chromatic.check_wavelength(wavelength)
     state.wavelength = wavelength
 
 

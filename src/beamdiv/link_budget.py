@@ -21,9 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
-from .beam_optics import Convention, DivergenceAngle
+import numpy as np
+
+from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle
 
 __all__ = [
     "SensitivityModel",
@@ -36,8 +39,10 @@ __all__ = [
     "free_space_loss_db",
     "receive_gain_db",
     "received_power_dbm",
+    "received_power_column",
     "link_margin_db",
     "max_rate",
+    "max_rate_column",
     "calibrate_sensitivity",
 ]
 
@@ -212,18 +217,10 @@ def received_power_dbm(
         raise ValueError("pointing_loss_db is a loss magnitude, must be >= 0")
     theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
-    tx_gain = 10.0 * math.log10(16.0 / theta.value**2)
+    tx_gain = _tx_gain_db(theta.value)
     path = -free_space_loss_db(distance, config.wavelength)
     rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
-    received = (
-        tx_power
-        + tx_gain
-        - pointing_loss_db
-        + path
-        + rx_gain
-        - config.insertion_loss_db
-        - config.misc_loss_db
-    )
+    received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)
     return BudgetReport(
         distance_m=distance,
         tx_power_dbm=tx_power,
@@ -234,6 +231,44 @@ def received_power_dbm(
         insertion_db=-config.insertion_loss_db,
         misc_db=-config.misc_loss_db,
         received_power_dbm=received,
+    )
+
+
+def _tx_gain_db(theta_full_1e2: float) -> float:
+    return 10.0 * math.log10(16.0 / theta_full_1e2**2)
+
+
+def _received(config: LinkConfig, tx_power, tx_gain, pointing_loss_db, path, rx_gain):
+    # The budget sum, term by term in a fixed order; floats or columns.
+    return tx_power + tx_gain - pointing_loss_db + path + rx_gain - config.insertion_loss_db - config.misc_loss_db
+
+
+def received_power_column(
+    config: LinkConfig,
+    distance: np.ndarray,
+    pointing_loss_db: np.ndarray,
+    divergence_fwhm: np.ndarray,
+) -> np.ndarray:
+    """Received power, dBm, per element: the ``received_power_dbm`` of
+    ``config.with_divergence(FWHM angle)`` at that distance and loss, as the
+    same floats.
+
+    Sums and products run in numpy, whose arithmetic rounds like Python's;
+    the log terms go through the scalar term functions element by element,
+    since numpy's SIMD ``log10`` and ``power`` differ from ``math.log10`` and
+    ``**`` in the last bit on some inputs.  NaN angles give NaN.
+    """
+    n = len(distance)
+    theta = divergence_fwhm / FWHM_PER_FULL_1E2
+    tx_gain = np.fromiter(map(_tx_gain_db, theta.tolist()), float, n)
+    path = -np.fromiter(map(free_space_loss_db, distance.tolist(), repeat(config.wavelength)), float, n)
+    return _received(
+        config,
+        watts_to_dbm(config.tx_power_w),
+        tx_gain,
+        pointing_loss_db,
+        path,
+        receive_gain_db(config.rx_aperture_diameter, config.wavelength),
     )
 
 
@@ -285,18 +320,30 @@ def max_rate(
     if config.sensitivity is None:
         raise ValueError("config has no sensitivity model; calibrate one first")
     report = received_power_dbm(config, distance, pointing_loss_db)
-    exponent = (
-        report.received_power_dbm
-        - config.sensitivity.ref_sensitivity_dbm
-        - required_margin_db
-    ) / 10.0
-    rate = config.sensitivity.ref_rate * 10.0**exponent
+    rate = _rate_at(config.sensitivity, report.received_power_dbm, required_margin_db)
     if not (math.isfinite(rate) and rate > 0.0):
         raise LinkClosedError(
             f"link closed at no rate: received {report.received_power_dbm} dBm "
             f"cannot support margin {required_margin_db} dB"
         )
     return rate
+
+
+def _rate_at(sensitivity: SensitivityModel, received_dbm: float, margin_db: float) -> float:
+    exponent = (received_dbm - sensitivity.ref_sensitivity_dbm - margin_db) / 10.0
+    return sensitivity.ref_rate * 10.0**exponent
+
+
+def max_rate_column(config: LinkConfig, received_dbm: np.ndarray, required_margin_db: float) -> np.ndarray:
+    """:func:`max_rate` at each received power, bit/s, as the same floats.
+
+    Raises nothing: where ``max_rate`` raises :class:`LinkClosedError` the
+    element is not a finite positive rate, and the caller decides.
+    """
+    if config.sensitivity is None:
+        raise ValueError("config has no sensitivity model; calibrate one first")
+    rates = map(_rate_at, repeat(config.sensitivity), received_dbm.tolist(), repeat(required_margin_db))
+    return np.fromiter(rates, float, len(received_dbm))
 
 
 def calibrate_sensitivity(

@@ -25,6 +25,7 @@ __all__ = [
     "PointingModel",
     "pointing_loss",
     "pointing_loss_db",
+    "pointing_loss_db_column",
     "rule_of_thumb_divergence",
     "optimal_divergence",
     "gain_improvement_db",
@@ -76,29 +77,43 @@ def pointing_loss_db(sigma: float, theta_d: float) -> float:
         raise ValueError(f"theta_d must be finite and > 0, got {theta_d}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    beta = 2.0 * sigma / theta_d
+    return _loss_db(2.0 * sigma / theta_d)
+
+
+def _loss_db(beta: float) -> float:
     return -20.0 * beta**2
 
 
-def rule_of_thumb_divergence(sigma: float) -> float:
-    """The 5-sigma rule of thumb for the operating divergence.
+def pointing_loss_db_column(sigma: np.ndarray, theta_d: np.ndarray) -> np.ndarray:
+    """:func:`pointing_loss_db` element by element, as the same floats.
+
+    ``beta`` is formed by numpy, whose division rounds like Python's; the
+    square goes through Python's ``**``, from which numpy's differs in the
+    last bit on some inputs.  Inputs are not checked: a NaN angle gives NaN.
+    """
+    beta = 2.0 * sigma / theta_d
+    return np.fromiter(map(_loss_db, beta.tolist()), float, len(beta))
+
+
+def rule_of_thumb_divergence(sigma):
+    """The 5-sigma rule of thumb for the operating divergence (of a sigma or an array of them).
 
     Raises for ``sigma == 0``: there is no finite optimum without jitter and
     the caller must clamp to the hardware minimum instead.
     """
-    if sigma <= 0.0:
+    if np.any(np.less_equal(sigma, 0.0)):
         raise ValueError("rule_of_thumb_divergence needs sigma > 0; clamp to the hardware minimum instead")
     return 5.0 * sigma
 
 
-def optimal_divergence(sigma: float, convention: GainConvention) -> float:
-    """Exact maximizer of gain times pointing loss.
+def optimal_divergence(sigma, convention: GainConvention):
+    """Exact maximizer of gain times pointing loss, for a sigma or an array of them.
 
     QUADRATIC: ``theta* = sigma * sqrt(8 ln 10)`` (~4.2919 sigma).
     LINEAR:    ``theta* = 4 sigma * sqrt(ln 10)`` (~6.0697 sigma).
     Scale-invariant: ``theta*(k sigma) = k theta*(sigma)``.
     """
-    if sigma <= 0.0:
+    if np.any(np.less_equal(sigma, 0.0)):
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if convention is GainConvention.QUADRATIC:
         return sigma * _OPT_FACTOR_QUADRATIC

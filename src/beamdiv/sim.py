@@ -8,16 +8,19 @@ at a minimum elevation or at a maximum slant range; range clipping puts the
 first and last ticks exactly at the range limit, which is convenient when a
 design is specified by its nearest/farthest operating distances.
 
-``run_pass`` evaluates the jitter schedule once, then closes the loop each
-tick: pick a divergence with the configured policy, command the actuator
-emulator, step its motion, then evaluate pointing loss, link margin, and the
-supported data rate with the achieved divergence.  The pass is one
-structured array, ``STEP_DTYPE``, with a column per CSV field.  Everything is
-deterministic for fixed inputs.
+``run_pass`` closes the loop over a whole pass as columns: the jitter
+schedule, the divergence the policy picks, the lens target it implies, the
+achieved divergence, pointing loss, link margin and the supported data rate.
+Only the lens tracker, whose position at one tick depends on the last, runs
+as a loop of scalar steps.  The columns hold the same floats as stepping the
+per-tick APIs tick by tick.  The pass is one structured array,
+``STEP_DTYPE``, with a column per CSV field.  Everything is deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -27,9 +30,10 @@ import numpy as np
 
 from . import actuator
 from .actuator import ActuatorState
-from .beam_optics import Convention, DivergenceAngle
-from .link_budget import LinkConfig, max_rate, received_power_dbm
-from .pointing import GainConvention, optimal_divergence, pointing_loss_db, rule_of_thumb_divergence
+from .link_budget import LinkConfig, max_rate, max_rate_column, received_power_column
+from .link_budget import received_power_dbm  # noqa: F401  (perfbench traces it through this module)
+from .pointing import GainConvention, optimal_divergence, pointing_loss_db, pointing_loss_db_column
+from .pointing import rule_of_thumb_divergence
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -206,20 +210,27 @@ class ControlPolicy:
 
 def adaptive_policy(
     policy: ControlPolicy,
-    sigma_p: float,
+    sigma_p: Union[float, np.ndarray],
     state: ActuatorState,
-) -> float:
-    """Pick the divergence to command this tick, clamped to actuator limits."""
-    dmap = state.dmap
-    lo = dmap.collimated_divergence
-    hi = dmap.branch_max(state.branch)
+) -> Union[float, np.ndarray]:
+    """Pick the divergence to command for a sigma, or for each of an array of them.
+
+    Zero jitter commands the collimated minimum; every pick is clamped to
+    the actuator limits of the state's branch.
+    """
+    sigma = np.asarray(sigma_p, dtype=float)
+    lo = state.dmap.collimated_divergence
+    hi = state.dmap.branch_max(state.branch)
     if policy.strategy is Strategy.FIXED:
-        raw = policy.fixed_divergence_rad
-    elif policy.strategy is Strategy.RULE_5_SIGMA:
-        raw = rule_of_thumb_divergence(sigma_p) if sigma_p > 0.0 else lo
+        raw = np.full(sigma.shape, policy.fixed_divergence_rad)
     else:
-        raw = optimal_divergence(sigma_p, policy.convention) if sigma_p > 0.0 else lo
-    return min(max(raw, lo), hi)
+        raw = np.full(sigma.shape, lo)
+        jittered = sigma > 0.0
+        if policy.strategy is Strategy.RULE_5_SIGMA:
+            raw[jittered] = rule_of_thumb_divergence(sigma[jittered])
+        else:
+            raw[jittered] = optimal_divergence(sigma[jittered], policy.convention)
+    return np.minimum(np.maximum(raw, lo), hi)
 
 
 # One float64 field per CSV column, in CSV order: ``steps["rate_bps"]`` is a
@@ -253,10 +264,14 @@ def run_pass(
 
     The jitter schedule (a scalar, one value per tick, or a callable of the
     tick time) is evaluated once and must be finite and >= 0 everywhere.
-    Each tick: choose a divergence per the policy, command the emulator and
-    advance its motion by ``dt``, then evaluate the budget with the
-    *achieved* divergence and pointing loss and record the data rate that
-    holds the margin floor.
+    Each tick chooses a divergence per the policy, commands the emulator and
+    advances its motion by ``dt``, then evaluates the budget with the
+    *achieved* divergence and pointing loss and records the data rate that
+    holds the margin floor.  All but the motion run as columns over the
+    pass; the results, the final ``state`` and any error equal those of
+    running ``adaptive_policy``, ``actuator.command_divergence``,
+    ``actuator.step``, ``actuator.actual_divergence``, ``pointing_loss_db``
+    and ``max_rate`` tick by tick.
 
     The loop is noise-free, so the result is deterministic for fixed inputs.
     ``seed`` draws nothing; it is recorded in the summary as the run's seed.
@@ -264,6 +279,8 @@ def run_pass(
     if config.sensitivity is None:
         raise ValueError("link config has no sensitivity model; calibrate one first")
     st = state if state is not None else ActuatorState()
+    st.validate()
+    start = copy.copy(st)
     profile = pass_profile(geometry)
     n = len(profile)
     steps = np.empty(n, STEP_DTYPE)
@@ -280,28 +297,44 @@ def run_pass(
         t, value = profile.t_s[bad[0]], sigma[bad[0]]
         raise ValueError(f"jitter schedule gives sigma = {value} rad at t = {t} s; need finite and >= 0")
 
-    computed = steps[list(STEP_DTYPE.names[4:])]  # view of the fields the loop fills
-    for i, (distance, sig) in enumerate(zip(profile.slant_range_m.tolist(), sigma.tolist())):
-        theta_cmd = adaptive_policy(policy, sig, st)
-        actuator.command_divergence(st, theta_cmd)
-        actuator.step(st, geometry.dt_s)
-        theta_act = actuator.actual_divergence(st).value
-        lp_db = pointing_loss_db(sig, theta_act)  # <= 0, FWHM convention
-        live = config.with_divergence(DivergenceAngle(theta_act, Convention.FWHM))
-        rate = max_rate(live, distance, policy.margin_floor_db, pointing_loss_db=-lp_db)
-        margin = policy.margin_floor_db
-        if policy.rate_ladder_bps is not None:
-            # Relative slack keeps a rung feasible when the continuous rate
-            # equals it up to float rounding (e.g. exactly at a clip range).
-            ladder = [r for r in policy.rate_ladder_bps if r <= rate * (1.0 + 1e-9)]
-            if ladder:
-                rate = max(ladder)
-                report = received_power_dbm(live, distance, pointing_loss_db=-lp_db)
-                margin = report.received_power_dbm - config.sensitivity.sensitivity_dbm(rate)
-            else:
-                rate = 0.0
-                margin = -math.inf
-        computed[i] = (theta_cmd, theta_act, lp_db, margin, rate)
+    theta_cmd = steps["theta_commanded_rad"]
+    theta_cmd[:] = adaptive_policy(policy, sigma, st)
+    targets = actuator.position_from_divergence(theta_cmd, st.branch, st.dmap).tolist()
+    lens = np.array(actuator.track(st, targets, geometry.dt_s))
+    theta_act = steps["theta_actual_rad"]
+    theta_act[:] = actuator.achieved_divergence(st, lens)  # NaN where the lens left the stroke
+    lp_db = steps["pointing_loss_db"]
+    lp_db[:] = pointing_loss_db_column(sigma, theta_act)  # <= 0, FWHM convention
+    received = received_power_column(config, profile.slant_range_m, -lp_db, theta_act)
+    rate = max_rate_column(config, received, policy.margin_floor_db)
+    failed = np.flatnonzero(~(np.isfinite(rate) & (rate > 0.0)))
+    if failed.size:
+        k = int(failed[0])
+        # Replay the first failing tick through the per-tick APIs, from the
+        # initial state, so it raises what that tick raises and leaves the
+        # state there.
+        vars(st).update(vars(start))
+        actuator.track(st, targets[: k + 1], geometry.dt_s)
+        achieved = actuator.actual_divergence(st)
+        loss_db = pointing_loss_db(sigma[k].item(), achieved.value)
+        max_rate(config.with_divergence(achieved), profile.slant_range_m[k].item(), policy.margin_floor_db,
+                 pointing_loss_db=-loss_db)
+        raise AssertionError(f"tick {k} fails as a column but not through the per-tick APIs")
+
+    margin = steps["margin_db"]
+    if policy.rate_ladder_bps is None:
+        margin[:] = policy.margin_floor_db
+        steps["rate_bps"] = rate
+    else:
+        # The highest rung the continuous rate supports.  Relative slack keeps
+        # a rung feasible when the continuous rate equals it up to float
+        # rounding (e.g. exactly at a clip range).
+        rungs = np.sort(policy.rate_ladder_bps)
+        sensitivity = np.array([config.sensitivity.sensitivity_dbm(r) for r in rungs.tolist()])
+        top = np.searchsorted(rungs, rate * (1.0 + 1e-9), side="right") - 1
+        feasible = top >= 0
+        steps["rate_bps"] = np.where(feasible, rungs[top], 0.0)
+        margin[:] = np.where(feasible, received - sensitivity[top], -math.inf)
 
     at_floor = steps["margin_db"] >= policy.margin_floor_db
     lag = np.abs(steps["theta_commanded_rad"] - steps["theta_actual_rad"])

@@ -402,6 +402,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "sigma_p_rad" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("section,text", [
+        ("[map]", "[map]\ncollimated_divergence_rad = nan\n"),
+        ("[map]", "[map]\nmax_travel_m = inf\n"),
+        ("[thermal]", "[thermal]\ncold_output_low_rad = nan\n"),
+        ("[chromatic]", "[chromatic]\noffsets_low_rad = nan, 0.0, 3e-6\n"),
+        # Equal anchors used to divide by zero inside the pass.
+        ("[chromatic]", "[chromatic]\nanchor_low_rad = 5e-3\n"),
+    ])
+    def test_non_finite_actuator_model_exits_2(self, section, text, tmp_path, capsys):
+        path = tmp_path / "model.ini"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert section in json.loads(capsys.readouterr().err)["error"]
+
     def test_seed_flag_overrides(self, design_ini, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", design_ini, "--seed", "9", "--out", str(out)]) == 0

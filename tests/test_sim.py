@@ -4,12 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as hs
 
-from beamdiv.actuator import ActuatorState
+from beamdiv import actuator
+from beamdiv.actuator import ActuatorState, Branch, ChromaticModel, DivergenceMap, ThermalModel, TravelRangeError
 from beamdiv.beam_optics import Convention, DivergenceAngle
-from beamdiv.link_budget import LinkConfig, calibrate_sensitivity
-from beamdiv.pointing import pointing_loss, pointing_loss_db
+from beamdiv.link_budget import LinkClosedError, LinkConfig, calibrate_sensitivity, max_rate, received_power_dbm
+from beamdiv.pointing import GainConvention, pointing_loss, pointing_loss_db
 from beamdiv.sim import (
+    STEP_DTYPE,
     ControlPolicy,
     PassGeometry,
     Strategy,
@@ -276,15 +280,247 @@ class TestRunPass:
         lambda: pointing_loss(1e-5, math.nan),
         lambda: pointing_loss_db(math.nan, 1e-3),
         lambda: pointing_loss_db(1e-5, math.nan),
+
+        lambda: DivergenceMap(collimated_divergence=math.nan),
+        lambda: DivergenceMap(diverging_slope=math.nan),
+        lambda: DivergenceMap(converging_slope=math.inf),
+        lambda: DivergenceMap(max_travel=math.inf),
+        lambda: ThermalModel(cold_outputs=(math.nan, 4e-3)),
+        lambda: ThermalModel(hot_temperature_c=math.inf),
+        lambda: ThermalModel(anchor_settings=(90e-6, math.inf)),
+        lambda: ChromaticModel(offsets_low=(math.nan, 0.0, 3e-6)),
+        lambda: ChromaticModel(wavelengths=(1.53e-6, 1.55e-6, math.inf)),
+        lambda: ActuatorState(motor_speed=math.nan),
+        lambda: ActuatorState(motor_speed=math.inf),
+        lambda: ActuatorState(step_size=math.nan),
     ],
     ids=[
         "insertion_loss_nan", "misc_loss_nan", "misc_loss_inf", "margin_floor_nan", "margin_floor_inf",
         "fixed_divergence_nan", "fixed_divergence_inf", "ladder_nan", "ladder_inf", "dt_nan", "dt_inf",
         "altitude_nan", "altitude_inf", "earth_radius_nan", "max_range_nan", "max_range_inf",
         "pointing_loss_sigma_nan", "pointing_loss_theta_nan", "pointing_loss_db_sigma_nan",
-        "pointing_loss_db_theta_nan",
+        "pointing_loss_db_theta_nan", "map_collimated_nan", "map_diverging_slope_nan",
+        "map_converging_slope_inf", "map_max_travel_inf", "thermal_output_nan", "thermal_hot_inf",
+        "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
+        "motor_speed_inf", "step_size_nan",
     ],
 )
 def test_non_finite_input_rejected_at_the_boundary(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("motor_speed", 0.0, ValueError),
+        ("motor_speed", -1e-3, ValueError),
+        ("step_size", -1e-6, ValueError),
+        ("step_size", math.inf, ValueError),
+        ("lens_position", 1.0, TravelRangeError),
+        ("lens_position", math.nan, TravelRangeError),
+        ("target_position", -math.inf, TravelRangeError),
+        ("temperature_c", 61.0, ValueError),
+        ("temperature_c", math.nan, ValueError),
+        ("wavelength", 1.6e-6, ValueError),
+    ],
+)
+def test_actuator_state_rejected_before_any_tick(field, value, error):
+    with pytest.raises(error):
+        ActuatorState(**{field: value})
+    # A field assigned after construction is caught when run_pass starts.
+    state = ActuatorState()
+    setattr(state, field, value)
+    with pytest.raises(error):
+        run_pass(GEOM, DESIGN_POLICY, design_link(), state=state)
+    assert state.time_s == 0.0
+
+
+def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
+    """The per-tick closed loop: policy -> command -> step -> achieved divergence -> budget, tick by tick.
+
+    ``run_pass`` computes the same pass as columns; this is its oracle.
+    """
+    st = state if state is not None else ActuatorState()
+    profile = pass_profile(geometry)
+    n = len(profile)
+    if callable(jitter):
+        sigmas = [float(jitter(t)) for t in profile.t_s.tolist()]
+    else:
+        sigmas = np.broadcast_to(np.asarray(jitter, dtype=float), (n,)).tolist()
+    floor = policy.margin_floor_db
+    rows = []
+    for t, elevation, distance, sig in zip(
+        profile.t_s.tolist(), profile.elevation_deg.tolist(), profile.slant_range_m.tolist(), sigmas
+    ):
+        theta_cmd = float(adaptive_policy(policy, sig, st))
+        actuator.command_divergence(st, theta_cmd)
+        actuator.step(st, geometry.dt_s)
+        theta_act = actuator.actual_divergence(st).value
+        lp_db = pointing_loss_db(sig, theta_act)
+        live = config.with_divergence(DivergenceAngle(theta_act, Convention.FWHM))
+        rate = max_rate(live, distance, floor, pointing_loss_db=-lp_db)
+        margin = floor
+        if policy.rate_ladder_bps is not None:
+            ladder = [r for r in policy.rate_ladder_bps if r <= rate * (1.0 + 1e-9)]
+            if ladder:
+                rate = max(ladder)
+                report = received_power_dbm(live, distance, pointing_loss_db=-lp_db)
+                margin = report.received_power_dbm - config.sensitivity.sensitivity_dbm(rate)
+            else:
+                rate = 0.0
+                margin = -math.inf
+        rows.append((t, elevation, distance, sig, theta_cmd, theta_act, lp_db, margin, rate))
+    steps = np.array(rows, dtype=STEP_DTYPE)
+    total_bits = 0.0
+    for row in rows:
+        total_bits += row[8] * geometry.dt_s if row[7] >= floor else 0.0
+    lag = np.abs(steps["theta_commanded_rad"] - steps["theta_actual_rad"])
+    summary = {
+        "ticks": n,
+        "dt_s": geometry.dt_s,
+        "duration_s": rows[-1][0] - rows[0][0],
+        "min_range_m": min(r[2] for r in rows),
+        "max_range_m": max(r[2] for r in rows),
+        "total_bits": total_bits,
+        "fraction_at_margin_floor": sum(r[7] >= floor for r in rows) / n,
+        "mean_command_lag_rad": float(np.mean(lag)),
+        "max_command_lag_rad": float(np.max(lag)),
+        "seed": seed,
+    }
+    return steps, summary
+
+
+def _outcome(run, state):
+    try:
+        return run(state), None
+    except (LinkClosedError, TravelRangeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _final_state(state):
+    return (state.lens_position, state.target_position, state.in_motion, state.time_s, state.branch)
+
+
+@hs.composite
+def _passes(draw):
+    altitude = draw(hs.floats(400e3, 1200e3))
+    if draw(hs.booleans()):
+        clip = {"max_range_m": altitude + draw(hs.floats(50e3, 1000e3)),
+                "max_elevation_deg": draw(hs.floats(30.0, 90.0))}
+    else:
+        low = draw(hs.floats(5.0, 60.0))
+        clip = {"min_elevation_deg": low, "max_elevation_deg": draw(hs.floats(low + 1.0, 90.0))}
+    geometry = PassGeometry(altitude_m=altitude, dt_s=draw(hs.floats(0.2, 15.0)), **clip)
+    try:
+        n = len(pass_profile(geometry))
+    except ValueError:  # the peak lies below the clip
+        assume(False)
+    assume(n <= 3000)
+
+    strategy = draw(hs.sampled_from(Strategy))
+    ladder = draw(hs.none() | hs.lists(
+        hs.sampled_from([1e6, 2.5e9, 5e9, 10e9, 20e9, 1e13]) | hs.floats(1e6, 1e12), min_size=1, max_size=6))
+    policy = ControlPolicy(
+        strategy=strategy,
+        margin_floor_db=draw(hs.floats(0.0, 10.0)),
+        convention=draw(hs.sampled_from(GainConvention)),
+        fixed_divergence_rad=draw(hs.floats(30e-6, 8e-3)) if strategy is Strategy.FIXED else None,
+        rate_ladder_bps=None if ladder is None else tuple(ladder),
+    )
+
+    dmap = DivergenceMap()
+    branch = draw(hs.sampled_from(Branch))
+    state = dict(
+        branch=branch,
+        lens_position=draw(hs.floats(-dmap.max_travel, dmap.max_travel)),
+        target_position=draw(hs.floats(-dmap.max_travel, dmap.max_travel)),
+        motor_speed=draw(hs.sampled_from([actuator.MOTOR_SPEED_M_PER_S, 1e-4]) | hs.floats(1e-6, 1e-2)),
+        step_size=draw(hs.sampled_from([0.0, 1e-7, 1e-6, 3.3e-6])),
+        temperature_c=draw(hs.sampled_from([-30.0, 20.0, 60.0]) | hs.floats(-30.0, 60.0)),
+        wavelength=draw(hs.sampled_from([1.53e-6, 1.55e-6, 1.565e-6]) | hs.floats(1.53e-6, 1.565e-6)),
+        time_s=draw(hs.sampled_from([0.0, 12.5])),
+    )
+
+    base = draw(hs.sampled_from([0.0, 1e-6, 20e-6]) | hs.floats(0.0, 1e-3))
+    spike = draw(hs.sampled_from([0.0, 5e-4, 5e-3, 0.1]))
+    form = draw(hs.sampled_from(["scalar", "array", "callable"]))
+    if form == "scalar":
+        jitter = base
+    elif form == "array":
+        # Per-tick noise gives every tick its own angles, so that the few
+        # inputs on which numpy's log10 or power would round differently from
+        # the scalar functions turn up.
+        noise = draw(hs.sampled_from([0.0, 0.08]))
+        rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+        values = np.maximum(base * (1.0 + noise * rng.standard_normal(n)), 0.0)
+        ticks = draw(hs.lists(hs.integers(0, n - 1), max_size=5))
+        values[ticks] = spike
+        values[draw(hs.lists(hs.integers(0, n - 1), max_size=3))] = 0.0
+        jitter = values
+    else:
+        period = draw(hs.floats(5.0, 200.0))
+
+        def jitter(t):
+            phase = (t / period) % 1.0
+            return spike if phase < 0.1 else 0.0 if phase < 0.2 else base
+
+    return geometry, policy, jitter, state
+
+
+def _assert_pass_equals_reference(geometry, policy, jitter, state, seed=0) -> list[str]:
+    """Run both loops from equal states; returns labels of what the pass went through."""
+    config = design_link()
+    new, ref = ActuatorState(**state), ActuatorState(**state)
+    got, got_error = _outcome(lambda s: run_pass(geometry, policy, config, jitter=jitter, seed=seed, state=s), new)
+    want, want_error = _outcome(
+        lambda s: _reference_pass(geometry, policy, config, jitter=jitter, seed=seed, state=s), ref)
+    assert got_error == want_error
+    assert _final_state(new) == _final_state(ref)
+    if want_error is None:
+        steps, summary = want
+        assert np.array_equal(got.steps, steps)
+        assert got.summary == summary
+        return ["slewing" if summary["max_command_lag_rad"] > 0.0 else "settled",
+                "no feasible rung" if np.any(steps["margin_db"] == -math.inf) else "every tick has a rate"]
+    return [want_error[0].__name__]
+
+
+@given(_passes(), hs.integers(0, 2**31))
+def test_columnar_pass_equals_the_per_tick_loop(case, seed):
+    geometry, policy, jitter, state = case
+    for label in _assert_pass_equals_reference(geometry, policy, jitter, state, seed):
+        event(label)
+
+
+@pytest.mark.parametrize(
+    "jitter,state,error",
+    [
+        # The converging branch's maximum maps one ulp past the stroke end,
+        # so the tick the lens arrives there raises.
+        (2e-3, {"branch": Branch.CONVERGING}, TravelRangeError),
+        # A 0.1 rad spike costs thousands of dB of pointing loss from t = 0 on.
+        (lambda t: 0.1 if t >= 0.0 else 20e-6, {"lens_position": 1e-3, "step_size": 0.0}, LinkClosedError),
+    ],
+    ids=["travel", "link_closed"],
+)
+def test_failing_tick_raises_as_the_per_tick_loop(jitter, state, error):
+    # Same error, same message, and the state left at the failing tick.
+    with pytest.raises(error):
+        run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=jitter, state=ActuatorState(**state))
+    _assert_pass_equals_reference(GEOM, DESIGN_POLICY, jitter, state)
+
+
+def test_noisy_pass_equals_the_per_tick_loop():
+    # Thousands of distinct angles and ranges, as in a 10 ms pass with a
+    # vibration episode: numpy's SIMD log10, power or square would round
+    # differently from the scalar terms on a few of them.
+    geometry = PassGeometry(altitude_m=600e3, max_range_m=1200e3, dt_s=0.2)
+    n = len(pass_profile(geometry))
+    rng = np.random.default_rng(7)
+    sigma = np.full(n, 25e-6)
+    sigma[n // 3: n // 2] = 400e-6
+    sigma *= 1.0 + 0.08 * rng.standard_normal(n)
+    state = {"temperature_c": -20.0, "wavelength": 1.56e-6}
+    labels = _assert_pass_equals_reference(geometry, DESIGN_POLICY, np.maximum(sigma, 0.0), state)
+    assert labels == ["slewing", "every tick has a rate"]
