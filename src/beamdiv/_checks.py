@@ -1,0 +1,45 @@
+"""The one rule for numbers entering beamdiv: finite, and past a bound when one is given.
+
+NaN fails every comparison, so a bare ``if x <= 0: raise`` lets it through;
+this module tests finiteness first, and words every rejection the same way:
+``"<name> must be finite and > <bound>, got <value>"``.  Constructors and
+public entry points state their names and bounds through :func:`finite`; a
+caller that reports bad elements its own way, such as a jitter schedule
+naming its tick, asks :func:`rejected` for their indices.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def finite(name: str, value, *, gt=None, ge=None):
+    """Return ``value`` if it is finite and ``> gt`` / ``>= ge``; else raise ``ValueError`` naming it.
+
+    ``value`` is a number, or a sequence or array that is checked once as a
+    whole; the error then shows its first rejected element.
+    """
+    if isinstance(value, (int, float)):
+        if math.isfinite(value) and (gt is None or value > gt) and (ge is None or value >= ge):
+            return value
+        shown = value
+    else:
+        bad = rejected(value, gt=gt, ge=ge)
+        if not bad.size:
+            return value
+        shown = np.ravel(value)[bad[0]]
+    bound = f" and > {gt}" if gt is not None else f" and >= {ge}" if ge is not None else ""
+    raise ValueError(f"{name} must be finite{bound}, got {shown}")
+
+
+def rejected(values, *, gt=None, ge=None) -> np.ndarray:
+    """Flat indices of the elements of ``values`` that :func:`finite` rejects, in order."""
+    array = np.asarray(values, dtype=float)
+    ok = np.isfinite(array)
+    if gt is not None:
+        ok &= array > gt
+    if ge is not None:
+        ok &= array >= ge
+    return np.flatnonzero(~ok)

@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from ._checks import finite
 from .beam_optics import Convention, DivergenceAngle
 
 __all__ = [
@@ -111,9 +112,7 @@ class DivergenceMap:
 
     def __post_init__(self) -> None:
         for name in ("collimated_divergence", "diverging_slope", "converging_slope", "max_travel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            finite(name, getattr(self, name), gt=0)
 
     @property
     def diverging_max(self) -> float:
@@ -168,6 +167,8 @@ def position_from_divergence(
             f"for the {branch.value} branch"
         )
     travel = (value - dmap.collimated_divergence) / dmap.slope(branch)
+    # The branch maximum can map one ulp past the stroke end; clamp it back.
+    travel = np.minimum(travel, dmap.max_travel) if values.ndim else min(travel, dmap.max_travel)
     return travel if branch is Branch.DIVERGING else -travel
 
 
@@ -207,10 +208,9 @@ class ThermalModel:
     hot_outputs: tuple[float, float] = (423e-6, 5.5e-3)
 
     def __post_init__(self) -> None:
-        values = (self.reference_temperature_c, self.cold_temperature_c, self.hot_temperature_c,
-                  *self.anchor_settings, *self.cold_outputs, *self.hot_outputs)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"thermal model values must be finite, got {values}")
+        for name in ("reference_temperature_c", "cold_temperature_c", "hot_temperature_c",
+                     "anchor_settings", "cold_outputs", "hot_outputs"):
+            finite(name, getattr(self, name))
         if not (self.cold_temperature_c < self.reference_temperature_c < self.hot_temperature_c):
             raise ValueError("need cold < reference < hot temperature")
         if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
@@ -275,9 +275,8 @@ class ChromaticModel:
     def __post_init__(self) -> None:
         if not (len(self.wavelengths) == len(self.offsets_low) == len(self.offsets_high) == 3):
             raise ValueError("wavelengths, offsets_low and offsets_high need exactly 3 entries")
-        values = (*self.wavelengths, *self.anchor_settings, *self.offsets_low, *self.offsets_high)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"chromatic model values must be finite, got {values}")
+        for name in ("wavelengths", "anchor_settings", "offsets_low", "offsets_high"):
+            finite(name, getattr(self, name))
         w = self.wavelengths
         if not (w[0] < w[1] < w[2]):
             raise ValueError("wavelength samples must be strictly increasing")
@@ -390,10 +389,8 @@ class ActuatorState:
         Runs at construction; ``sim.run_pass`` runs it again before its first
         tick, since fields may be assigned in between.
         """
-        if not (math.isfinite(self.motor_speed) and self.motor_speed > 0.0):
-            raise ValueError(f"motor_speed must be finite and > 0, got {self.motor_speed}")
-        if not (math.isfinite(self.step_size) and self.step_size >= 0.0):
-            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
+        finite("motor_speed", self.motor_speed, gt=0)
+        finite("step_size", self.step_size, ge=0)
         _check_travel(self.lens_position, self.dmap)
         _check_travel(self.target_position, self.dmap, "target position")
         self.thermal.check_temperature(self.temperature_c)
@@ -435,9 +432,7 @@ def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[flo
     tick and leaves ``state`` as after the last one, ``in_motion`` set while
     the lens is short of its target.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    travel = state.motor_speed * dt
+    travel = state.motor_speed * finite("dt", dt, gt=0)
     quantum = state.step_size
     lens, time_s = state.lens_position, state.time_s
     positions = []
@@ -506,6 +501,8 @@ def set_wavelength(state: ActuatorState, wavelength: float) -> None:
 
 
 def steer(state: ActuatorState, tip: float, tilt: float) -> None:
+    finite("tip", tip)
+    finite("tilt", tilt)
     if abs(tip) > STEERING_RANGE_RAD or abs(tilt) > STEERING_RANGE_RAD:
         raise ValueError(f"steering command ({tip}, {tilt}) rad outside +-{STEERING_RANGE_RAD} rad")
     state.tip = tip
@@ -542,10 +539,8 @@ def steering_residual(
     value).  Amplitude beyond the steering range saturates: the un-steerable
     excess passes through unattenuated.  Above the band nothing is rejected.
     """
-    if disturbance_frequency_hz < 0.0:
-        raise ValueError("frequency must be >= 0")
-    if amplitude_rad < 0.0:
-        raise ValueError("amplitude must be >= 0")
+    finite("frequency", disturbance_frequency_hz, ge=0)
+    finite("amplitude", amplitude_rad, ge=0)
     if disturbance_frequency_hz > isolation_cutoff_hz:
         return amplitude_rad
     steerable = min(amplitude_rad, steering_range_rad)

@@ -20,6 +20,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import j0
 
+from ._checks import finite
+
 __all__ = [
     "Convention",
     "DivergenceAngle",
@@ -63,8 +65,7 @@ class DivergenceAngle:
     convention: Convention
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ValueError(f"divergence angle must be finite and > 0, got {self.value}")
+        finite("divergence angle", self.value, gt=0)
         if not isinstance(self.convention, Convention):
             raise ValueError(f"unknown divergence convention: {self.convention!r}")
 
@@ -99,8 +100,7 @@ class GaussianBeam:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.waist_diameter_1e2) and self.waist_diameter_1e2 > 0.0):
-            raise ValueError(f"waist diameter must be finite and > 0, got {self.waist_diameter_1e2}")
+        finite("waist diameter", self.waist_diameter_1e2, gt=0)
         if not (C_BAND_MIN_M <= self.wavelength <= C_BAND_MAX_M):
             raise ValueError(
                 f"wavelength {self.wavelength} m outside C band "
@@ -124,8 +124,7 @@ class AperturedBeam:
     aperture_diameter: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.aperture_diameter) and self.aperture_diameter > 0.0):
-            raise ValueError(f"aperture diameter must be finite and > 0, got {self.aperture_diameter}")
+        finite("aperture diameter", self.aperture_diameter, gt=0)
 
     @property
     def truncation_ratio(self) -> float:
@@ -209,8 +208,7 @@ def farfield_intensity(
     th = np.asarray(angles, dtype=float)
     if th.ndim != 1 or th.size == 0:
         raise ValueError("angles must be a non-empty 1-D sequence")
-    if np.any(th < 0.0):
-        raise ValueError("angles must be non-negative")
+    finite("angles", th, ge=0)
     if np.any(np.diff(th) < 0.0):
         raise ValueError("angles must be sorted ascending")
 
@@ -279,6 +277,4 @@ def footprint(theta_fwhm: DivergenceAngle, distance: float) -> float:
         raise ValueError("footprint expects an FWHM angle; convert first")
     if theta_fwhm.value >= 0.1:
         raise ValueError("footprint is a small-angle formula; theta must be < 0.1 rad")
-    if distance <= 0.0:
-        raise ValueError("distance must be > 0")
-    return theta_fwhm.value * distance
+    return theta_fwhm.value * finite("distance", distance, gt=0)

@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._checks import finite
 from .actuator import ChromaticModel, DivergenceMap, ThermalModel
 from .beam_optics import DivergenceAngle, GaussianBeam
 from .config import ConfigError
@@ -76,13 +77,9 @@ class ProfilerSample:
     replicate: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0.0:
-            raise ValueError(f"distance must be > 0, got {self.distance_m}")
-        if self.spot_diameter_m < PROFILER_RESOLUTION_M:
-            raise ValueError(
-                f"spot diameter {self.spot_diameter_m} m below profiler resolution "
-                f"{PROFILER_RESOLUTION_M} m"
-            )
+        finite("distance_m", self.distance_m, gt=0)
+        # The profiler cannot resolve a spot below its resolution.
+        finite("spot_diameter_m", self.spot_diameter_m, ge=PROFILER_RESOLUTION_M)
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,8 @@ def estimate_min_divergence(
     """
     if len(measurements) < 2:
         raise ValueError("need >= 2 measurements to average")
-    if nominal_rad <= 0.0:
-        raise ValueError("nominal divergence must be > 0")
+    finite("measurements", measurements)
+    finite("nominal_rad", nominal_rad, gt=0)
     mean = float(np.mean(measurements))
     deviation = abs(mean - nominal_rad) / nominal_rad
     return MinDivergenceResult(mean_rad=mean, nominal_rad=nominal_rad, deviation_fraction=deviation)
@@ -258,9 +255,10 @@ def na_mismatch_effect(
     widens the minimum divergence by the inverse diameter ratio, so
     ``theta_new * D_new == theta_nominal * D_nominal``.
     """
-    if f_eff_m <= 0.0:
-        raise ValueError("effective focal length must be > 0")
+    finite("delta_na_deg", delta_na_deg)
+    finite("f_eff_m", f_eff_m, gt=0)
     fwhm = nominal_fwhm.fwhm if isinstance(nominal_fwhm, DivergenceAngle) else float(nominal_fwhm)
+    finite("nominal_fwhm", fwhm, gt=0)
     d_nom = nominal_beam.waist_diameter_1e2
     change = f_eff_m * math.radians(delta_na_deg)
     d_new = d_nom - change
@@ -479,24 +477,26 @@ def sample_position_map(dmap: DivergenceMap, points_per_branch: int = 8) -> list
 def _read_csv_columns(path, required: Sequence[str], optional: Sequence[str] = ()) -> list[dict]:
     """Numeric columns of a measurement CSV, one dict per row; input errors are ConfigErrors."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last column
         for col in required:
-            if col not in header:
+            if col not in index:
                 raise ConfigError(f"missing column '{col}' in {path}")
-        columns = (*required, *optional)
+        columns = [(col, index[col]) for col in (*required, *optional) if col in index]
         rows = []
-        for row in reader:
+        for cells in reader:
+            if not cells:  # a blank line
+                continue
             out = {}
-            for col in columns:
-                cell = row.get(col)
-                if cell in (None, "") and col in optional:
+            for col, i in columns:
+                cell = cells[i] if i < len(cells) else ""
+                if not cell and col in optional:
                     continue
                 try:
-                    out[col] = float(cell)
-                except (TypeError, ValueError):
+                    out[col] = finite(col, float(cell))
+                except ValueError:
                     raise ConfigError(
-                        f"non-numeric value {cell!r} in column '{col}' of {path}, line {reader.line_num}"
+                        f"need a finite number, got {cell!r} in column '{col}' of {path}, line {reader.line_num}"
                     ) from None
             rows.append(out)
     if not rows:

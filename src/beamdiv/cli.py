@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import calibration
-from .actuator import DivergenceMap, TravelRangeError, run_script
+from .actuator import DivergenceMap, run_script
 from .beam_optics import QuadratureError
 from .calibration import CalibrationTable
 from .config import ConfigError, load_config
@@ -27,13 +27,6 @@ from .sim import run_pass, steps_to_csv
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _fail(code: int, message: str, **extra) -> int:
-    record = {"error": message}
-    record.update(extra)
-    print(json.dumps(record), file=sys.stderr)
-    return code
 
 
 def _emit(text: str, out_path) -> None:
@@ -51,14 +44,8 @@ def _angle_human(rad: float) -> str:
 
 
 def cmd_budget(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        return _fail(EXIT_CONFIG, str(exc), command="budget")
-    try:
-        report = budget_report(cfg.link, args.distance, args.rate, pointing_loss_db=args.pointing_loss_db)
-    except (ValueError, LinkClosedError) as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), command="budget")
+    cfg = load_config(args.config)
+    report = budget_report(cfg.link, args.distance, args.rate, pointing_loss_db=args.pointing_loss_db)
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
@@ -69,7 +56,7 @@ def cmd_budget(args) -> int:
 def cmd_optimize(args) -> int:
     sigma = args.sigma
     if sigma is None:
-        return _fail(EXIT_CONFIG, "provide --sigma (radians)", command="optimize")
+        raise ConfigError("provide --sigma (radians)")
     convention = GainConvention(args.convention)
     theta_min, theta_max = args.min_divergence, args.max_divergence
     clamped_note = None
@@ -115,22 +102,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_emulate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        return _fail(EXIT_CONFIG, str(exc), command="emulate")
-    state = cfg.make_actuator_state()
-    try:
-        if args.script:
-            with open(args.script) as fh:
-                lines = fh.readlines()
-        else:
-            lines = []
-        trace = run_script(lines, state)
-    except OSError as exc:
-        return _fail(EXIT_CONFIG, str(exc), command="emulate")
-    except (ValueError, TravelRangeError) as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), command="emulate")
+    state = load_config(args.config).make_actuator_state()
+    lines = []
+    if args.script:
+        with open(args.script) as fh:
+            lines = fh.readlines()
+    trace = run_script(lines, state)
     if args.format == "json":
         _emit(json.dumps(trace, indent=2), args.out)
     else:
@@ -144,36 +121,30 @@ def cmd_emulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     if not (args.positions or args.profiler or args.thermal or args.chromatic):
-        return _fail(EXIT_CONFIG, "provide at least one input CSV (--positions/--profiler/--thermal/--chromatic)",
-                     command="calibrate")
+        raise ConfigError("provide at least one input CSV (--positions/--profiler/--thermal/--chromatic)")
     position_fit = thermal_fit = chromatic_fit = None
     provenance: dict = {}
-    try:
-        if args.positions:
-            pairs = calibration.read_position_csv(args.positions)
-            position_fit = calibration.build_position_map(pairs)
-            provenance["positions"] = {"source": args.positions, "rows": len(pairs)}
-        if args.profiler:
-            samples = calibration.read_profiler_csv(args.profiler)
-            fit = calibration.fit_divergence(samples)
-            provenance["profiler"] = {
-                "source": args.profiler,
-                "rows": len(samples),
-                "divergence_full_1e2_rad": fit.slope,
-                "r_squared": fit.r_squared,
-            }
-        if args.thermal:
-            rows = calibration.read_thermal_csv(args.thermal)
-            thermal_fit = calibration.build_thermal_model(rows)
-            provenance["thermal"] = {"source": args.thermal, "rows": len(rows)}
-        if args.chromatic:
-            rows = calibration.read_chromatic_csv(args.chromatic)
-            chromatic_fit = calibration.build_chromatic_model(rows)
-            provenance["chromatic"] = {"source": args.chromatic, "rows": len(rows)}
-    except (ConfigError, OSError) as exc:
-        return _fail(EXIT_CONFIG, str(exc), command="calibrate")
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), command="calibrate")
+    if args.positions:
+        pairs = calibration.read_position_csv(args.positions)
+        position_fit = calibration.build_position_map(pairs)
+        provenance["positions"] = {"source": args.positions, "rows": len(pairs)}
+    if args.profiler:
+        samples = calibration.read_profiler_csv(args.profiler)
+        fit = calibration.fit_divergence(samples)
+        provenance["profiler"] = {
+            "source": args.profiler,
+            "rows": len(samples),
+            "divergence_full_1e2_rad": fit.slope,
+            "r_squared": fit.r_squared,
+        }
+    if args.thermal:
+        rows = calibration.read_thermal_csv(args.thermal)
+        thermal_fit = calibration.build_thermal_model(rows)
+        provenance["thermal"] = {"source": args.thermal, "rows": len(rows)}
+    if args.chromatic:
+        rows = calibration.read_chromatic_csv(args.chromatic)
+        chromatic_fit = calibration.build_chromatic_model(rows)
+        provenance["chromatic"] = {"source": args.chromatic, "rows": len(rows)}
     table = CalibrationTable(
         position=position_fit, thermal=thermal_fit, chromatic=chromatic_fit, provenance=provenance
     )
@@ -190,22 +161,16 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        return _fail(EXIT_CONFIG, str(exc), command="simulate")
+    cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    try:
-        result = run_pass(
-            cfg.geometry,
-            cfg.policy,
-            cfg.link,
-            jitter=cfg.sigma_p_rad,
-            seed=seed,
-            state=cfg.make_actuator_state(),
-        )
-    except (ValueError, LinkClosedError, QuadratureError) as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), command="simulate")
+    result = run_pass(
+        cfg.geometry,
+        cfg.policy,
+        cfg.link,
+        jitter=cfg.sigma_p_rad,
+        seed=seed,
+        state=cfg.make_actuator_state(),
+    )
     csv_text = steps_to_csv(result.steps)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -284,7 +249,16 @@ def main(argv=None) -> int:
         import math
 
         args.sigma = math.radians(args.sigma_deg)
-    return args.func(args)
+    # The exit code follows the exception type, in this order: a ConfigError
+    # is also a ValueError.
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
+        code, message = EXIT_CONFIG, str(exc)
+    except (ValueError, LinkClosedError, QuadratureError) as exc:
+        code, message = EXIT_NUMERICAL, str(exc)
+    print(json.dumps({"error": message, "command": args.command}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

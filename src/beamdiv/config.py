@@ -20,11 +20,11 @@ from __future__ import annotations
 import configparser
 import enum
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ._checks import finite
 from .actuator import ActuatorState, ChromaticModel, DivergenceMap, ThermalModel
 from .beam_optics import Convention, DivergenceAngle
 from .link_budget import LinkConfig, SensitivityModel, calibrate_sensitivity
@@ -48,7 +48,7 @@ DESIGN_POLICY = ControlPolicy(margin_floor_db=DESIGN_ANCHOR[2])
 
 
 class ConfigError(ValueError):
-    """Invalid config or measurement-file input; the message names the key, column or file."""
+    """Invalid config, command-line or measurement-file input; the message names the key, flag, column or file."""
 
 
 def _parse_float(raw) -> float:
@@ -163,8 +163,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_p_rad) and self.sigma_p_rad >= 0.0):
-            raise ValueError(f"sigma_p_rad must be finite and >= 0, got {self.sigma_p_rad}")
+        finite("sigma_p_rad", self.sigma_p_rad, ge=0)
 
     def make_actuator_state(self) -> ActuatorState:
         return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic)

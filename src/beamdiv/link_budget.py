@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._checks import finite
 from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle
 
 __all__ = [
@@ -64,15 +65,11 @@ class SensitivityModel:
     ref_sensitivity_dbm: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ref_rate) and self.ref_rate > 0.0):
-            raise ValueError(f"ref_rate must be finite and > 0, got {self.ref_rate}")
-        if not math.isfinite(self.ref_sensitivity_dbm):
-            raise ValueError("ref_sensitivity_dbm must be finite")
+        finite("ref_rate", self.ref_rate, gt=0)
+        finite("ref_sensitivity_dbm", self.ref_sensitivity_dbm)
 
     def sensitivity_dbm(self, rate: float) -> float:
-        if rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        return self.ref_sensitivity_dbm + 10.0 * math.log10(rate / self.ref_rate)
+        return self.ref_sensitivity_dbm + 10.0 * math.log10(finite("rate", rate, gt=0) / self.ref_rate)
 
 
 @dataclass(frozen=True)
@@ -94,16 +91,10 @@ class LinkConfig:
     sensitivity: Optional[SensitivityModel] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tx_power_w) and self.tx_power_w > 0.0):
-            raise ValueError(f"tx_power_w must be finite and > 0, got {self.tx_power_w}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength}")
-        if not (math.isfinite(self.rx_aperture_diameter) and self.rx_aperture_diameter > 0.0):
-            raise ValueError(f"rx_aperture_diameter must be > 0, got {self.rx_aperture_diameter}")
+        for name in ("tx_power_w", "wavelength", "rx_aperture_diameter"):
+            finite(name, getattr(self, name), gt=0)
         for name in ("insertion_loss_db", "misc_loss_db"):
-            loss = getattr(self, name)
-            if not (math.isfinite(loss) and loss >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0 dB, got {loss}")
+            finite(name, getattr(self, name), ge=0)
 
     def with_sensitivity(self, sensitivity: SensitivityModel) -> "LinkConfig":
         return replace(self, sensitivity=sensitivity)
@@ -180,24 +171,24 @@ class BudgetReport:
 
 
 def watts_to_dbm(power_w: float) -> float:
-    if power_w <= 0.0:
-        raise ValueError(f"power must be > 0 W, got {power_w}")
-    return 10.0 * math.log10(power_w * 1e3)
+    return 10.0 * math.log10(finite("power", power_w, gt=0) * 1e3)
 
 
 def free_space_loss_db(distance: float, wavelength: float) -> float:
     """Free-space path loss ``20 log10(4 pi L / lambda)``, positive dB."""
-    if distance <= 0.0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    finite("distance", distance, gt=0)
+    finite("wavelength", wavelength, gt=0)
+    return _path_loss_db(distance, wavelength)
+
+
+def _path_loss_db(distance: float, wavelength: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance / wavelength)
 
 
 def receive_gain_db(aperture_diameter: float, wavelength: float) -> float:
     """Receive antenna gain ``(pi D / lambda)^2`` in dB."""
-    if aperture_diameter <= 0.0:
-        raise ValueError(f"aperture diameter must be > 0, got {aperture_diameter}")
+    finite("aperture diameter", aperture_diameter, gt=0)
+    finite("wavelength", wavelength, gt=0)
     return 20.0 * math.log10(math.pi * aperture_diameter / wavelength)
 
 
@@ -211,14 +202,13 @@ def received_power_dbm(
     ``pointing_loss_db`` is a non-negative loss magnitude (0 for ideal
     pointing); it enters the report as a negative addend.
     """
-    if distance <= 0.0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    if pointing_loss_db < 0.0:
-        raise ValueError("pointing_loss_db is a loss magnitude, must be >= 0")
+    if distance != math.inf:  # receives -inf dBm, so max_rate reports the link closed
+        finite("distance", distance, gt=0)
+    finite("pointing_loss_db", pointing_loss_db, ge=0)
     theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
     tx_gain = _tx_gain_db(theta.value)
-    path = -free_space_loss_db(distance, config.wavelength)
+    path = -_path_loss_db(distance, config.wavelength)
     rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
     received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)
     return BudgetReport(
@@ -256,12 +246,14 @@ def received_power_column(
     Sums and products run in numpy, whose arithmetic rounds like Python's;
     the log terms go through the scalar term functions element by element,
     since numpy's SIMD ``log10`` and ``power`` differ from ``math.log10`` and
-    ``**`` in the last bit on some inputs.  NaN angles give NaN.
+    ``**`` in the last bit on some inputs.  The distances are checked once,
+    as a column; NaN angles give NaN.
     """
+    finite("distance", distance, gt=0)
     n = len(distance)
     theta = divergence_fwhm / FWHM_PER_FULL_1E2
     tx_gain = np.fromiter(map(_tx_gain_db, theta.tolist()), float, n)
-    path = -np.fromiter(map(free_space_loss_db, distance.tolist(), repeat(config.wavelength)), float, n)
+    path = -np.fromiter(map(_path_loss_db, distance.tolist(), repeat(config.wavelength)), float, n)
     return _received(
         config,
         watts_to_dbm(config.tx_power_w),
@@ -279,8 +271,6 @@ def link_margin_db(
     pointing_loss_db: float = 0.0,
 ) -> float:
     """Received power minus receiver sensitivity at the given rate, dB."""
-    if rate <= 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     if config.sensitivity is None:
         raise ValueError("config has no sensitivity model; calibrate one first")
     report = received_power_dbm(config, distance, pointing_loss_db)
@@ -358,9 +348,7 @@ def calibrate_sensitivity(
     Picks ``ref_sensitivity`` so the budget yields exactly ``margin_db`` at
     (distance, rate).  Re-anchoring at the returned model is a fixed point.
     """
-    if rate <= 0.0:
-        raise ValueError(f"anchor rate must be > 0, got {rate}")
-    if not math.isfinite(margin_db):
-        raise ValueError("anchor margin must be finite")
+    finite("anchor rate", rate, gt=0)
+    finite("anchor margin", margin_db)
     report = received_power_dbm(config, distance, pointing_loss_db)
     return SensitivityModel(ref_rate=rate, ref_sensitivity_dbm=report.received_power_dbm - margin_db)

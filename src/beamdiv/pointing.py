@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite
+
 __all__ = [
     "GainConvention",
     "PointingModel",
@@ -57,27 +59,23 @@ class PointingModel:
     source_note: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        finite("sigma", self.sigma, ge=0)
 
 
 def pointing_loss(sigma: float, theta_d: float) -> float:
     """Mean pointing-loss fraction ``10**(-2 beta^2)``, in (0, 1]."""
-    if not (math.isfinite(theta_d) and theta_d > 0.0):
-        raise ValueError(f"theta_d must be finite and > 0, got {theta_d}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    beta = 2.0 * sigma / theta_d
-    return 10.0 ** (-2.0 * beta**2)
+    return 10.0 ** (-2.0 * _beta(sigma, theta_d) ** 2)
 
 
 def pointing_loss_db(sigma: float, theta_d: float) -> float:
     """Pointing loss in dB: ``10*log10(L_p) = -20 beta^2`` (always <= 0)."""
-    if not (math.isfinite(theta_d) and theta_d > 0.0):
-        raise ValueError(f"theta_d must be finite and > 0, got {theta_d}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return _loss_db(2.0 * sigma / theta_d)
+    return _loss_db(_beta(sigma, theta_d))
+
+
+def _beta(sigma: float, theta_d: float) -> float:
+    finite("theta_d", theta_d, gt=0)
+    finite("sigma", sigma, ge=0)
+    return 2.0 * sigma / theta_d
 
 
 def _loss_db(beta: float) -> float:
@@ -101,9 +99,7 @@ def rule_of_thumb_divergence(sigma):
     Raises for ``sigma == 0``: there is no finite optimum without jitter and
     the caller must clamp to the hardware minimum instead.
     """
-    if np.any(np.less_equal(sigma, 0.0)):
-        raise ValueError("rule_of_thumb_divergence needs sigma > 0; clamp to the hardware minimum instead")
-    return 5.0 * sigma
+    return 5.0 * finite("sigma", sigma, gt=0)
 
 
 def optimal_divergence(sigma, convention: GainConvention):
@@ -113,8 +109,7 @@ def optimal_divergence(sigma, convention: GainConvention):
     LINEAR:    ``theta* = 4 sigma * sqrt(ln 10)`` (~6.0697 sigma).
     Scale-invariant: ``theta*(k sigma) = k theta*(sigma)``.
     """
-    if np.any(np.less_equal(sigma, 0.0)):
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    finite("sigma", sigma, gt=0)
     if convention is GainConvention.QUADRATIC:
         return sigma * _OPT_FACTOR_QUADRATIC
     if convention is GainConvention.LINEAR:
@@ -124,8 +119,8 @@ def optimal_divergence(sigma, convention: GainConvention):
 
 def gain_improvement_db(theta_ref: float, theta_new: float, convention: GainConvention) -> float:
     """Gain gained (dB) by narrowing the divergence from theta_ref to theta_new."""
-    if theta_ref <= 0.0 or theta_new <= 0.0:
-        raise ValueError("divergence angles must be > 0")
+    finite("theta_ref", theta_ref, gt=0)
+    finite("theta_new", theta_new, gt=0)
     ratio = theta_ref / theta_new
     if convention is GainConvention.LINEAR:
         return 10.0 * math.log10(ratio)

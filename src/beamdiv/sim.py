@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import actuator
+from ._checks import finite, rejected
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate, max_rate_column, received_power_column
 from .link_budget import received_power_dbm  # noqa: F401  (perfbench traces it through this module)
@@ -71,19 +72,14 @@ class PassGeometry:
     max_range_m: Optional[float] = None  # clips the pass at this slant range
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.altitude_m) and self.altitude_m > 0.0):
-            raise ValueError(f"altitude must be finite and > 0, got {self.altitude_m}")
-        if not (math.isfinite(self.earth_radius_m) and self.earth_radius_m > 0.0):
-            raise ValueError(f"earth_radius_m must be finite and > 0, got {self.earth_radius_m}")
+        for name in ("altitude_m", "earth_radius_m", "dt_s"):
+            finite(name, getattr(self, name), gt=0)
         if not (0.0 < self.min_elevation_deg < 90.0):
             raise ValueError("min_elevation_deg must be in (0, 90)")
         if not (0.0 < self.max_elevation_deg <= 90.0):
             raise ValueError("max_elevation_deg must be in (0, 90]")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
-            raise ValueError(f"dt_s must be finite and > 0, got {self.dt_s}")
-        clip = self.max_range_m
-        if clip is not None and not (math.isfinite(clip) and clip > self.altitude_m):
-            raise ValueError(f"max_range_m must be finite and exceed the altitude, got {clip}")
+        if self.max_range_m is not None:
+            finite("max_range_m", self.max_range_m, gt=self.altitude_m)
 
     @property
     def orbit_radius_m(self) -> float:
@@ -196,16 +192,15 @@ class ControlPolicy:
     rate_ladder_bps: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.margin_floor_db) and self.margin_floor_db >= 0.0):
-            raise ValueError(f"margin_floor_db must be finite and >= 0, got {self.margin_floor_db}")
+        finite("margin_floor_db", self.margin_floor_db, ge=0)
         if self.strategy is Strategy.FIXED and self.fixed_divergence_rad is None:
             raise ValueError("FIXED strategy needs fixed_divergence_rad")
-        fixed = self.fixed_divergence_rad
-        if fixed is not None and not (math.isfinite(fixed) and fixed > 0.0):
-            raise ValueError(f"fixed_divergence_rad must be finite and > 0, got {fixed}")
+        if self.fixed_divergence_rad is not None:
+            finite("fixed_divergence_rad", self.fixed_divergence_rad, gt=0)
         if self.rate_ladder_bps is not None:
-            if not self.rate_ladder_bps or not all(math.isfinite(r) and r > 0 for r in self.rate_ladder_bps):
-                raise ValueError(f"rate ladder entries must be finite and > 0, got {self.rate_ladder_bps}")
+            if not self.rate_ladder_bps:
+                raise ValueError("rate ladder needs at least one rung")
+            finite("rate_ladder_bps", self.rate_ladder_bps, gt=0)
 
 
 def adaptive_policy(
@@ -215,10 +210,11 @@ def adaptive_policy(
 ) -> Union[float, np.ndarray]:
     """Pick the divergence to command for a sigma, or for each of an array of them.
 
-    Zero jitter commands the collimated minimum; every pick is clamped to
-    the actuator limits of the state's branch.
+    Each sigma must be finite and >= 0.  Zero jitter commands the collimated
+    minimum; every pick is clamped to the actuator limits of the state's
+    branch.
     """
-    sigma = np.asarray(sigma_p, dtype=float)
+    sigma = finite("sigma_p", np.asarray(sigma_p, dtype=float), ge=0)
     lo = state.dmap.collimated_divergence
     hi = state.dmap.branch_max(state.branch)
     if policy.strategy is Strategy.FIXED:
@@ -292,7 +288,7 @@ def run_pass(
         raise ValueError(f"jitter schedule has {len(values)} entries for {n} ticks")
     sigma = steps["sigma_p_rad"]
     sigma[:] = values
-    bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma >= 0.0)))
+    bad = rejected(sigma, ge=0)
     if bad.size:
         t, value = profile.t_s[bad[0]], sigma[bad[0]]
         raise ValueError(f"jitter schedule gives sigma = {value} rad at t = {t} s; need finite and >= 0")
@@ -307,7 +303,7 @@ def run_pass(
     lp_db[:] = pointing_loss_db_column(sigma, theta_act)  # <= 0, FWHM convention
     received = received_power_column(config, profile.slant_range_m, -lp_db, theta_act)
     rate = max_rate_column(config, received, policy.margin_floor_db)
-    failed = np.flatnonzero(~(np.isfinite(rate) & (rate > 0.0)))
+    failed = rejected(rate, gt=0)  # where max_rate raises LinkClosedError
     if failed.size:
         k = int(failed[0])
         # Replay the first failing tick through the per-tick APIs, from the

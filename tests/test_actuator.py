@@ -73,6 +73,18 @@ class TestDivergenceMap:
         with pytest.raises(ValueError):
             position_from_divergence(6.2e-3, Branch.DIVERGING, MAP)  # above diverging max
 
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_branch_maximum_reachable(self, branch):
+        # The converging maximum used to map one ulp past the stroke end.
+        st = ActuatorState()
+        plan = command_divergence(st, MAP.branch_max(branch), branch)
+        assert abs(plan.target_position_m) == MAP.max_travel
+        step(st, plan.duration_s)
+        assert st.lens_position == plan.target_position_m
+        assert actual_divergence(st).value == pytest.approx(MAP.branch_max(branch), rel=1e-12)
+        script = [f"set-divergence {MAP.branch_max(branch)!r} {branch.value}", "step 1"]
+        assert run_script(script)[-1]["lens_position_m"] == plan.target_position_m
+
     def test_virtual_setting_extends_below_collimation(self):
         u = setting_on_branch(-1e-3, Branch.DIVERGING, MAP)
         assert u == pytest.approx(90e-6 - MAP.diverging_slope * 1e-3, rel=1e-12)

@@ -365,6 +365,7 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("text,named", [
         ("position_m,divergence_rad\n0.0,9e-05\n1e-4,abc\n", "divergence_rad"),
         ("position_m,divergence_rad\n", "no data rows"),
+        ("position_m,divergence_rad\n0.0,9e-05\n1e-4,nan\n", "line 3"),
     ])
     def test_malformed_input_exits_2(self, text, named, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -420,6 +421,31 @@ class TestSimulateCommand:
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", design_ini, "--seed", "9", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+
+@pytest.mark.parametrize("argv,files,code,named", [
+    (["budget", "--distance", "nan", "--rate", "10e9", "--format", "json"], {}, 3, "distance"),
+    (["budget", "--distance", "600e3", "--rate", "nan", "--format", "json"], {}, 3, "rate"),
+    (["optimize", "--sigma", "nan"], {}, 3, "sigma"),
+    (["optimize", "--sigma", "1e-5", "--reference-divergence", "-1"], {}, 3, "theta_ref"),
+    (["emulate", "--script", "{script}"], {"script": "query\nstep nan\n"}, 3, "line 2"),
+    (["emulate", "--script", "{script}"], {"script": "steer nan nan\n"}, 3, "tip"),
+    (["calibrate", "--profiler", "{csv}"],
+     {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\nnan,0.005\n"}, 2, "line 5"),
+], ids=["budget_distance", "budget_rate", "optimize_sigma", "optimize_reference", "emulate_step", "emulate_steer",
+        "calibrate_profiler"])
+def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["command"] == argv[0]
+    assert named in record["error"]
 
 
 class TestHelp:

@@ -9,9 +9,36 @@ from hypothesis import strategies as hs
 
 from beamdiv import actuator
 from beamdiv.actuator import ActuatorState, Branch, ChromaticModel, DivergenceMap, ThermalModel, TravelRangeError
-from beamdiv.beam_optics import Convention, DivergenceAngle
-from beamdiv.link_budget import LinkClosedError, LinkConfig, calibrate_sensitivity, max_rate, received_power_dbm
-from beamdiv.pointing import GainConvention, pointing_loss, pointing_loss_db
+from beamdiv.beam_optics import (
+    AperturedBeam,
+    Convention,
+    DivergenceAngle,
+    GaussianBeam,
+    farfield_intensity,
+    footprint,
+)
+from beamdiv.calibration import ProfilerSample, estimate_min_divergence, na_mismatch_effect
+from beamdiv.link_budget import (
+    LinkClosedError,
+    LinkConfig,
+    budget_report,
+    calibrate_sensitivity,
+    free_space_loss_db,
+    link_margin_db,
+    max_rate,
+    receive_gain_db,
+    received_power_column,
+    received_power_dbm,
+    watts_to_dbm,
+)
+from beamdiv.pointing import (
+    GainConvention,
+    gain_improvement_db,
+    optimal_divergence,
+    pointing_loss,
+    pointing_loss_db,
+    rule_of_thumb_divergence,
+)
 from beamdiv.sim import (
     STEP_DTYPE,
     ControlPolicy,
@@ -293,6 +320,36 @@ class TestRunPass:
         lambda: ActuatorState(motor_speed=math.nan),
         lambda: ActuatorState(motor_speed=math.inf),
         lambda: ActuatorState(step_size=math.nan),
+        lambda: actuator.step(ActuatorState(), math.nan),
+        lambda: actuator.track(ActuatorState(), [0.0], math.inf),
+        lambda: actuator.steer(ActuatorState(), math.nan, math.nan),
+        lambda: actuator.steering_residual(math.nan, 1e-5),
+        lambda: actuator.steering_residual(10.0, math.nan),
+        lambda: ProfilerSample(math.nan, math.nan),
+        lambda: ProfilerSample(3.0, math.nan),
+        lambda: estimate_min_divergence([90e-6, math.nan]),
+        lambda: estimate_min_divergence([90e-6, 91e-6], math.nan),
+        lambda: na_mismatch_effect(math.nan, 0.0765, GaussianBeam(0.02, 1.55e-6), 90e-6),
+        lambda: na_mismatch_effect(2.62, 0.0765, GaussianBeam(0.02, 1.55e-6), math.nan),
+        lambda: design_link().sensitivity.sensitivity_dbm(math.nan),
+        lambda: watts_to_dbm(math.nan),
+        lambda: free_space_loss_db(math.nan, 1.55e-6),
+        lambda: free_space_loss_db(600e3, math.inf),
+        lambda: receive_gain_db(0.35, math.nan),
+        lambda: received_power_dbm(design_link(), math.nan),
+        lambda: received_power_dbm(design_link(), 600e3, math.nan),
+        lambda: received_power_column(design_link(), np.array([600e3, math.nan]), np.zeros(2), np.full(2, 90e-6)),
+        lambda: link_margin_db(design_link(), 600e3, math.nan),
+        lambda: budget_report(design_link(), math.nan, 10e9),
+        lambda: budget_report(design_link(), 600e3, math.nan),
+        lambda: optimal_divergence(math.nan, GainConvention.QUADRATIC),
+        lambda: optimal_divergence(np.array([1e-5, math.nan]), GainConvention.LINEAR),
+        lambda: rule_of_thumb_divergence(math.nan),
+        lambda: rule_of_thumb_divergence(np.array([1e-5, math.inf])),
+        lambda: gain_improvement_db(math.nan, 1e-3, GainConvention.QUADRATIC),
+        lambda: footprint(DivergenceAngle(90e-6, Convention.FWHM), math.nan),
+        lambda: farfield_intensity(AperturedBeam(GaussianBeam(0.02, 1.55e-6), 0.02), [0.0, math.nan]),
+        lambda: adaptive_policy(DESIGN_POLICY, np.array([1e-5, math.nan]), ActuatorState()),
     ],
     ids=[
         "insertion_loss_nan", "misc_loss_nan", "misc_loss_inf", "margin_floor_nan", "margin_floor_inf",
@@ -302,7 +359,15 @@ class TestRunPass:
         "pointing_loss_db_theta_nan", "map_collimated_nan", "map_diverging_slope_nan",
         "map_converging_slope_inf", "map_max_travel_inf", "thermal_output_nan", "thermal_hot_inf",
         "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
-        "motor_speed_inf", "step_size_nan",
+        "motor_speed_inf", "step_size_nan", "step_dt_nan", "track_dt_inf", "steer_nan",
+        "steering_frequency_nan", "steering_amplitude_nan", "profiler_sample_nan", "profiler_spot_nan",
+        "min_divergence_measurement_nan", "min_divergence_nominal_nan", "na_mismatch_nan", "na_mismatch_fwhm_nan",
+        "sensitivity_rate_nan", "watts_nan", "path_loss_distance_nan", "path_loss_wavelength_inf",
+        "rx_gain_wavelength_nan", "received_power_distance_nan", "received_power_pointing_nan",
+        "received_power_column_distance_nan", "link_margin_rate_nan", "budget_distance_nan", "budget_rate_nan",
+        "optimal_divergence_nan", "optimal_divergence_array_nan", "rule_of_thumb_nan",
+        "rule_of_thumb_array_inf", "gain_improvement_nan", "footprint_distance_nan",
+        "farfield_angle_nan", "policy_sigma_nan",
     ],
 )
 def test_non_finite_input_rejected_at_the_boundary(make):
@@ -494,21 +559,21 @@ def test_columnar_pass_equals_the_per_tick_loop(case, seed):
 
 
 @pytest.mark.parametrize(
-    "jitter,state,error",
+    "geometry,jitter,state,error",
     [
-        # The converging branch's maximum maps one ulp past the stroke end,
-        # so the tick the lens arrives there raises.
-        (2e-3, {"branch": Branch.CONVERGING}, TravelRangeError),
+        # A 3.6 mm step quantum rounds the lens past the 3.5 mm stroke end on
+        # its way to a wide divergence.
+        (dataclasses.replace(GEOM, dt_s=0.25), 1e-3, {"step_size": 3.6e-3}, TravelRangeError),
         # A 0.1 rad spike costs thousands of dB of pointing loss from t = 0 on.
-        (lambda t: 0.1 if t >= 0.0 else 20e-6, {"lens_position": 1e-3, "step_size": 0.0}, LinkClosedError),
+        (GEOM, lambda t: 0.1 if t >= 0.0 else 20e-6, {"lens_position": 1e-3, "step_size": 0.0}, LinkClosedError),
     ],
     ids=["travel", "link_closed"],
 )
-def test_failing_tick_raises_as_the_per_tick_loop(jitter, state, error):
+def test_failing_tick_raises_as_the_per_tick_loop(geometry, jitter, state, error):
     # Same error, same message, and the state left at the failing tick.
     with pytest.raises(error):
-        run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=jitter, state=ActuatorState(**state))
-    _assert_pass_equals_reference(GEOM, DESIGN_POLICY, jitter, state)
+        run_pass(geometry, DESIGN_POLICY, design_link(), jitter=jitter, state=ActuatorState(**state))
+    _assert_pass_equals_reference(geometry, DESIGN_POLICY, jitter, state)
 
 
 def test_noisy_pass_equals_the_per_tick_loop():
