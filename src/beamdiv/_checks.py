@@ -4,8 +4,9 @@ NaN fails every comparison, so a bare ``if x <= 0: raise`` lets it through;
 this module tests finiteness first, and words every rejection the same way:
 ``"<name> must be finite and > <bound>, got <value>"``.  Constructors and
 public entry points state their names and bounds through :func:`finite`; a
-caller that reports bad elements its own way, such as a jitter schedule
-naming its tick, asks :func:`rejected` for their indices.
+caller that handles bad elements its own way asks :func:`rejected` for their
+indices: ``run_pass`` names the tick of a bad jitter value, and marks as
+outages the ticks whose rate is not finite and positive.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def finite(name: str, value, *, gt=None, ge=None):
 
 
 def rejected(values, *, gt=None, ge=None) -> np.ndarray:
-    """Flat indices of the elements of ``values`` that :func:`finite` rejects, in order."""
+    """Flat indices of the elements of ``values`` that :func:`finite` would reject, in order; never raises."""
     array = np.asarray(values, dtype=float)
     ok = np.isfinite(array)
     if gt is not None:

@@ -131,13 +131,8 @@ class DivergenceMap:
         return self.diverging_max if branch is Branch.DIVERGING else self.converging_max
 
 
-def _within_travel(x, dmap: DivergenceMap):
-    """True where a lens position (a float or an array) lies inside the stroke; NaN is outside."""
-    return abs(x) <= dmap.max_travel
-
-
 def _check_travel(x: float, dmap: DivergenceMap, what: str = "lens position") -> None:
-    if not _within_travel(x, dmap):
+    if not abs(x) <= dmap.max_travel:  # NaN is outside
         raise TravelRangeError(f"{what} {x} m outside +-{dmap.max_travel} m travel")
 
 
@@ -428,12 +423,13 @@ def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[flo
     The motion rule: the lens moves toward the target at constant speed and
     the position is quantized to the step grid; it never overshoots the
     target by more than one quantization step, and a target within one
-    tick's travel is reached exactly.  Returns the lens position after each
-    tick and leaves ``state`` as after the last one, ``in_motion`` set while
-    the lens is short of its target.
+    tick's travel is reached exactly.  The stroke ends are hard stops: a
+    quantized position past +-``max_travel`` lands on the end.  Returns the
+    lens position after each tick and leaves ``state`` as after the last one,
+    ``in_motion`` set while the lens is short of its target.
     """
     travel = state.motor_speed * finite("dt", dt, gt=0)
-    quantum = state.step_size
+    quantum, stroke = state.step_size, state.dmap.max_travel
     lens, time_s = state.lens_position, state.time_s
     positions = []
     for target in targets:
@@ -445,7 +441,7 @@ def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[flo
             else:
                 lens += math.copysign(travel, remaining)
                 if quantum > 0.0:
-                    lens = round(lens / quantum) * quantum
+                    lens = min(max(round(lens / quantum) * quantum, -stroke), stroke)
         positions.append(lens)
     if positions:
         state.lens_position, state.target_position, state.time_s = lens, target, time_s
@@ -483,11 +479,9 @@ def actual_divergence(state: ActuatorState) -> DivergenceAngle:
 def achieved_divergence(state: ActuatorState, positions: np.ndarray) -> np.ndarray:
     """:func:`actual_divergence` at each lens position, radians FWHM, as the same floats.
 
-    NaN marks a position outside the stroke, where ``actual_divergence``
-    raises :class:`TravelRangeError`.
+    Positions are not checked against the stroke; :func:`track` keeps them on it.
     """
-    theta = _achieved(state, _setting(positions, state.branch, state.dmap))
-    return np.where(_within_travel(positions, state.dmap), theta, np.nan)
+    return _achieved(state, _setting(positions, state.branch, state.dmap))
 
 
 def set_temperature(state: ActuatorState, temperature_c: float) -> None:

@@ -16,11 +16,12 @@ import json
 import sys
 
 from . import calibration
+from ._checks import finite
 from .actuator import DivergenceMap, run_script
 from .beam_optics import QuadratureError
 from .calibration import CalibrationTable
 from .config import ConfigError, load_config
-from .link_budget import LinkClosedError, budget_report
+from .link_budget import budget_report
 from .pointing import GainConvention, gain_improvement_db, optimal_divergence, rule_of_thumb_divergence
 from .sim import run_pass, steps_to_csv
 
@@ -45,6 +46,7 @@ def _angle_human(rad: float) -> str:
 
 def cmd_budget(args) -> int:
     cfg = load_config(args.config)
+    finite("distance", args.distance, gt=0)
     report = budget_report(cfg.link, args.distance, args.rate, pointing_loss_db=args.pointing_loss_db)
     if args.format == "json":
         _emit(report.to_json(), args.out)
@@ -58,7 +60,8 @@ def cmd_optimize(args) -> int:
     if sigma is None:
         raise ConfigError("provide --sigma (radians)")
     convention = GainConvention(args.convention)
-    theta_min, theta_max = args.min_divergence, args.max_divergence
+    theta_min = finite("min_divergence", args.min_divergence, gt=0)
+    theta_max = finite("max_divergence", args.max_divergence, gt=theta_min)
     clamped_note = None
     if sigma <= 0.0:
         theta_rule = theta_min
@@ -255,7 +258,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, OSError) as exc:
         code, message = EXIT_CONFIG, str(exc)
-    except (ValueError, LinkClosedError, QuadratureError) as exc:
+    except (ValueError, QuadratureError) as exc:
         code, message = EXIT_NUMERICAL, str(exc)
     print(json.dumps({"error": message, "command": args.command}), file=sys.stderr)
     return code

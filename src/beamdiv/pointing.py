@@ -149,8 +149,8 @@ def sweep_optimal_divergence(
     independent oracle for :func:`optimal_divergence`; it never uses the
     closed form.
     """
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    finite("sigma", sigma, gt=0)
+    finite("hi", hi, gt=finite("lo", lo, gt=0))
     theta = np.geomspace(lo, hi, n_points)
     for _ in range(refinements + 1):
         i = int(np.argmax(_objective(theta, sigma, convention)))

@@ -13,14 +13,14 @@ schedule, the divergence the policy picks, the lens target it implies, the
 achieved divergence, pointing loss, link margin and the supported data rate.
 Only the lens tracker, whose position at one tick depends on the last, runs
 as a loop of scalar steps.  The columns hold the same floats as stepping the
-per-tick APIs tick by tick.  The pass is one structured array,
-``STEP_DTYPE``, with a column per CSV field.  Everything is deterministic
-for fixed inputs.
+per-tick APIs tick by tick.  A tick whose link cannot close is recorded as an
+outage (rate 0, margin -inf), so a pass that starts runs to its end.  The
+pass is one structured array, ``STEP_DTYPE``, with a column per CSV field.
+Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -31,10 +31,10 @@ import numpy as np
 from . import actuator
 from ._checks import finite, rejected
 from .actuator import ActuatorState
-from .link_budget import LinkConfig, max_rate, max_rate_column, received_power_column
-from .link_budget import received_power_dbm  # noqa: F401  (perfbench traces it through this module)
-from .pointing import GainConvention, optimal_divergence, pointing_loss_db, pointing_loss_db_column
-from .pointing import rule_of_thumb_divergence
+from .link_budget import LinkConfig, max_rate_column, received_power_column
+from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
+from .pointing import GainConvention, optimal_divergence, pointing_loss_db_column, rule_of_thumb_divergence
+from .pointing import pointing_loss_db  # noqa: F401  (perfbench traces it through this module)
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -263,11 +263,14 @@ def run_pass(
     Each tick chooses a divergence per the policy, commands the emulator and
     advances its motion by ``dt``, then evaluates the budget with the
     *achieved* divergence and pointing loss and records the data rate that
-    holds the margin floor.  All but the motion run as columns over the
-    pass; the results, the final ``state`` and any error equal those of
-    running ``adaptive_policy``, ``actuator.command_divergence``,
-    ``actuator.step``, ``actuator.actual_divergence``, ``pointing_loss_db``
-    and ``max_rate`` tick by tick.
+    holds the margin floor.  A tick that supports no rate, or no rung of the
+    rate ladder, is an outage: rate 0 and margin -inf, recorded rather than
+    raised.  All but the motion run as columns over the pass; the results
+    and the final ``state`` equal those of running ``adaptive_policy``,
+    ``actuator.command_divergence``, ``actuator.step``,
+    ``actuator.actual_divergence``, ``pointing_loss_db`` and ``max_rate``
+    tick by tick, with an outage where ``max_rate`` raises
+    :class:`~beamdiv.link_budget.LinkClosedError`.
 
     The loop is noise-free, so the result is deterministic for fixed inputs.
     ``seed`` draws nothing; it is recorded in the summary as the run's seed.
@@ -276,7 +279,6 @@ def run_pass(
         raise ValueError("link config has no sensitivity model; calibrate one first")
     st = state if state is not None else ActuatorState()
     st.validate()
-    start = copy.copy(st)
     profile = pass_profile(geometry)
     n = len(profile)
     steps = np.empty(n, STEP_DTYPE)
@@ -298,28 +300,17 @@ def run_pass(
     targets = actuator.position_from_divergence(theta_cmd, st.branch, st.dmap).tolist()
     lens = np.array(actuator.track(st, targets, geometry.dt_s))
     theta_act = steps["theta_actual_rad"]
-    theta_act[:] = actuator.achieved_divergence(st, lens)  # NaN where the lens left the stroke
+    theta_act[:] = actuator.achieved_divergence(st, lens)
     lp_db = steps["pointing_loss_db"]
     lp_db[:] = pointing_loss_db_column(sigma, theta_act)  # <= 0, FWHM convention
     received = received_power_column(config, profile.slant_range_m, -lp_db, theta_act)
     rate = max_rate_column(config, received, policy.margin_floor_db)
-    failed = rejected(rate, gt=0)  # where max_rate raises LinkClosedError
-    if failed.size:
-        k = int(failed[0])
-        # Replay the first failing tick through the per-tick APIs, from the
-        # initial state, so it raises what that tick raises and leaves the
-        # state there.
-        vars(st).update(vars(start))
-        actuator.track(st, targets[: k + 1], geometry.dt_s)
-        achieved = actuator.actual_divergence(st)
-        loss_db = pointing_loss_db(sigma[k].item(), achieved.value)
-        max_rate(config.with_divergence(achieved), profile.slant_range_m[k].item(), policy.margin_floor_db,
-                 pointing_loss_db=-loss_db)
-        raise AssertionError(f"tick {k} fails as a column but not through the per-tick APIs")
+    outage = rejected(rate, gt=0)  # rate 0.0, where max_rate raises LinkClosedError
 
     margin = steps["margin_db"]
     if policy.rate_ladder_bps is None:
         margin[:] = policy.margin_floor_db
+        margin[outage] = -math.inf
         steps["rate_bps"] = rate
     else:
         # The highest rung the continuous rate supports.  Relative slack keeps

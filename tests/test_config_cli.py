@@ -403,6 +403,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "sigma_p_rad" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_pass_that_never_closes_exits_0_with_outages(self, tmp_path, capsys):
+        # 0.1 rad of jitter leaves no rate on any tick: every row is an outage.
+        path = tmp_path / "spike.ini"
+        path.write_text("[policy]\nsigma_p_rad = 0.1\n")
+        out = tmp_path / "pass.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["total_bits"] == 0.0
+        assert summary["fraction_at_margin_floor"] == 0.0
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",-inf,0.0") for row in rows)
+
     @pytest.mark.parametrize("section,text", [
         ("[map]", "[map]\ncollimated_divergence_rad = nan\n"),
         ("[map]", "[map]\nmax_travel_m = inf\n"),
@@ -425,14 +437,20 @@ class TestSimulateCommand:
 
 @pytest.mark.parametrize("argv,files,code,named", [
     (["budget", "--distance", "nan", "--rate", "10e9", "--format", "json"], {}, 3, "distance"),
+    (["budget", "--distance", "inf", "--rate", "10e9", "--format", "json"], {}, 3, "distance"),
     (["budget", "--distance", "600e3", "--rate", "nan", "--format", "json"], {}, 3, "rate"),
     (["optimize", "--sigma", "nan"], {}, 3, "sigma"),
     (["optimize", "--sigma", "1e-5", "--reference-divergence", "-1"], {}, 3, "theta_ref"),
+    (["optimize", "--sigma", "1e-5", "--min-divergence", "nan", "--format", "json"], {}, 3, "min_divergence"),
+    (["optimize", "--sigma", "1e-5", "--max-divergence", "inf", "--format", "json"], {}, 3, "max_divergence"),
+    (["optimize", "--sigma", "1e-5", "--min-divergence", "5e-3", "--max-divergence", "1e-3"], {}, 3,
+     "max_divergence"),
     (["emulate", "--script", "{script}"], {"script": "query\nstep nan\n"}, 3, "line 2"),
     (["emulate", "--script", "{script}"], {"script": "steer nan nan\n"}, 3, "tip"),
     (["calibrate", "--profiler", "{csv}"],
      {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\nnan,0.005\n"}, 2, "line 5"),
-], ids=["budget_distance", "budget_rate", "optimize_sigma", "optimize_reference", "emulate_step", "emulate_steer",
+], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_reference",
+        "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
         "calibrate_profiler"])
 def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):
     paths = {}
