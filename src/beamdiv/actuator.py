@@ -43,7 +43,6 @@ __all__ = [
     "MOTOR_SPEED_M_PER_S",
     "FULL_TRAVERSE_S",
     "STEERING_RANGE_RAD",
-    "POWER_DRAW_W",
     "divergence_from_position",
     "position_from_divergence",
     "setting_on_branch",
@@ -71,10 +70,6 @@ MOTOR_SPEED_M_PER_S = 7.0e-3 / FULL_TRAVERSE_S
 # Fine-steering stage: +-100 urad in each axis, vibration isolation to 100 Hz.
 STEERING_RANGE_RAD = 100e-6
 ISOLATION_CUTOFF_HZ = 100.0
-
-# Peak electrical draw of the optomechanical module (metadata only; drawn
-# only while the lens is moving).
-POWER_DRAW_W = 0.7
 
 # Axis wander: mean magnitude 1.3 urad at the 90 urad collimated setting,
 # scaled proportionally with divergence, hard-bounded at 5 % of the setting.

@@ -12,7 +12,9 @@ print a machine-readable JSON record to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from . import calibration
@@ -185,7 +187,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``beamdiv`` parser, built once per process: each ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="beamdiv",
         description=(
@@ -246,11 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "sigma_deg", None) is not None and args.sigma is None:
-        import math
-
         args.sigma = math.radians(args.sigma_deg)
     # The exit code follows the exception type, in this order: a ConfigError
     # is also a ValueError.

@@ -63,8 +63,8 @@ class PointingModel:
 
 
 def pointing_loss(sigma: float, theta_d: float) -> float:
-    """Mean pointing-loss fraction ``10**(-2 beta^2)``, in (0, 1]."""
-    return 10.0 ** (-2.0 * _beta(sigma, theta_d) ** 2)
+    """Mean pointing-loss fraction ``10**(-2 beta^2)``, in [0, 1]."""
+    return 10.0 ** (-2.0 * _square(_beta(sigma, theta_d)))
 
 
 def pointing_loss_db(sigma: float, theta_d: float) -> float:
@@ -78,8 +78,16 @@ def _beta(sigma: float, theta_d: float) -> float:
     return 2.0 * sigma / theta_d
 
 
+def _square(beta: float) -> float:
+    """``beta**2``, saturating to inf past about 1.3e154, where ``**`` raises OverflowError."""
+    try:
+        return beta**2
+    except OverflowError:
+        return math.inf
+
+
 def _loss_db(beta: float) -> float:
-    return -20.0 * beta**2
+    return -20.0 * _square(beta)
 
 
 def pointing_loss_db_column(sigma: np.ndarray, theta_d: np.ndarray) -> np.ndarray:

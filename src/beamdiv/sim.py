@@ -343,11 +343,41 @@ def run_pass(
     return PassResult(steps=steps, summary=summary)
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def steps_to_csv(steps: np.ndarray) -> str:
-    """Render a ``STEP_DTYPE`` array as CSV with full-precision floats (repr round-trip)."""
-    lines = [",".join(steps.dtype.names)]
-    lines.extend(",".join(map(repr, row)) for row in steps.tolist())
-    return "\n".join(lines) + "\n"
+    """Render a ``STEP_DTYPE`` array as CSV with full-precision floats (repr round-trip).
+
+    Every cell is byte for byte the ``repr`` of its float, but ``repr``
+    runs once per run of bit-identical values in a column: a constant sigma
+    or a settled lens costs one call per pass, not one per tick.  Rows are
+    rendered in blocks of ``_CSV_BLOCK_ROWS``, so the per-cell strings of
+    at most one block are alive at a time.
+    """
+    names = steps.dtype.names
+    blocks = [",".join(names) + "\n"]
+    for start in range(0, len(steps), _CSV_BLOCK_ROWS):
+        block = steps[start:start + _CSV_BLOCK_ROWS]
+        columns = [_repr_column(block[name]) for name in names]
+        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return "".join(blocks)
+
+
+def _repr_column(column: np.ndarray) -> list[str]:
+    """``repr`` of every value of a float64 column, called once per run of equal bits.
+
+    Runs are found on the int64 view, so ``0.0`` and ``-0.0`` stay apart and
+    NaN needs no special case.  A column that changes on most rows goes
+    straight through ``repr``.
+    """
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * len(starts) > len(column):
+        return list(map(repr, column.tolist()))
+    starts = np.concatenate(([0], starts))
+    texts = np.array(list(map(repr, column[starts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(column))).tolist()
 
 
 def write_steps_csv(steps: np.ndarray, path) -> None:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from beamdiv.actuator import DivergenceMap, ThermalModel, apply_temperature
 from beamdiv.calibration import sample_position_map
-from beamdiv.cli import main
+from beamdiv.cli import build_parser, main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
 from beamdiv.sim import Strategy
 
@@ -415,6 +416,18 @@ class TestSimulateCommand:
         rows = out.read_text().splitlines()[1:]
         assert rows and all(row.endswith(",-inf,0.0") for row in rows)
 
+    def test_jitter_past_the_square_range_exits_0_with_outages(self, tmp_path, capsys):
+        # beta**2 overflows a float: the pointing loss saturates at -inf dB.
+        path = tmp_path / "huge.ini"
+        path.write_text("[policy]\nsigma_p_rad = 1e200\n")
+        out = tmp_path / "pass.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["total_bits"] == 0.0
+        assert summary["fraction_at_margin_floor"] == 0.0
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",-inf,-inf,0.0") for row in rows)
+
     @pytest.mark.parametrize("section,text", [
         ("[map]", "[map]\ncollimated_divergence_rad = nan\n"),
         ("[map]", "[map]\nmax_travel_m = inf\n"),
@@ -433,6 +446,22 @@ class TestSimulateCommand:
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", design_ini, "--seed", "9", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+
+def test_one_parser_serves_every_call(design_ini, capsys):
+    assert build_parser() is build_parser()
+    assert main(["optimize", "--sigma-deg", "0.021", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_rad"] == math.radians(0.021)
+    # No argument of one call carries into the next.
+    assert main(["optimize"]) == 2
+    assert "--sigma" in json.loads(capsys.readouterr().err)["error"]
+    runs = []
+    for extra in (["--seed", "9"], [], []):
+        assert main(["simulate", "--config", design_ini, *extra]) == 0
+        runs.append(capsys.readouterr())
+    assert json.loads(runs[0].err)["seed"] == 9
+    assert json.loads(runs[1].err)["seed"] == 0
+    assert runs[1].out == runs[2].out and runs[1].err == runs[2].err
 
 
 @pytest.mark.parametrize("argv,files,code,named", [

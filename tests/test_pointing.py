@@ -42,6 +42,19 @@ class TestPointingLoss:
         assert losses == sorted(losses)
         assert all(l < 1.0 for l in losses)
 
+    @pytest.mark.parametrize("sigma,theta", [(1e200, 1e-4), (1e155, 1.0)])
+    def test_saturates_where_the_square_overflows(self, sigma, theta):
+        # (2 sigma / theta)**2 is past the float range: the loss is total.
+        with pytest.raises(OverflowError):
+            (2.0 * sigma / theta) ** 2
+        assert pointing_loss(sigma, theta) == 0.0
+        assert pointing_loss_db(sigma, theta) == -math.inf
+
+    def test_largest_finite_square_keeps_its_bytes(self):
+        beta = 1.3e154
+        assert pointing_loss_db(beta / 2.0, 1.0) == -20.0 * beta**2
+        assert pointing_loss(beta / 2.0, 1.0) == 0.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             pointing_loss(1e-6, 0.0)

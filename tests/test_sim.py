@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given
+from hypothesis import assume, event, example, given
 from hypothesis import strategies as hs
 
-from beamdiv import actuator
+from beamdiv import actuator, sim
 from beamdiv.actuator import ActuatorState, Branch, ChromaticModel, DivergenceMap, ThermalModel, TravelRangeError
 from beamdiv.beam_optics import (
     AperturedBeam,
@@ -41,6 +42,7 @@ from beamdiv.pointing import (
     sweep_optimal_divergence,
 )
 from beamdiv.sim import (
+    _CSV_BLOCK_ROWS,
     STEP_DTYPE,
     ControlPolicy,
     PassGeometry,
@@ -552,6 +554,12 @@ def _assert_pass_equals_reference(geometry, policy, jitter, state, seed=0) -> li
             "outage" if np.any(steps["margin_db"] == -math.inf) else "every tick has a rate"]
 
 
+def _spike_at_culmination(t):
+    return 0.1 if abs(t) < 30.0 else 20e-6
+
+
+# A continuous rate with a spike that closes no rate: outages off the ladder.
+@example(case=(GEOM, DESIGN_POLICY, _spike_at_culmination, {}), seed=0)
 @given(_passes(), hs.integers(0, 2**31))
 def test_columnar_pass_equals_the_per_tick_loop(case, seed):
     geometry, policy, jitter, state = case
@@ -606,3 +614,78 @@ def test_noisy_pass_equals_the_per_tick_loop():
     state = {"temperature_c": -20.0, "wavelength": 1.56e-6}
     labels = _assert_pass_equals_reference(geometry, DESIGN_POLICY, np.maximum(sigma, 0.0), state)
     assert labels == ["slewing", "every tick has a rate"]
+
+
+def _row_wise_csv(steps):
+    """The CSV of a pass, one ``repr`` per cell: the oracle of ``steps_to_csv``."""
+    lines = [",".join(steps.dtype.names)]
+    lines.extend(",".join(map(repr, row)) for row in steps.tolist())
+    return "\n".join(lines) + "\n"
+
+
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
+_CELLS = [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf, 5e-324, -2.5e-320,
+          2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e22, 20e-6, 90e-6]
+
+
+@hs.composite
+def _step_arrays(draw):
+    """A ``STEP_DTYPE`` array and a block size to render it with.
+
+    Small block sizes put block boundaries inside short arrays; the real one
+    is drawn too.
+    """
+    block = draw(hs.sampled_from([1, 2, 3, 7, _CSV_BLOCK_ROWS]))
+    blocks = draw(hs.sampled_from([0, 1] if block == _CSV_BLOCK_ROWS else [0, 1, 2, 3]))
+    n = max(0, block * blocks + draw(hs.sampled_from([-1, 0, 1, 5])))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    steps = np.empty(n, STEP_DTYPE)
+    for name in STEP_DTYPE.names:
+        pool = np.array(draw(hs.lists(hs.sampled_from(_CELLS) | hs.floats(), min_size=1, max_size=4)))
+        kind = draw(hs.sampled_from(["runs", "distinct", "alternating", "signed zeros"]))
+        if kind == "runs":
+            # Runs up to the whole array long, so some cross a block boundary.
+            longest = draw(hs.sampled_from([1, 2, 3, 50, 3 * block]))
+            lengths = rng.integers(1, longest + 1, n)
+            column = np.repeat(pool[rng.integers(0, len(pool), n)], lengths)[:n]
+        elif kind == "distinct":
+            column = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-323, 308, n).astype(float)
+            sprinkled = rng.random(n) < 0.05
+            column[sprinkled] = pool[rng.integers(0, len(pool), n)][sprinkled]
+        elif kind == "alternating":
+            column = pool[np.arange(n) % len(pool)]
+        else:
+            column = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        steps[name] = column
+    return steps, block
+
+
+def _cell_events(steps, block):
+    for name in STEP_DTYPE.names:
+        column = steps[name]
+        bits = column.view(np.int64)
+        if len(column) > block and bits[block - 1] == bits[block]:
+            yield "a run crosses a block boundary"
+        zeros = (column[:-1] == 0.0) & (column[1:] == 0.0)
+        if np.any(zeros & (np.signbit(column[:-1]) != np.signbit(column[1:]))):
+            yield "0.0 next to -0.0"
+        if np.any(np.isnan(column)):
+            yield "NaN"
+        if np.any(np.isinf(column)):
+            yield "inf"
+        if np.any((column != 0.0) & (np.abs(column) < 2.2250738585072014e-308)):
+            yield "subnormal"
+
+
+# A real pass longer than one block: constant columns run across the boundary.
+@example(case=(run_pass(dataclasses.replace(GEOM, dt_s=0.05), DESIGN_POLICY, design_link(),
+                        jitter=_spike_at_culmination).steps, _CSV_BLOCK_ROWS))
+@given(_step_arrays())
+def test_csv_equals_the_row_wise_renderer(case):
+    steps, block = case
+    for label in set(_cell_events(steps, block)):
+        event(label)
+    event("more than one block" if len(steps) > block else "one block or less")
+    event(f"{'real' if block == _CSV_BLOCK_ROWS else 'small'} block size")
+    with mock.patch.object(sim, "_CSV_BLOCK_ROWS", block):
+        assert steps_to_csv(steps) == _row_wise_csv(steps)
