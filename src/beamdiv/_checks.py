@@ -6,12 +6,14 @@ this module tests finiteness first, and words every rejection the same way:
 public entry points state their names and bounds through :func:`finite`; a
 caller that handles bad elements its own way asks :func:`rejected` for their
 indices: ``run_pass`` names the tick of a bad jitter value, and marks as
-outages the ticks whose rate is not finite and positive.
+outages the ticks whose rate is not finite and positive.  A count, such as a
+quadrature's node number, goes through :func:`integer`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,3 +46,13 @@ def rejected(values, *, gt=None, ge=None) -> np.ndarray:
     if ge is not None:
         ok &= array >= ge
     return np.flatnonzero(~ok)
+
+
+def integer(name: str, value, *, ge: int):
+    """Return ``value`` if it is an integer ``>= ge``; else raise ``ValueError`` naming it.
+
+    A bool is not an integer here: ``True`` would otherwise pass as 1.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= ge:
+        return value
+    raise ValueError(f"{name} must be a finite integer >= {ge}, got {value!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import j0
 
-from ._checks import finite
+from ._checks import finite, integer
 
 __all__ = [
     "Convention",
@@ -150,36 +150,65 @@ def untruncated_divergence(beam: GaussianBeam) -> DivergenceAngle:
     return DivergenceAngle(theta, Convention.FULL_1E2)
 
 
+# Shared self-check bound: the most that doubling the radial rule may move an intensity.
+CHECK_TOL = 1e-9
+
+# Rows of the far-field kernel evaluated at a time.  A multiple of 4, so that
+# every full block meets the matrix-vector product's row unrolling the same way.
+_BLOCK_ROWS = 256
+
+_ON_AXIS = np.zeros(1)
+
+
 @functools.lru_cache(maxsize=16)
 def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # Node generation is O(n^2); cache it, the rule is reused constantly.
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return x, w
+    return np.polynomial.legendre.leggauss(n_nodes)
 
 
-def _farfield_amplitude(apertured: AperturedBeam, angles: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Radial Fraunhofer integral of the truncated Gaussian field.
+def _radial_rule(apertured: AperturedBeam, n_nodes: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule for ``U(theta) = int_0^a exp(-(r/w)^2) J0(k r theta) r dr``.
 
-    ``U(theta) = int_0^a exp(-(r/w)^2) J0(k r theta) r dr`` evaluated with
-    Gauss-Legendre quadrature on [0, a]; the integrand is smooth, so the rule
-    converges spectrally.
+    Returns ``(k, r, weights)`` with the field and the ``r dr`` measure folded
+    into the weights, so ``U(theta) = J0(k theta r) @ weights``.  The
+    integrand is smooth, so the rule converges spectrally.
     """
     a = 0.5 * apertured.aperture_diameter
     w = apertured.beam.waist_radius_1e2
-    k = 2.0 * math.pi / apertured.beam.wavelength
     x, wt = _leggauss(n_nodes)
     r = 0.5 * a * (x + 1.0)
-    wr = 0.5 * a * wt
-    base = np.exp(-((r / w) ** 2)) * r * wr
-    kernel = j0(k * np.outer(np.asarray(angles, dtype=float), r))
-    return kernel @ base
+    weights = np.exp(-((r / w) ** 2)) * r * (0.5 * a * wt)
+    return 2.0 * math.pi / apertured.beam.wavelength, r, weights
+
+
+def _amplitude(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
+    """Far-field amplitude at ``angles`` (1-D), in blocks of ``_BLOCK_ROWS`` kernel rows."""
+    k, r, weights = rule
+    out = np.empty(angles.size)
+    for i in range(0, angles.size, _BLOCK_ROWS):
+        out[i:i + _BLOCK_ROWS] = j0(k * np.outer(angles[i:i + _BLOCK_ROWS], r)) @ weights
+    return out
+
+
+def _intensity(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
+    """Intensity at ``angles`` normalized by the rule's own on-axis amplitude."""
+    return (_amplitude(rule, angles) / _amplitude(rule, _ON_AXIS)[0]) ** 2
+
+
+def _check_converged(coarse: np.ndarray, fine: np.ndarray, n_nodes: int, check_tol: float) -> None:
+    worst = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if worst > check_tol:
+        raise QuadratureError(
+            f"far-field quadrature not converged at n_nodes={n_nodes}: "
+            f"grid doubling moved intensity by {worst:.3e}"
+        )
 
 
 def farfield_intensity(
     apertured: AperturedBeam,
     angles,
     n_nodes: int = 256,
-    check_tol: float = 1e-9,
+    check_tol: float = CHECK_TOL,
 ) -> np.ndarray:
     """Normalized far-field intensity of the truncated Gaussian beam.
 
@@ -190,10 +219,11 @@ def farfield_intensity(
     angles : array_like
         Off-axis angles in radians, non-negative and sorted ascending.
     n_nodes : int
-        Radial quadrature resolution.  Convergence is self-checked by
+        Radial quadrature resolution, >= 1.  Convergence is self-checked by
         recomputing with ``2 * n_nodes`` nodes.
     check_tol : float
-        Maximum allowed intensity difference between the two grids.
+        Maximum allowed intensity difference between the two grids, finite
+        and >= 0.
 
     Returns
     -------
@@ -205,50 +235,57 @@ def farfield_intensity(
     QuadratureError
         If grid doubling moves any returned value by more than ``check_tol``.
     """
+    integer("n_nodes", n_nodes, ge=1)
+    finite("check_tol", check_tol, ge=0)
     th = np.asarray(angles, dtype=float)
     if th.ndim != 1 or th.size == 0:
         raise ValueError("angles must be a non-empty 1-D sequence")
     finite("angles", th, ge=0)
     if np.any(np.diff(th) < 0.0):
         raise ValueError("angles must be sorted ascending")
-
-    def profile(n: int) -> np.ndarray:
-        u0 = _farfield_amplitude(apertured, np.array([0.0]), n)[0]
-        u = _farfield_amplitude(apertured, th, n)
-        return (u / u0) ** 2
-
-    coarse = profile(n_nodes)
-    fine = profile(2 * n_nodes)
-    worst = float(np.max(np.abs(fine - coarse)))
-    if worst > check_tol:
-        raise QuadratureError(
-            f"far-field quadrature not converged at n_nodes={n_nodes}: "
-            f"grid doubling moved intensity by {worst:.3e}"
-        )
+    fine = _intensity(_radial_rule(apertured, 2 * n_nodes), th)
+    _check_converged(_intensity(_radial_rule(apertured, n_nodes), th), fine, n_nodes, check_tol)
     return fine
 
 
 def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAngle:
     """Half-intensity full width of the truncated-Gaussian far field.
 
-    Root-finds the angle where the normalized intensity crosses 0.5 and
-    doubles it.  Deterministic for a fixed quadrature resolution.
+    Root-finds the angle where the ``2 * n_nodes`` intensity crosses 0.5 and
+    doubles it.  Every angle the search visits is then checked against the
+    ``n_nodes`` rule in one batch, under the same bound as
+    :func:`farfield_intensity`.  Deterministic for a fixed quadrature
+    resolution.
     """
-    def half_excess(theta: float) -> float:
-        return float(farfield_intensity(apertured, [theta], n_nodes)[0]) - 0.5
+    integer("n_nodes", n_nodes, ge=1)
+    fine_rule = _radial_rule(apertured, 2 * n_nodes)
+    u0 = _amplitude(fine_rule, _ON_AXIS)[0]
+    visited: list[float] = []
+    fine: list[float] = []
 
-    # Bracket the half-intensity crossing starting from the untruncated
-    # half-angle, which always lies inside the main lobe.
-    lo = 0.0
-    hi = 0.5 * untruncated_divergence(apertured.beam).value
-    for _ in range(80):
-        if half_excess(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 1.4
-    else:
-        raise QuadratureError("failed to bracket the half-intensity angle")
-    half_angle = brentq(half_excess, lo, hi, xtol=1e-14, rtol=1e-13)
+    def half_excess(theta: float) -> float:
+        value = float(((_amplitude(fine_rule, np.array([theta])) / u0) ** 2)[0])
+        visited.append(theta)
+        fine.append(value)
+        return value - 0.5
+
+    try:
+        # Bracket the half-intensity crossing starting from the untruncated
+        # half-angle, which always lies inside the main lobe.
+        lo = 0.0
+        hi = 0.5 * untruncated_divergence(apertured.beam).value
+        for _ in range(80):
+            if half_excess(hi) < 0.0:
+                break
+            lo = hi
+            hi *= 1.4
+        else:
+            raise QuadratureError("failed to bracket the half-intensity angle")
+        half_angle = brentq(half_excess, lo, hi, xtol=1e-14, rtol=1e-13)
+    finally:
+        # An unconverged rule outranks whatever the search made of its values.
+        coarse = _intensity(_radial_rule(apertured, n_nodes), np.array(visited))
+        _check_converged(coarse, np.array(fine), n_nodes, CHECK_TOL)
     return DivergenceAngle(2.0 * half_angle, Convention.FWHM)
 
 

@@ -474,62 +474,79 @@ def sample_position_map(dmap: DivergenceMap, points_per_branch: int = 8) -> list
     return pairs
 
 
-def _read_csv_columns(path, required: Sequence[str], optional: Sequence[str] = ()) -> list[dict]:
-    """Numeric columns of a measurement CSV, one dict per row; input errors are ConfigErrors."""
+def _read_csv_columns(path, required: Sequence[str], optional: Sequence[str] = ()) -> dict[str, list]:
+    """Numeric columns of a measurement CSV by name, one value per non-blank row; input errors are ConfigErrors.
+
+    Each column is converted and checked as a whole.  A blank optional cell
+    reads ``None``; an optional column absent from the header is left out.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last column
         for col in required:
             if col not in index:
                 raise ConfigError(f"missing column '{col}' in {path}")
-        columns = [(col, index[col]) for col in (*required, *optional) if col in index]
-        rows = []
+        rows, lines = [], []
         for cells in reader:
-            if not cells:  # a blank line
-                continue
-            out = {}
-            for col, i in columns:
-                cell = cells[i] if i < len(cells) else ""
-                if not cell and col in optional:
-                    continue
-                try:
-                    out[col] = finite(col, float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"need a finite number, got {cell!r} in column '{col}' of {path}, line {reader.line_num}"
-                    ) from None
-            rows.append(out)
+            if cells:  # not a blank line
+                rows.append(cells)
+                lines.append(reader.line_num)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
-    return rows
+    columns = [(col, index[col]) for col in (*required, *optional) if col in index]
+    try:
+        return {col: _numeric_column(col, rows, i, col in optional) for col, i in columns}
+    except ValueError:
+        pass
+    # Some cell is bad: name the first one in file order, row by row.
+    for cells, line in zip(rows, lines):
+        for col, i in columns:
+            cell = cells[i] if i < len(cells) else ""
+            if cell or col not in optional:
+                try:
+                    finite(col, float(cell))
+                except ValueError:
+                    raise ConfigError(
+                        f"need a finite number, got {cell!r} in column '{col}' of {path}, line {line}"
+                    ) from None
+    raise AssertionError("a column failed with no bad cell")
+
+
+def _numeric_column(name: str, rows: list[list[str]], i: int, optional: bool) -> list:
+    """Column ``i`` of ``rows`` as finite floats, ``None`` for a blank cell if ``optional``; raises ValueError."""
+    cells = [cells[i] if i < len(cells) else "" for cells in rows]
+    if optional:
+        values = [float(cell) if cell else None for cell in cells]
+        finite(name, [v for v in values if v is not None])
+    else:
+        values = list(map(float, cells))
+        finite(name, values)
+    return values
 
 
 def read_profiler_csv(path) -> list[ProfilerSample]:
     """Load profiler samples; columns distance_m, spot_diameter_m[, replicate]."""
-    rows = _read_csv_columns(path, ["distance_m", "spot_diameter_m"], ["replicate"])
+    cols = _read_csv_columns(path, ["distance_m", "spot_diameter_m"], ["replicate"])
+    replicates = cols.get("replicate", [None] * len(cols["distance_m"]))
     return [
-        ProfilerSample(
-            distance_m=r["distance_m"],
-            spot_diameter_m=r["spot_diameter_m"],
-            replicate=int(r["replicate"]) if "replicate" in r else None,
-        )
-        for r in rows
+        ProfilerSample(distance_m=d, spot_diameter_m=s, replicate=None if r is None else int(r))
+        for d, s, r in zip(cols["distance_m"], cols["spot_diameter_m"], replicates)
     ]
 
 
 def read_position_csv(path) -> list[tuple[float, float]]:
     """Load lens-map pairs; columns position_m, divergence_rad."""
-    rows = _read_csv_columns(path, ["position_m", "divergence_rad"])
-    return [(r["position_m"], r["divergence_rad"]) for r in rows]
+    cols = _read_csv_columns(path, ["position_m", "divergence_rad"])
+    return list(zip(cols["position_m"], cols["divergence_rad"]))
 
 
 def read_thermal_csv(path) -> list[tuple[float, float, float]]:
     """Load thermal sweep rows; columns theta_set_rad, temp_c, theta_meas_rad."""
-    rows = _read_csv_columns(path, ["theta_set_rad", "temp_c", "theta_meas_rad"])
-    return [(r["theta_set_rad"], r["temp_c"], r["theta_meas_rad"]) for r in rows]
+    cols = _read_csv_columns(path, ["theta_set_rad", "temp_c", "theta_meas_rad"])
+    return list(zip(cols["theta_set_rad"], cols["temp_c"], cols["theta_meas_rad"]))
 
 
 def read_chromatic_csv(path) -> list[tuple[float, float, float]]:
     """Load chromatic sweep rows; columns theta_set_rad, wavelength_m, theta_meas_rad."""
-    rows = _read_csv_columns(path, ["theta_set_rad", "wavelength_m", "theta_meas_rad"])
-    return [(r["theta_set_rad"], r["wavelength_m"], r["theta_meas_rad"]) for r in rows]
+    cols = _read_csv_columns(path, ["theta_set_rad", "wavelength_m", "theta_meas_rad"])
+    return list(zip(cols["theta_set_rad"], cols["wavelength_m"], cols["theta_meas_rad"]))

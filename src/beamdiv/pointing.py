@@ -15,12 +15,13 @@ caller picks; nothing here guesses.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, integer
 
 __all__ = [
     "GainConvention",
@@ -159,11 +160,31 @@ def sweep_optimal_divergence(
     """
     finite("sigma", sigma, gt=0)
     finite("hi", hi, gt=finite("lo", lo, gt=0))
-    theta = np.geomspace(lo, hi, n_points)
-    for _ in range(refinements + 1):
+    integer("n_points", n_points, ge=1)
+    integer("refinements", refinements, ge=0)
+    theta = _log_grid(lo, hi, n_points)
+    for _ in range(refinements):
         i = int(np.argmax(_objective(theta, sigma, convention)))
-        lo_i = theta[max(i - 1, 0)]
-        hi_i = theta[min(i + 1, n_points - 1)]
-        best = theta[i]
-        theta = np.geomspace(lo_i, hi_i, n_points)
-    return float(best)
+        theta = _log_grid(theta[max(i - 1, 0)], theta[min(i + 1, n_points - 1)], n_points)
+    return float(theta[np.argmax(_objective(theta, sigma, convention))])
+
+
+@functools.lru_cache(maxsize=8)
+def _steps(n: int) -> np.ndarray:
+    steps = np.arange(n, dtype=float)
+    steps.flags.writeable = False
+    return steps
+
+
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` bit for bit, for ``0 < lo <= hi`` and ``n >= 1``.
+
+    The same arithmetic -- numpy ``log10`` of the endpoints, ``y * step +
+    start``, ``10**y``, both endpoints pinned -- without geomspace's dtype
+    and sign handling, which costs more than the grid itself.
+    """
+    start, stop = np.log10(float(lo)), np.log10(float(hi))
+    grid = np.power(10.0, _steps(n) * ((stop - start) / max(n - 1, 1)) + start)
+    grid[-1] = hi
+    grid[0] = lo
+    return grid

@@ -1,8 +1,15 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 from scipy.optimize import brentq
+from scipy.special import j0
+
+from beamdiv import beam_optics
 
 from beamdiv.beam_optics import (
     AperturedBeam,
@@ -120,6 +127,98 @@ class TestFarfieldIntensity:
         # instead of returning a wrong profile.
         with pytest.raises(QuadratureError):
             farfield_intensity(DESIGN, np.linspace(0.0, 200e-6, 9), n_nodes=4)
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _reference_amplitude(apertured, angles, n):
+    a = 0.5 * apertured.aperture_diameter
+    w = apertured.beam.waist_radius_1e2
+    k = 2.0 * math.pi / apertured.beam.wavelength
+    x, wt = _nodes(n)
+    r = 0.5 * a * (x + 1.0)
+    base = np.exp(-((r / w) ** 2)) * r * (0.5 * a * wt)
+    return j0(k * np.outer(np.asarray(angles, dtype=float), r)) @ base
+
+
+def _reference_fwhm(apertured, n_nodes=256):
+    """The per-evaluation solver: every angle the search visits runs the full n / 2n self-check.
+
+    Returns the FWHM and the visited angles.  ``truncated_fwhm`` must give
+    the same float and raise ``QuadratureError`` on the same inputs.
+    """
+    visited = []
+
+    def half_excess(theta):
+        visited.append(theta)
+        coarse, fine = (
+            (_reference_amplitude(apertured, [theta], n) / _reference_amplitude(apertured, [0.0], n)[0]) ** 2
+            for n in (n_nodes, 2 * n_nodes)
+        )
+        if float(np.max(np.abs(fine - coarse))) > 1e-9:
+            raise QuadratureError("not converged")
+        return float(fine[0]) - 0.5
+
+    lo, hi = 0.0, 0.5 * untruncated_divergence(apertured.beam).value
+    for _ in range(80):
+        if half_excess(hi) < 0.0:
+            break
+        lo, hi = hi, hi * 1.4
+    else:
+        raise QuadratureError("failed to bracket the half-intensity angle")
+    return 2.0 * brentq(half_excess, lo, hi, xtol=1e-14, rtol=1e-13), visited
+
+
+@given(
+    hs.floats(0.6, 40.0),
+    hs.floats(1.50e-6, 1.60e-6),
+    hs.sampled_from([8, 16, 64, 256]),
+)
+def test_fwhm_equals_the_per_evaluation_solver(truncation, wavelength, n_nodes):
+    apertured = AperturedBeam(GaussianBeam(0.02 / truncation, wavelength), 0.02)
+    try:
+        expected, _ = _reference_fwhm(apertured, n_nodes)
+    except QuadratureError:
+        with pytest.raises(QuadratureError):
+            truncated_fwhm(apertured, n_nodes)
+        return
+    assert truncated_fwhm(apertured, n_nodes).value == expected  # bit for bit
+
+
+@pytest.mark.parametrize("n_nodes", [1, 4])
+def test_unconverged_fwhm_raises(n_nodes):
+    with pytest.raises(QuadratureError, match=f"not converged at n_nodes={n_nodes}"):
+        truncated_fwhm(DESIGN, n_nodes=n_nodes)
+
+
+def test_fwhm_solve_evaluates_the_kernel_once_per_visited_angle():
+    # U(0) at n and 2n, one 2n row per visited angle, one batch of n rows for the check.
+    _, visited = _reference_fwhm(DESIGN)
+    with mock.patch.object(beam_optics, "j0", wraps=j0) as counted:
+        truncated_fwhm(DESIGN)
+    assert counted.call_count == len(visited) + 3
+
+
+def _unblocked_profile(apertured, angles, n_nodes=256):
+    coarse, fine = (
+        (_reference_amplitude(apertured, angles, n) / _reference_amplitude(apertured, [0.0], n)[0]) ** 2
+        for n in (n_nodes, 2 * n_nodes)
+    )
+    assert np.max(np.abs(fine - coarse)) <= 1e-9
+    return fine
+
+
+@pytest.mark.parametrize("block_rows", [4, 8, 256])
+@pytest.mark.parametrize("n_angles", [1, 3, 4, 5, 9, 255, 256, 257, 700])
+def test_blocked_profile_equals_unblocked(block_rows, n_angles):
+    angles = np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, n_angles)
+    with mock.patch.object(beam_optics, "_BLOCK_ROWS", block_rows):
+        blocked = farfield_intensity(DESIGN, angles)
+    assert blocked.shape == angles.shape
+    assert np.max(np.abs(blocked - _unblocked_profile(DESIGN, angles))) <= 1e-15
 
 
 class TestTruncatedFwhm:

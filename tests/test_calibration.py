@@ -6,6 +6,7 @@ import pytest
 
 from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_temperature, apply_wavelength
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam
+from beamdiv.config import ConfigError
 from beamdiv.calibration import (
     DESIGN_EFFECTIVE_FOCAL_LENGTH_M,
     PROFILER_RESOLUTION_M,
@@ -238,6 +239,28 @@ class TestCsvInterfaces:
         path = tmp_path / "bad.csv"
         path.write_text("distance_m,width\n3.0,0.01\n")
         with pytest.raises(ValueError, match="spot_diameter_m"):
+            read_profiler_csv(path)
+
+    @pytest.mark.parametrize("body,column,line", [
+        # Two bad cells in different columns: the earlier row wins.
+        ("1e-3,20.0,1e-3\n1e-3,-30.0,x\n\n2e-3,nan,2e-3\n", "theta_meas_rad", 3),
+        ("1e-3,20.0,1e-3\n\n1e-3,inf,1e-3\n2e-3,-30.0,\n", "temp_c", 4),
+        # Two bad cells in one row: the earlier column wins.
+        ("1e-3,20.0,1e-3\nnan,-30.0,x\n", "theta_set_rad", 3),
+        ("1e-3\n", "temp_c", 2),
+    ])
+    def test_first_bad_cell_in_file_order_named(self, tmp_path, body, column, line):
+        path = tmp_path / "thermal.csv"
+        path.write_text("theta_set_rad,temp_c,theta_meas_rad\n" + body)
+        with pytest.raises(ConfigError, match=f"in column '{column}' of .*, line {line}$"):
+            read_thermal_csv(path)
+
+    def test_blank_optional_cell_reads_none(self, tmp_path):
+        path = tmp_path / "profiler.csv"
+        path.write_text("distance_m,spot_diameter_m,replicate\n3.0,0.01,\n6.0,0.02,2\n9.0,0.03\n")
+        assert [s.replicate for s in read_profiler_csv(path)] == [None, 2, None]
+        path.write_text("distance_m,spot_diameter_m,replicate\n3.0,0.01,\n6.0,0.02,nan\n")
+        with pytest.raises(ConfigError, match="column 'replicate' of .*, line 3$"):
             read_profiler_csv(path)
 
     def test_position_csv(self, tmp_path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
+from beamdiv import pointing
 from beamdiv.pointing import (
     GainConvention,
     PointingModel,
@@ -145,3 +148,38 @@ def test_pointing_model_records_interpretation():
     assert "taken as sigma" in model.source_note
     with pytest.raises(ValueError):
         PointingModel(sigma=-1e-6)
+
+
+@given(
+    hs.floats(1e-150, 1e150),
+    hs.floats(0.0, 12.0),
+    hs.integers(1, 3000),
+)
+def test_log_grid_equals_geomspace(lo, decades, n):
+    hi = lo * 10.0**decades
+    assert pointing._log_grid(lo, hi, n).tobytes() == np.geomspace(lo, hi, n).tobytes()
+
+
+def _reference_sweep(sigma, convention, lo, hi, n_points=1000, refinements=3):
+    theta = np.geomspace(lo, hi, n_points)
+    for _ in range(refinements + 1):
+        i = int(np.argmax(objective(theta, sigma, convention)))
+        best = theta[i]
+        theta = np.geomspace(theta[max(i - 1, 0)], theta[min(i + 1, n_points - 1)], n_points)
+    return float(best)
+
+
+@given(
+    hs.floats(1e-7, 1e-2),
+    hs.sampled_from(list(GainConvention)),
+    hs.floats(-3.0, 1.0),
+    hs.floats(0.01, 6.0),
+    hs.integers(1, 1500),
+    hs.integers(0, 4),
+)
+def test_sweep_equals_the_geomspace_sweep(sigma, convention, lo_decades, span_decades, n_points, refinements):
+    lo = sigma * 10.0**lo_decades
+    hi = lo * 10.0**span_decades
+    assert sweep_optimal_divergence(sigma, convention, lo, hi, n_points, refinements) == _reference_sweep(
+        sigma, convention, lo, hi, n_points, refinements
+    )

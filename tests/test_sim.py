@@ -17,6 +17,7 @@ from beamdiv.beam_optics import (
     GaussianBeam,
     farfield_intensity,
     footprint,
+    truncated_fwhm,
 )
 from beamdiv.calibration import ProfilerSample, estimate_min_divergence, na_mismatch_effect
 from beamdiv.link_budget import (
@@ -287,6 +288,9 @@ class TestRunPass:
         assert len(text.splitlines()) == len(result.steps) + 1
 
 
+_FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -356,6 +360,17 @@ class TestRunPass:
         lambda: gain_improvement_db(math.nan, 1e-3, GainConvention.QUADRATIC),
         lambda: footprint(DivergenceAngle(90e-6, Convention.FWHM), math.nan),
         lambda: farfield_intensity(AperturedBeam(GaussianBeam(0.02, 1.55e-6), 0.02), [0.0, math.nan]),
+        lambda: farfield_intensity(_FARFIELD, np.linspace(0.0, 2e-4, 5), n_nodes=4, check_tol=math.nan),
+        lambda: farfield_intensity(_FARFIELD, np.linspace(0.0, 2e-4, 5), n_nodes=4, check_tol=math.inf),
+        lambda: farfield_intensity(_FARFIELD, [0.0], check_tol=-1e-9),
+        lambda: farfield_intensity(_FARFIELD, [0.0], n_nodes=True),
+        lambda: farfield_intensity(_FARFIELD, [0.0], n_nodes=0),
+        lambda: farfield_intensity(_FARFIELD, [0.0], n_nodes=2.5),
+        lambda: truncated_fwhm(_FARFIELD, n_nodes=True),
+        lambda: truncated_fwhm(_FARFIELD, n_nodes=0),
+        lambda: truncated_fwhm(_FARFIELD, n_nodes=2.5),
+        lambda: sweep_optimal_divergence(1e-5, GainConvention.QUADRATIC, 1e-7, 1e-1, n_points=0),
+        lambda: sweep_optimal_divergence(1e-5, GainConvention.QUADRATIC, 1e-7, 1e-1, refinements=-1),
         lambda: adaptive_policy(DESIGN_POLICY, np.array([1e-5, math.nan]), ActuatorState()),
     ],
     ids=[
@@ -375,7 +390,10 @@ class TestRunPass:
         "optimal_divergence_nan", "sweep_sigma_nan", "sweep_sigma_negative", "sweep_lo_nan", "sweep_hi_inf",
         "optimal_divergence_array_nan", "rule_of_thumb_nan",
         "rule_of_thumb_array_inf", "gain_improvement_nan", "footprint_distance_nan",
-        "farfield_angle_nan", "policy_sigma_nan",
+        "farfield_angle_nan", "farfield_check_tol_nan", "farfield_check_tol_inf", "farfield_check_tol_negative",
+        "farfield_n_nodes_bool", "farfield_n_nodes_zero", "farfield_n_nodes_fraction", "fwhm_n_nodes_bool",
+        "fwhm_n_nodes_zero", "fwhm_n_nodes_fraction", "sweep_n_points_zero", "sweep_refinements_negative",
+        "policy_sigma_nan",
     ],
 )
 def test_non_finite_input_rejected_at_the_boundary(make):
