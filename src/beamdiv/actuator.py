@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ._checks import finite
+from ._roots import brentq
 from .beam_optics import Convention, DivergenceAngle
 
 __all__ = [
@@ -332,8 +333,6 @@ def temperature_corrected_position(
     TravelRangeError
         If no position within +-max_travel realizes the target.
     """
-    from scipy.optimize import brentq
-
     target = _fwhm_rad(theta_target)
 
     def predicted(x: float) -> float:

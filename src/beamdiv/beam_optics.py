@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j0
 
 from ._checks import finite, integer
+from ._roots import brentq
 
 __all__ = [
     "Convention",

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
+from scipy.optimize import brentq
 
 from beamdiv.actuator import (
     MOTOR_SPEED_M_PER_S,
@@ -283,6 +286,39 @@ class TestTemperatureCorrection:
         # 5 mrad at -30 C on the diverging branch needs ~3.52 mm of travel.
         with pytest.raises(TravelRangeError):
             temperature_corrected_position(5e-3, -30.0, THERMAL, MAP, Branch.DIVERGING)
+
+
+
+def _stroke_outputs(temperature_c, branch):
+    """Achieved divergence at the two stroke ends: the ends of the reachable range."""
+    ends = (-MAP.max_travel, MAP.max_travel)
+    return [u + THERMAL.deviation(u, temperature_c) for u in (setting_on_branch(x, branch, MAP) for x in ends)]
+
+
+@given(hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c), hs.sampled_from(Branch), hs.floats(0.0, 1.0))
+def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, branch, fraction):
+    p_min, p_max = sorted(_stroke_outputs(temperature_c, branch))
+    target = max(p_min, 1e-6) + fraction * (p_max - max(p_min, 1e-6))
+    x = temperature_corrected_position(target, temperature_c, THERMAL, MAP, branch)
+    achieved = apply_temperature(setting_on_branch(x, branch, MAP), temperature_c, THERMAL).value
+    # The output is affine in x, so the solver's x tolerance maps through its slope; plus rounding.
+    slope = (p_max - p_min) / (2 * MAP.max_travel)
+    assert abs(achieved - target) <= slope * (1e-15 + 1e-15 * abs(x)) + 4 * math.ulp(p_max)
+
+    def excess(y):
+        u = setting_on_branch(y, branch, MAP)
+        return u + THERMAL.deviation(u, temperature_c) - target
+
+    assert x.hex() == brentq(excess, -MAP.max_travel, MAP.max_travel, xtol=1e-15, rtol=1e-15).hex()
+
+
+@given(hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c), hs.sampled_from(Branch),
+       hs.floats(1e-12, 1.0), hs.booleans())
+def test_lookup_table_rejects_targets_outside_the_stroke(temperature_c, branch, excess, above):
+    p_min, p_max = sorted(_stroke_outputs(temperature_c, branch))
+    target = p_max * (1.0 + excess) if above else p_min - excess * abs(p_min) - 1e-9
+    with pytest.raises(TravelRangeError):
+        temperature_corrected_position(target, temperature_c, THERMAL, MAP, branch)
 
 
 class TestActualDivergence:
