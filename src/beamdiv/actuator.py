@@ -330,10 +330,12 @@ def temperature_corrected_position(
 
     Raises
     ------
+    ValueError
+        If the target is not finite and > 0.
     TravelRangeError
         If no position within +-max_travel realizes the target.
     """
-    target = _fwhm_rad(theta_target)
+    target = finite("theta_target", _fwhm_rad(theta_target), gt=0)
 
     def predicted(x: float) -> float:
         u = setting_on_branch(x, branch, dmap)

@@ -134,8 +134,9 @@ class AperturedBeam:
 def convert_divergence(angle: DivergenceAngle, target: Convention) -> DivergenceAngle:
     """Convert between FWHM and full-1/e^2 divergence conventions.
 
-    For a Gaussian far field ``FWHM = FULL_1E2 * sqrt(ln 2 / 2)``; the two
-    directions are exact inverses of each other.
+    For a Gaussian far field ``FWHM = FULL_1E2 * sqrt(ln 2 / 2)``.  Each
+    direction rounds once, so a round trip returns the angle to within one
+    ulp, not always exactly.
     """
     if angle.convention is target:
         return angle
@@ -293,7 +294,8 @@ def transmit_gain(theta: DivergenceAngle) -> float:
     """On-axis transmit antenna gain ``16 / theta^2``.
 
     ``theta`` must already be expressed as the full 1/e^2 angle; convert
-    first.  The identity ``gain * theta^2 == 16`` holds exactly.
+    first.  ``gain * theta^2`` is 16 to within one ulp of 16, not always
+    exactly.
     """
     if theta.convention is not Convention.FULL_1E2:
         raise ValueError("transmit_gain expects a FULL_1E2 angle; convert first")

@@ -279,31 +279,29 @@ def run_pass(
         raise ValueError("link config has no sensitivity model; calibrate one first")
     st = state if state is not None else ActuatorState()
     st.validate()
-    profile = pass_profile(geometry)
-    n = len(profile)
-    steps = np.empty(n, STEP_DTYPE)
-    steps["t_s"] = profile.t_s
-    steps["elevation_deg"] = profile.elevation_deg
-    steps["slant_range_m"] = profile.slant_range_m
-    values = [jitter(t) for t in profile.t_s.tolist()] if callable(jitter) else np.asarray(jitter, dtype=float)
-    if np.ndim(values) and len(values) != n:
-        raise ValueError(f"jitter schedule has {len(values)} entries for {n} ticks")
+    steps = _pass_steps(geometry)
+    n = len(steps)
+    t_s, slant_range_m = steps["t_s"], steps["slant_range_m"]
     sigma = steps["sigma_p_rad"]
-    sigma[:] = values
+    if callable(jitter):
+        sigma[:] = [jitter(t) for t in t_s.tolist()]
+    else:
+        values = np.asarray(jitter, dtype=float)
+        if values.ndim and len(values) != n:
+            raise ValueError(f"jitter schedule has {len(values)} entries for {n} ticks")
+        sigma[:] = values
     bad = rejected(sigma, ge=0)
     if bad.size:
-        t, value = profile.t_s[bad[0]], sigma[bad[0]]
+        t, value = t_s[bad[0]], sigma[bad[0]]
         raise ValueError(f"jitter schedule gives sigma = {value} rad at t = {t} s; need finite and >= 0")
 
     theta_cmd = steps["theta_commanded_rad"]
     theta_cmd[:] = adaptive_policy(policy, sigma, st)
-    targets = actuator.position_from_divergence(theta_cmd, st.branch, st.dmap).tolist()
-    lens = np.array(actuator.track(st, targets, geometry.dt_s))
     theta_act = steps["theta_actual_rad"]
-    theta_act[:] = actuator.achieved_divergence(st, lens)
+    theta_act[:] = actuator.achieved_divergence(st, _track_column(st, theta_cmd, geometry.dt_s))
     lp_db = steps["pointing_loss_db"]
     lp_db[:] = pointing_loss_db_column(sigma, theta_act)  # <= 0, FWHM convention
-    received = received_power_column(config, profile.slant_range_m, -lp_db, theta_act)
+    received = received_power_column(config, slant_range_m, -lp_db, theta_act)
     rate = max_rate_column(config, received, policy.margin_floor_db)
     outage = rejected(rate, gt=0)  # rate 0.0, where max_rate raises LinkClosedError
 
@@ -331,9 +329,9 @@ def run_pass(
     summary = {
         "ticks": n,
         "dt_s": geometry.dt_s,
-        "duration_s": float(profile.t_s[-1] - profile.t_s[0]),
-        "min_range_m": float(np.min(profile.slant_range_m)),
-        "max_range_m": float(np.max(profile.slant_range_m)),
+        "duration_s": float(t_s[-1] - t_s[0]),
+        "min_range_m": float(np.min(slant_range_m)),
+        "max_range_m": float(np.max(slant_range_m)),
         "total_bits": float(bits[-1]),
         "fraction_at_margin_floor": int(np.count_nonzero(at_floor)) / n,
         "mean_command_lag_rad": float(np.mean(lag)),
@@ -343,7 +341,26 @@ def run_pass(
     return PassResult(steps=steps, summary=summary)
 
 
-_CSV_BLOCK_ROWS = 4096
+# The helpers below hold per-tick temporaries that die when they return, so
+# run_pass keeps no more than its STEP_DTYPE array and a few columns alive.
+
+def _pass_steps(geometry: PassGeometry) -> np.ndarray:
+    """A ``STEP_DTYPE`` array with one row per tick of the pass and its geometry columns set."""
+    profile = pass_profile(geometry)
+    steps = np.empty(len(profile), STEP_DTYPE)
+    steps["t_s"] = profile.t_s
+    steps["elevation_deg"] = profile.elevation_deg
+    steps["slant_range_m"] = profile.slant_range_m
+    return steps
+
+
+def _track_column(state: ActuatorState, theta_cmd: np.ndarray, dt: float) -> np.ndarray:
+    """Lens position after each tick of tracking the commanded divergences (see ``actuator.track``)."""
+    targets = actuator.position_from_divergence(theta_cmd, state.branch, state.dmap)
+    return np.array(actuator.track(state, targets.tolist(), dt))
+
+
+_CSV_BLOCK_ROWS = 1024
 
 
 def steps_to_csv(steps: np.ndarray) -> str:
@@ -351,9 +368,9 @@ def steps_to_csv(steps: np.ndarray) -> str:
 
     Every cell is byte for byte the ``repr`` of its float, but ``repr``
     runs once per run of bit-identical values in a column: a constant sigma
-    or a settled lens costs one call per pass, not one per tick.  Rows are
-    rendered in blocks of ``_CSV_BLOCK_ROWS``, so the per-cell strings of
-    at most one block are alive at a time.
+    or a settled lens costs one call per block, not one per tick.  Rows are
+    rendered in blocks of ``_CSV_BLOCK_ROWS`` (1024), so the per-cell
+    strings of at most one block, about 1 MB, are alive at a time.
     """
     names = steps.dtype.names
     blocks = [",".join(names) + "\n"]
@@ -381,5 +398,15 @@ def _repr_column(column: np.ndarray) -> list[str]:
 
 
 def write_steps_csv(steps: np.ndarray, path) -> None:
+    """Write ``steps_to_csv(steps)`` to ``path``, one block of ``_CSV_BLOCK_ROWS`` rows at a time.
+
+    Each block is rendered by ``steps_to_csv`` (perfbench times the
+    rendering through that name) and written at once, without its header
+    line after the first block.  The file is byte for byte
+    ``steps_to_csv(steps)``, but only one block's text is held at a time,
+    not the whole pass's.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(steps_to_csv(steps))
+        fh.write(steps_to_csv(steps[:_CSV_BLOCK_ROWS]))
+        for start in range(_CSV_BLOCK_ROWS, len(steps), _CSV_BLOCK_ROWS):
+            fh.write(steps_to_csv(steps[start:start + _CSV_BLOCK_ROWS]).partition("\n")[2])

@@ -287,6 +287,12 @@ class TestTemperatureCorrection:
         with pytest.raises(TravelRangeError):
             temperature_corrected_position(5e-3, -30.0, THERMAL, MAP, Branch.DIVERGING)
 
+    @pytest.mark.parametrize("target", [-1e-3, 0.0, math.nan, math.inf])
+    def test_target_checked_at_entry(self, target):
+        # -1 mrad lies inside the reachable outputs, which run below zero.
+        with pytest.raises(ValueError, match="theta_target must be finite and > 0"):
+            temperature_corrected_position(target, 20.0, THERMAL, MAP, Branch.DIVERGING)
+
 
 
 def _stroke_outputs(temperature_c, branch):
@@ -317,7 +323,9 @@ def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, 
 def test_lookup_table_rejects_targets_outside_the_stroke(temperature_c, branch, excess, above):
     p_min, p_max = sorted(_stroke_outputs(temperature_c, branch))
     target = p_max * (1.0 + excess) if above else p_min - excess * abs(p_min) - 1e-9
-    with pytest.raises(TravelRangeError):
+    # The reachable outputs can run below zero; a target there is no angle at all.
+    error, message = (TravelRangeError, "exceeds travel range") if target > 0 else (ValueError, "finite and > 0")
+    with pytest.raises(error, match=message):
         temperature_corrected_position(target, temperature_c, THERMAL, MAP, branch)
 
 

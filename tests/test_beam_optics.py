@@ -48,13 +48,15 @@ class TestConventions:
         half = brentq(lambda t: math.exp(-8.0 * t**2 / big**2) - 0.5, 0.0, big, xtol=1e-18)
         assert 2.0 * half == pytest.approx(90e-6, rel=1e-9)
 
+    # Each anchor value is the centre of two decades of drawn angles.
     @pytest.mark.parametrize("value", [1e-6, 90e-6, 5e-3, 0.05])
     @pytest.mark.parametrize("conv", list(Convention))
-    def test_round_trip(self, value, conv):
-        a = DivergenceAngle(value, conv)
+    @given(scale=hs.floats(0.1, 10.0))
+    def test_round_trip(self, value, conv, scale):
+        angle = value * scale
         other = Convention.FWHM if conv is Convention.FULL_1E2 else Convention.FULL_1E2
-        back = a.to(other).to(conv)
-        assert back.value == pytest.approx(value, rel=1e-12)
+        back = DivergenceAngle(angle, conv).to(other).to(conv)
+        assert abs(back.value - angle) <= math.ulp(angle)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -267,10 +269,13 @@ class TestTransmitGain:
         theta = DivergenceAngle(90e-6, Convention.FWHM).to(Convention.FULL_1E2)
         assert transmit_gain_db(theta) == pytest.approx(88.3543, abs=1e-3)
 
+    # Each anchor angle is the centre of two decades of drawn angles.
     @pytest.mark.parametrize("theta", [1e-6, 152.9e-6, 5e-3, 1.0])
-    def test_gain_theta_squared_identity(self, theta):
-        g = transmit_gain(DivergenceAngle(theta, Convention.FULL_1E2))
-        assert g * theta**2 == pytest.approx(16.0, rel=1e-15)
+    @given(scale=hs.floats(0.1, 10.0))
+    def test_gain_theta_squared_identity(self, theta, scale):
+        angle = theta * scale
+        g = transmit_gain(DivergenceAngle(angle, Convention.FULL_1E2))
+        assert abs(g * angle**2 - 16.0) <= math.ulp(16.0)
 
     def test_requires_full_1e2(self):
         with pytest.raises(ValueError):

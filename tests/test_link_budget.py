@@ -1,6 +1,10 @@
+import functools
 import math
+import operator
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from beamdiv.beam_optics import Convention, DivergenceAngle
 from beamdiv.link_budget import (
@@ -55,9 +59,11 @@ class TestFreeSpaceLoss:
 
 
 class TestBudgetReport:
-    def test_terms_sum_to_received_power(self):
-        report = received_power_dbm(calibrated_config(misc_loss_db=3.0), 800e3, pointing_loss_db=1.2)
-        assert sum(report.terms().values()) == pytest.approx(report.received_power_dbm, abs=1e-9)
+    @given(distance=hs.floats(1e3, 1e8), pointing_loss_db=hs.floats(0.0, 1e3))
+    def test_terms_sum_to_received_power(self, distance, pointing_loss_db):
+        report = received_power_dbm(calibrated_config(misc_loss_db=3.0), distance, pointing_loss_db)
+        # Added left to right, in the order the budget adds them: the same float.
+        assert functools.reduce(operator.add, report.terms().values()) == report.received_power_dbm
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,7 @@ from beamdiv.sim import (
     run_pass,
     slant_range,
     steps_to_csv,
+    write_steps_csv,
 )
 
 GEOM = PassGeometry(altitude_m=600e3, max_range_m=1200e3, dt_s=1.0)
@@ -699,11 +701,49 @@ def _cell_events(steps, block):
 @example(case=(run_pass(dataclasses.replace(GEOM, dt_s=0.05), DESIGN_POLICY, design_link(),
                         jitter=_spike_at_culmination).steps, _CSV_BLOCK_ROWS))
 @given(_step_arrays())
-def test_csv_equals_the_row_wise_renderer(case):
+def test_csv_equals_the_row_wise_renderer(tmp_path_factory, case):
     steps, block = case
     for label in set(_cell_events(steps, block)):
         event(label)
     event("more than one block" if len(steps) > block else "one block or less")
     event(f"{'real' if block == _CSV_BLOCK_ROWS else 'small'} block size")
+    expected = _row_wise_csv(steps)
+    path = tmp_path_factory.mktemp("csv") / "pass.csv"
     with mock.patch.object(sim, "_CSV_BLOCK_ROWS", block):
-        assert steps_to_csv(steps) == _row_wise_csv(steps)
+        assert steps_to_csv(steps) == expected
+        write_steps_csv(steps, path)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.fixture(scope="module")
+def long_pass():
+    """A 28.8k-tick pass at dt = 10 ms with a vibration episode: nearly every cell is distinct."""
+    geometry = dataclasses.replace(GEOM, dt_s=0.01)
+    n = len(pass_profile(geometry))
+    rng = np.random.default_rng(11)
+    sigma = np.full(n, 25e-6)
+    sigma[n // 3: n // 2] = 400e-6
+    sigma *= 1.0 + 0.08 * rng.standard_normal(n)
+    return run_pass(geometry, DESIGN_POLICY, design_link(), jitter=np.maximum(sigma, 0.0)).steps
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 5, None]
+)
+def test_written_csv_equals_the_rendered_text(tmp_path, long_pass, rows):
+    steps = long_pass[:rows]
+    path = tmp_path / "pass.csv"
+    write_steps_csv(steps, path)
+    assert path.read_bytes() == steps_to_csv(steps).encode("ascii")
+
+
+def test_writing_a_long_pass_holds_one_block_not_its_text(tmp_path, long_pass):
+    # Rendering the whole text before one write would peak at twice its size.
+    size = len(steps_to_csv(long_pass))
+    tracemalloc.start()
+    try:
+        write_steps_csv(long_pass, tmp_path / "pass.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 3
