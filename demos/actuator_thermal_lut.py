@@ -19,8 +19,9 @@ from beamdiv.actuator import (
 state = ActuatorState()
 print("=== Full traverse: converging max to diverging max ===")
 state.lens_position = state.target_position = -state.dmap.max_travel
-plan = command_divergence(state, state.dmap.diverging_max, Branch.DIVERGING)
-print(f"commanded {plan.target_position_m * 1e3:+.2f} mm, planned duration {plan.duration_s:.2f} s")
+command_divergence(state, state.dmap.diverging_max, Branch.DIVERGING)
+duration = abs(state.target_position - state.lens_position) / state.motor_speed
+print(f"commanded {state.target_position * 1e3:+.2f} mm, planned duration {duration:.2f} s")
 t = 0.0
 while state.in_motion:
     step(state, 0.05)

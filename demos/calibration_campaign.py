@@ -56,7 +56,7 @@ print()
 print("=== Minimum-divergence setting accuracy ===")
 # Seven repeated collimated measurements with ~1 % spread.
 readings = 90e-6 * (1.0 + rng.normal(0.0104, 0.002, 7))
-res = estimate_min_divergence(readings, nominal_rad=90e-6)
+res = estimate_min_divergence(readings)
 print(f"mean {res.mean_rad * 1e6:.3f} urad, deviation {res.deviation_fraction * 100:.2f} % "
       f"vs +-{res.gate_fraction * 100:.0f} % gate -> {'PASS' if res.within_gate else 'MARGINAL FAIL'}")
 

@@ -13,28 +13,24 @@ import numpy as np
 
 from beamdiv.pointing import (
     GainConvention,
-    PointingModel,
     gain_improvement_db,
     optimal_divergence,
     pointing_loss_db,
     rule_of_thumb_divergence,
 )
 
-adcs = PointingModel(
-    sigma=math.radians(0.021),
-    source_note="0.021 deg vendor 3-sigma/3-axis spec taken as sigma",
-)
-improved = PointingModel(sigma=adcs.sigma / 50.0, source_note="after on-orbit calibration (~50x)")
+sigma_adcs = math.radians(0.021)  # 0.021 deg vendor 3-sigma/3-axis spec taken as sigma
+sigma_calibrated = sigma_adcs / 50.0  # after on-orbit calibration (~50x)
 
 print("=== Rule of thumb (theta = 5 sigma) ===")
-for label, model in (("vendor spec", adcs), ("calibrated", improved)):
-    theta = rule_of_thumb_divergence(model.sigma)
-    print(f"{label:12} sigma = {model.sigma * 1e6:7.2f} urad -> theta = {theta * 1e6:8.1f} urad")
+for label, sigma in (("vendor spec", sigma_adcs), ("calibrated", sigma_calibrated)):
+    theta = rule_of_thumb_divergence(sigma)
+    print(f"{label:12} sigma = {sigma * 1e6:7.2f} urad -> theta = {theta * 1e6:8.1f} urad")
 
 print()
 print("=== Exact optimum of gain x pointing loss ===")
 print(f"{'sigma [urad]':>12} {'5-sigma rule':>14} {'quadratic opt':>14} {'linear opt':>12}")
-for sigma in (adcs.sigma, adcs.sigma / 10, adcs.sigma / 50):
+for sigma in (sigma_adcs, sigma_adcs / 10, sigma_adcs / 50):
     rule = rule_of_thumb_divergence(sigma)
     quad = optimal_divergence(sigma, GainConvention.QUADRATIC)
     lin = optimal_divergence(sigma, GainConvention.LINEAR)
@@ -42,13 +38,13 @@ for sigma in (adcs.sigma, adcs.sigma / 10, adcs.sigma / 50):
 
 print()
 print("=== What narrowing the beam buys (linear gain convention) ===")
-wide = rule_of_thumb_divergence(adcs.sigma)
+wide = rule_of_thumb_divergence(sigma_adcs)
 for target, note in ((39e-6, "4 cm aperture limit"), (90e-6, "2 cm aperture limit")):
     db = gain_improvement_db(wide, target, GainConvention.LINEAR)
     print(f"{wide * 1e3:.2f} mrad -> {target * 1e6:5.1f} urad : +{db:5.2f} dB   ({note})")
 
 print()
 print("=== Pointing loss along the divergence sweep (sigma = vendor spec) ===")
-for theta in np.array([0.5, 1.0, 2.0, 5.0]) * adcs.sigma:
-    print(f"theta = {theta / adcs.sigma:4.1f} sigma : L_p = {pointing_loss_db(adcs.sigma, theta):7.2f} dB")
+for theta in np.array([0.5, 1.0, 2.0, 5.0]) * sigma_adcs:
+    print(f"theta = {theta / sigma_adcs:4.1f} sigma : L_p = {pointing_loss_db(sigma_adcs, theta):7.2f} dB")
 print("narrow beams are punished hard; the optimum balances the two slopes")

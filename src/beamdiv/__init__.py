@@ -39,7 +39,6 @@ from .link_budget import (
 )
 from .pointing import (
     GainConvention,
-    PointingModel,
     gain_improvement_db,
     optimal_divergence,
     pointing_loss,
@@ -63,7 +62,6 @@ __all__ = [
     "transmit_gain_db",
     "footprint",
     "GainConvention",
-    "PointingModel",
     "pointing_loss",
     "pointing_loss_db",
     "rule_of_thumb_divergence",

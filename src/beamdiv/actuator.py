@@ -39,7 +39,6 @@ __all__ = [
     "ThermalModel",
     "ChromaticModel",
     "ActuatorState",
-    "MotionPlan",
     "TravelRangeError",
     "MOTOR_SPEED_M_PER_S",
     "FULL_TRAVERSE_S",
@@ -69,13 +68,16 @@ FULL_TRAVERSE_S = 0.9
 MOTOR_SPEED_M_PER_S = 7.0e-3 / FULL_TRAVERSE_S
 
 # Fine-steering stage: +-100 urad in each axis, vibration isolation to 100 Hz.
+# In band it attenuates motion 100-fold (an emulator design parameter, not a
+# measured value).
 STEERING_RANGE_RAD = 100e-6
 ISOLATION_CUTOFF_HZ = 100.0
+ISOLATION_REJECTION = 0.01
 
 # Axis wander: mean magnitude 1.3 urad at the 90 urad collimated setting,
-# scaled proportionally with divergence, hard-bounded at 5 % of the setting.
+# scaled proportionally with divergence; at most twice that, inside the 5 %
+# stability bound.
 AXIS_MEAN_FRACTION = 1.3e-6 / 90e-6
-AXIS_BOUND_FRACTION = 0.05
 
 AngleLike = Union[DivergenceAngle, float]
 
@@ -253,9 +255,10 @@ class ThermalModel:
 class ChromaticModel:
     """Divergence offset versus wavelength at two anchor settings.
 
-    Offsets are sampled at three wavelengths (zero at the optimization
-    wavelength in the middle of the band), interpolated quadratically in
-    wavelength and linearly in the nominal setting between anchors.
+    Offsets are sampled at three wavelengths (zero at both anchors at the
+    optimization wavelength, by default the middle of the band), interpolated
+    quadratically in wavelength and linearly in the nominal setting between
+    anchors.
     """
 
     wavelengths: tuple[float, float, float] = (1.53e-6, 1.55e-6, 1.565e-6)
@@ -273,8 +276,10 @@ class ChromaticModel:
             raise ValueError("wavelength samples must be strictly increasing")
         if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
             raise ValueError("anchor settings must be positive and increasing")
-        if 0.0 not in self.offsets_low or 0.0 not in self.offsets_high:
-            raise ValueError("one sampled wavelength must carry zero offset (the optimization wavelength)")
+        if (0.0, 0.0) not in zip(self.offsets_low, self.offsets_high):
+            raise ValueError(
+                "one sampled wavelength must carry zero offset at both anchors (the optimization wavelength)"
+            )
 
     def check_wavelength(self, wavelength: float) -> None:
         """Raise ``ValueError`` unless the wavelength lies in the sampled band."""
@@ -388,29 +393,21 @@ class ActuatorState:
         self.chromatic.check_wavelength(self.wavelength)
 
 
-@dataclass(frozen=True)
-class MotionPlan:
-    """Outcome of a divergence command: where to go and how long it takes."""
-
-    target_position_m: float
-    duration_s: float
-
-
 def command_divergence(
     state: ActuatorState,
     theta_target: AngleLike,
     branch: Optional[Branch] = None,
-) -> MotionPlan:
-    """Command a nominal divergence; returns the motion plan.
+) -> None:
+    """Command a nominal divergence: set the target position and start the motion.
 
-    Duration is ``|dx| / motor_speed`` (constant-speed profile, no ramps).
+    The lens then takes ``|target_position - lens_position| / motor_speed``
+    to arrive (constant-speed profile, no ramps; see :func:`track`).
     """
     use_branch = branch if branch is not None else state.branch
     target_x = position_from_divergence(theta_target, use_branch, state.dmap)
     state.branch = use_branch
     state.target_position = target_x
     state.in_motion = target_x != state.lens_position
-    return MotionPlan(target_x, abs(target_x - state.lens_position) / state.motor_speed)
 
 
 def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[float]:
@@ -515,27 +512,21 @@ def axis_deviation(state: ActuatorState, rng: Union[int, np.random.Generator]) -
     return (mag * math.cos(angle), mag * math.sin(angle))
 
 
-def steering_residual(
-    disturbance_frequency_hz: float,
-    amplitude_rad: float,
-    rejection_factor: float = 0.01,
-    isolation_cutoff_hz: float = ISOLATION_CUTOFF_HZ,
-    steering_range_rad: float = STEERING_RANGE_RAD,
-) -> float:
+def steering_residual(disturbance_frequency_hz: float, amplitude_rad: float) -> float:
     """Residual beam motion after the anti-vibration stage, radians.
 
-    Disturbances within the isolation band are attenuated by
-    ``rejection_factor`` (a design parameter of the emulator, not a measured
-    value).  Amplitude beyond the steering range saturates: the un-steerable
-    excess passes through unattenuated.  Above the band nothing is rejected.
+    Disturbances up to ``ISOLATION_CUTOFF_HZ`` are attenuated by
+    ``ISOLATION_REJECTION``.  Amplitude beyond ``STEERING_RANGE_RAD``
+    saturates: the un-steerable excess passes through unattenuated.  Above
+    the band nothing is rejected.
     """
     finite("frequency", disturbance_frequency_hz, ge=0)
     finite("amplitude", amplitude_rad, ge=0)
-    if disturbance_frequency_hz > isolation_cutoff_hz:
+    if disturbance_frequency_hz > ISOLATION_CUTOFF_HZ:
         return amplitude_rad
-    steerable = min(amplitude_rad, steering_range_rad)
+    steerable = min(amplitude_rad, STEERING_RANGE_RAD)
     excess = amplitude_rad - steerable
-    return steerable * rejection_factor + excess
+    return steerable * ISOLATION_REJECTION + excess
 
 
 def snapshot(state: ActuatorState, command: str = "") -> dict:

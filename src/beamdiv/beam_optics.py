@@ -196,9 +196,9 @@ def _intensity(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -
     return (_amplitude(rule, angles) / _amplitude(rule, _ON_AXIS)[0]) ** 2
 
 
-def _check_converged(coarse: np.ndarray, fine: np.ndarray, n_nodes: int, check_tol: float) -> None:
+def _check_converged(coarse: np.ndarray, fine: np.ndarray, n_nodes: int) -> None:
     worst = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if worst > check_tol:
+    if worst > CHECK_TOL:
         raise QuadratureError(
             f"far-field quadrature not converged at n_nodes={n_nodes}: "
             f"grid doubling moved intensity by {worst:.3e}"
@@ -209,7 +209,6 @@ def farfield_intensity(
     apertured: AperturedBeam,
     angles,
     n_nodes: int = 256,
-    check_tol: float = CHECK_TOL,
 ) -> np.ndarray:
     """Normalized far-field intensity of the truncated Gaussian beam.
 
@@ -222,9 +221,6 @@ def farfield_intensity(
     n_nodes : int
         Radial quadrature resolution, >= 1.  Convergence is self-checked by
         recomputing with ``2 * n_nodes`` nodes.
-    check_tol : float
-        Maximum allowed intensity difference between the two grids, finite
-        and >= 0.
 
     Returns
     -------
@@ -234,10 +230,9 @@ def farfield_intensity(
     Raises
     ------
     QuadratureError
-        If grid doubling moves any returned value by more than ``check_tol``.
+        If grid doubling moves any returned value by more than ``CHECK_TOL``.
     """
     integer("n_nodes", n_nodes, ge=1)
-    finite("check_tol", check_tol, ge=0)
     th = np.asarray(angles, dtype=float)
     if th.ndim != 1 or th.size == 0:
         raise ValueError("angles must be a non-empty 1-D sequence")
@@ -245,7 +240,7 @@ def farfield_intensity(
     if np.any(np.diff(th) < 0.0):
         raise ValueError("angles must be sorted ascending")
     fine = _intensity(_radial_rule(apertured, 2 * n_nodes), th)
-    _check_converged(_intensity(_radial_rule(apertured, n_nodes), th), fine, n_nodes, check_tol)
+    _check_converged(_intensity(_radial_rule(apertured, n_nodes), th), fine, n_nodes)
     return fine
 
 
@@ -286,7 +281,7 @@ def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAn
     finally:
         # An unconverged rule outranks whatever the search made of its values.
         coarse = _intensity(_radial_rule(apertured, n_nodes), np.array(visited))
-        _check_converged(coarse, np.array(fine), n_nodes, CHECK_TOL)
+        _check_converged(coarse, np.array(fine), n_nodes)
     return DivergenceAngle(2.0 * half_angle, Convention.FWHM)
 
 

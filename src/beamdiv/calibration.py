@@ -216,19 +216,17 @@ class MinDivergenceResult:
         }
 
 
-def estimate_min_divergence(
-    measurements: Sequence[float],
-    nominal_rad: float = 90e-6,
-) -> MinDivergenceResult:
+def estimate_min_divergence(measurements: Sequence[float]) -> MinDivergenceResult:
     """Average repeated collimated-divergence measurements and gate them.
 
-    A marginal result (e.g. 1.04 % against the 1 % gate) is reported with
-    both numbers; nothing is clipped or adjusted.
+    The nominal value is the design map's collimated divergence.  A marginal
+    result (e.g. 1.04 % against the 1 % gate) is reported with both numbers;
+    nothing is clipped or adjusted.
     """
     if len(measurements) < 2:
         raise ValueError("need >= 2 measurements to average")
     finite("measurements", measurements)
-    finite("nominal_rad", nominal_rad, gt=0)
+    nominal_rad = DivergenceMap.collimated_divergence
     mean = float(np.mean(measurements))
     deviation = abs(mean - nominal_rad) / nominal_rad
     return MinDivergenceResult(mean_rad=mean, nominal_rad=nominal_rad, deviation_fraction=deviation)
@@ -294,18 +292,17 @@ class ThermalFit:
         }
 
 
-def build_thermal_model(
-    observations: Iterable[tuple[float, float, float]],
-    reference_temperature_c: float = 20.0,
-) -> ThermalFit:
+def build_thermal_model(observations: Iterable[tuple[float, float, float]]) -> ThermalFit:
     """Fit the two-sided thermal deviation model from sweep data.
 
     ``observations`` are (theta_set, temp_c, theta_meas) rows taken at
-    exactly two anchor settings.  Each side of the reference temperature is
-    fit per anchor as deviation through the origin versus degrees away from
-    reference (the deviation at reference is zero by definition).  Needs at
-    least two temperatures per side per anchor.
+    exactly two anchor settings.  Each side of the reference temperature
+    (``ThermalModel.reference_temperature_c``, 20 C) is fit per anchor as
+    deviation through the origin versus degrees away from reference (the
+    deviation at reference is zero by definition).  Needs at least two
+    temperatures per side per anchor.
     """
+    reference_temperature_c = ThermalModel.reference_temperature_c
     rows = list(observations)
     settings = sorted({r[0] for r in rows})
     if len(settings) != 2:
@@ -432,8 +429,8 @@ class CalibrationTable:
             "provenance": self.provenance,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def simulate_profiler_samples(
@@ -442,7 +439,6 @@ def simulate_profiler_samples(
     distances_m: Sequence[float],
     replicates: int,
     rng: Union[int, np.random.Generator],
-    resolution_m: float = PROFILER_RESOLUTION_M,
 ) -> list[ProfilerSample]:
     """Synthesize profiler readings of a beam cone for fixture data.
 
@@ -456,7 +452,7 @@ def simulate_profiler_samples(
     samples = []
     for L in distances_m:
         true = initial_diameter_m + divergence_full_1e2_rad * L
-        noise = gen.uniform(-0.5 * resolution_m, 0.5 * resolution_m, replicates)
+        noise = gen.uniform(-0.5 * PROFILER_RESOLUTION_M, 0.5 * PROFILER_RESOLUTION_M, replicates)
         for i, n in enumerate(noise):
             samples.append(ProfilerSample(distance_m=L, spot_diameter_m=true + float(n), replicate=i))
     return samples

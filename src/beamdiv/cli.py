@@ -48,7 +48,6 @@ def _angle_human(rad: float) -> str:
 
 def cmd_budget(args) -> int:
     cfg = load_config(args.config)
-    finite("distance", args.distance, gt=0)
     report = budget_report(cfg.link, args.distance, args.rate, pointing_loss_db=args.pointing_loss_db)
     if args.format == "json":
         _emit(report.to_json(), args.out)
@@ -80,7 +79,7 @@ def cmd_optimize(args) -> int:
         "hardware_min_rad": theta_min,
         "hardware_max_rad": theta_max,
     }
-    if args.reference_divergence:
+    if args.reference_divergence is not None:
         out["gain_improvement_db_vs_reference"] = gain_improvement_db(
             args.reference_divergence, theta_opt, convention
         )

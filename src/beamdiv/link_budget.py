@@ -96,6 +96,12 @@ class LinkConfig:
         for name in ("insertion_loss_db", "misc_loss_db"):
             finite(name, getattr(self, name), ge=0)
 
+    def require_sensitivity(self) -> SensitivityModel:
+        """The sensitivity model; raises ``ValueError`` if none has been calibrated."""
+        if self.sensitivity is None:
+            raise ValueError("config has no sensitivity model; calibrate one first")
+        return self.sensitivity
+
     def with_sensitivity(self, sensitivity: SensitivityModel) -> "LinkConfig":
         return replace(self, sensitivity=sensitivity)
 
@@ -146,8 +152,8 @@ class BudgetReport:
             out["margin_db"] = self.margin_db
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def table(self) -> str:
         """Aligned human-readable breakdown."""
@@ -202,8 +208,7 @@ def received_power_dbm(
     ``pointing_loss_db`` is a non-negative loss magnitude (0 for ideal
     pointing); it enters the report as a negative addend.
     """
-    if distance != math.inf:  # receives -inf dBm, so max_rate reports the link closed
-        finite("distance", distance, gt=0)
+    finite("distance", distance, gt=0)
     finite("pointing_loss_db", pointing_loss_db, ge=0)
     theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
@@ -271,10 +276,7 @@ def link_margin_db(
     pointing_loss_db: float = 0.0,
 ) -> float:
     """Received power minus receiver sensitivity at the given rate, dB."""
-    if config.sensitivity is None:
-        raise ValueError("config has no sensitivity model; calibrate one first")
-    report = received_power_dbm(config, distance, pointing_loss_db)
-    return report.received_power_dbm - config.sensitivity.sensitivity_dbm(rate)
+    return budget_report(config, distance, rate, pointing_loss_db).margin_db
 
 
 def budget_report(
@@ -284,10 +286,9 @@ def budget_report(
     pointing_loss_db: float = 0.0,
 ) -> BudgetReport:
     """Full budget breakdown including sensitivity and margin at ``rate``."""
-    if config.sensitivity is None:
-        raise ValueError("config has no sensitivity model; calibrate one first")
+    sensitivity = config.require_sensitivity()
     base = received_power_dbm(config, distance, pointing_loss_db)
-    sens = config.sensitivity.sensitivity_dbm(rate)
+    sens = sensitivity.sensitivity_dbm(rate)
     return replace(
         base,
         rate_bps=rate,
@@ -307,10 +308,9 @@ def max_rate(
     Closed form from the log-linear sensitivity model:
     ``R = R_ref * 10**((P_rx - S_ref - m) / 10)``.
     """
-    if config.sensitivity is None:
-        raise ValueError("config has no sensitivity model; calibrate one first")
+    sensitivity = config.require_sensitivity()
     report = received_power_dbm(config, distance, pointing_loss_db)
-    rate = _rate_at(config.sensitivity, report.received_power_dbm, required_margin_db)
+    rate = _rate_at(sensitivity, report.received_power_dbm, required_margin_db)
     if not (math.isfinite(rate) and rate > 0.0):
         raise LinkClosedError(
             f"link closed at no rate: received {report.received_power_dbm} dBm "
@@ -327,12 +327,11 @@ def _rate_at(sensitivity: SensitivityModel, received_dbm: float, margin_db: floa
 def max_rate_column(config: LinkConfig, received_dbm: np.ndarray, required_margin_db: float) -> np.ndarray:
     """:func:`max_rate` at each received power, bit/s, as the same floats.
 
-    Raises nothing: where ``max_rate`` raises :class:`LinkClosedError` the
+    Raises no :class:`LinkClosedError`: where ``max_rate`` raises it the
     element is not a finite positive rate, and the caller decides.
     """
-    if config.sensitivity is None:
-        raise ValueError("config has no sensitivity model; calibrate one first")
-    rates = map(_rate_at, repeat(config.sensitivity), received_dbm.tolist(), repeat(required_margin_db))
+    sensitivity = config.require_sensitivity()
+    rates = map(_rate_at, repeat(sensitivity), received_dbm.tolist(), repeat(required_margin_db))
     return np.fromiter(rates, float, len(received_dbm))
 
 

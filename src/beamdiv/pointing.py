@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from ._checks import finite, integer
 
 __all__ = [
     "GainConvention",
-    "PointingModel",
     "pointing_loss",
     "pointing_loss_db",
     "pointing_loss_db_column",
@@ -45,22 +43,6 @@ class GainConvention(enum.Enum):
 
     QUADRATIC = "quadratic"  # G proportional to 1/theta^2
     LINEAR = "linear"        # G proportional to 1/theta
-
-
-@dataclass(frozen=True)
-class PointingModel:
-    """Pointing accuracy sigma plus a note on how the number was obtained.
-
-    Vendor attitude-control specs come in many flavors (3-sigma, per axis,
-    half cone...).  ``source_note`` records the interpretation applied, e.g.
-    ``"0.021 deg vendor spec taken as sigma"``, instead of silently rescaling.
-    """
-
-    sigma: float
-    source_note: str = ""
-
-    def __post_init__(self) -> None:
-        finite("sigma", self.sigma, ge=0)
 
 
 def pointing_loss(sigma: float, theta_d: float) -> float:
@@ -116,7 +98,8 @@ def optimal_divergence(sigma, convention: GainConvention):
 
     QUADRATIC: ``theta* = sigma * sqrt(8 ln 10)`` (~4.2919 sigma).
     LINEAR:    ``theta* = 4 sigma * sqrt(ln 10)`` (~6.0697 sigma).
-    Scale-invariant: ``theta*(k sigma) = k theta*(sigma)``.
+    Scale-invariant up to rounding: ``theta*(k sigma)`` and ``k theta*(sigma)``
+    differ by at most 2 ulps, since each side rounds twice.
     """
     finite("sigma", sigma, gt=0)
     if convention is GainConvention.QUADRATIC:

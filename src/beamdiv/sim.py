@@ -275,8 +275,7 @@ def run_pass(
     The loop is noise-free, so the result is deterministic for fixed inputs.
     ``seed`` draws nothing; it is recorded in the summary as the run's seed.
     """
-    if config.sensitivity is None:
-        raise ValueError("link config has no sensitivity model; calibrate one first")
+    config.require_sensitivity()
     st = state if state is not None else ActuatorState()
     st.validate()
     steps = _pass_steps(geometry)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
@@ -38,6 +38,20 @@ MAP = DivergenceMap()
 THERMAL = ThermalModel()
 CHROMA = ChromaticModel()
 
+# Spot angles that split [collimated, branch maximum] into four segments.
+ROUND_TRIP_STARTS = [90e-6, 350e-6, 3.115e-3, 6.1e-3]
+
+
+def assert_travel_time(seconds, theta, lens_position=0.0):
+    """An unquantized lens commanded to ``theta`` on the diverging branch arrives in one
+    tick of ``seconds`` (to rel 1e-9), and not in a tick that much shorter."""
+    for dt, moving in ((seconds * (1.0 - 1e-9), True), (seconds * (1.0 + 1e-9), False)):
+        st = ActuatorState(lens_position=lens_position, target_position=lens_position, step_size=0.0)
+        command_divergence(st, theta, Branch.DIVERGING)
+        step(st, dt)
+        assert st.in_motion is moving
+    assert st.lens_position == st.target_position
+
 
 class TestDivergenceMap:
     def test_collimated_point(self):
@@ -59,10 +73,16 @@ class TestDivergenceMap:
             divergence_from_position(3.6e-3, MAP)
 
     @pytest.mark.parametrize("branch", list(Branch))
-    @pytest.mark.parametrize("theta", [90e-6, 350e-6, 3.115e-3, 6.1e-3])
-    def test_inverse_round_trip(self, branch, theta):
-        x = position_from_divergence(theta, branch, MAP)
-        assert divergence_from_position(x, MAP).value == pytest.approx(theta, rel=1e-12)
+    @pytest.mark.parametrize("theta", ROUND_TRIP_STARTS)
+    @example(fraction=0.0)
+    @given(fraction=hs.floats(0.0, 1.0))
+    def test_inverse_round_trip(self, branch, theta, fraction):
+        # Each case draws from the segment its spot angle starts, so together
+        # they cover the branch; the round trip is good to one ulp.
+        hi = next((start for start in ROUND_TRIP_STARTS if start > theta), MAP.branch_max(branch))
+        target = min(theta + fraction * (hi - theta), hi)
+        x = position_from_divergence(target, branch, MAP)
+        assert abs(divergence_from_position(x, MAP).value - target) <= math.ulp(target)
 
     def test_inverse_examples(self):
         assert position_from_divergence(90e-6, Branch.DIVERGING, MAP) == 0.0
@@ -80,13 +100,14 @@ class TestDivergenceMap:
     def test_branch_maximum_reachable(self, branch):
         # The converging maximum used to map one ulp past the stroke end.
         st = ActuatorState()
-        plan = command_divergence(st, MAP.branch_max(branch), branch)
-        assert abs(plan.target_position_m) == MAP.max_travel
-        step(st, plan.duration_s)
-        assert st.lens_position == plan.target_position_m
+        command_divergence(st, MAP.branch_max(branch), branch)
+        target = st.target_position
+        assert abs(target) == MAP.max_travel
+        step(st, MAP.max_travel / st.motor_speed)
+        assert st.lens_position == target
         assert actual_divergence(st).value == pytest.approx(MAP.branch_max(branch), rel=1e-12)
         script = [f"set-divergence {MAP.branch_max(branch)!r} {branch.value}", "step 1"]
-        assert run_script(script)[-1]["lens_position_m"] == plan.target_position_m
+        assert run_script(script)[-1]["lens_position_m"] == target
 
     def test_virtual_setting_extends_below_collimation(self):
         u = setting_on_branch(-1e-3, Branch.DIVERGING, MAP)
@@ -97,21 +118,20 @@ class TestDivergenceMap:
 class TestMotion:
     def test_full_traverse_duration(self):
         st = ActuatorState(lens_position=-3.5e-3, target_position=-3.5e-3)
-        plan = command_divergence(st, 6.14e-3, Branch.DIVERGING)
-        assert plan.target_position_m == pytest.approx(3.5e-3, rel=1e-12)
-        assert plan.duration_s == pytest.approx(0.9, rel=1e-12)
+        command_divergence(st, 6.14e-3, Branch.DIVERGING)
+        assert st.target_position == pytest.approx(3.5e-3, rel=1e-12)
+        assert_travel_time(0.9, 6.14e-3, lens_position=-3.5e-3)
 
     def test_noop_command(self):
         st = ActuatorState()
-        plan = command_divergence(st, 90e-6)
-        assert plan.duration_s == 0.0
-        assert not st.in_motion
+        command_divergence(st, 90e-6)
+        assert not st.in_motion  # arrived before any tick
+        step(st, 1e-9)
+        assert st.lens_position == st.target_position == 0.0
 
     def test_small_move_timing(self):
         # 1.36 mrad step on the diverging branch takes about 100 ms.
-        st = ActuatorState()
-        plan = command_divergence(st, 90e-6 + 1.36e-3, Branch.DIVERGING)
-        assert plan.duration_s == pytest.approx(0.10115702479338845, rel=1e-9)
+        assert_travel_time(0.10115702479338845, 90e-6 + 1.36e-3)
 
     def test_step_fixed_point_at_target(self):
         st = ActuatorState(lens_position=1e-3, target_position=1e-3)
@@ -243,6 +263,13 @@ class TestChromaticModel:
     def test_needs_exactly_three_samples(self, field, values):
         with pytest.raises(ValueError, match="exactly 3"):
             ChromaticModel(**{field: values})
+
+    def test_zero_offsets_must_share_a_wavelength(self):
+        # Each anchor has a zero, but at different wavelengths: no wavelength
+        # is the optimization wavelength.
+        with pytest.raises(ValueError, match="zero offset at both anchors"):
+            ChromaticModel(offsets_low=(0.0, 1e-6, 3e-6))
+        ChromaticModel(offsets_low=(10e-6, -0.0, 3e-6))
 
     def test_out_of_band_rejected(self):
         with pytest.raises(ValueError):

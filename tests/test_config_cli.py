@@ -470,6 +470,7 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     (["budget", "--distance", "600e3", "--rate", "nan", "--format", "json"], {}, 3, "rate"),
     (["optimize", "--sigma", "nan"], {}, 3, "sigma"),
     (["optimize", "--sigma", "1e-5", "--reference-divergence", "-1"], {}, 3, "theta_ref"),
+    (["optimize", "--sigma", "2e-5", "--reference-divergence", "0"], {}, 3, "theta_ref"),
     (["optimize", "--sigma", "1e-5", "--min-divergence", "nan", "--format", "json"], {}, 3, "min_divergence"),
     (["optimize", "--sigma", "1e-5", "--max-divergence", "inf", "--format", "json"], {}, 3, "max_divergence"),
     (["optimize", "--sigma", "1e-5", "--min-divergence", "5e-3", "--max-divergence", "1e-3"], {}, 3,
@@ -479,7 +480,7 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     (["calibrate", "--profiler", "{csv}"],
      {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\nnan,0.005\n"}, 2, "line 5"),
 ], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_reference",
-        "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
+        "optimize_reference_zero", "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
         "calibrate_profiler"])
 def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):
     paths = {}

@@ -143,6 +143,8 @@ class TestMarginAndRate:
     def test_link_closed_error(self):
         cfg = calibrated_config()
         with pytest.raises(LinkClosedError):
+            max_rate(cfg, 600e3, 5.0, pointing_loss_db=1e4)
+        with pytest.raises(ValueError, match="distance"):
             max_rate(cfg, math.inf, 5.0)
 
     def test_requires_sensitivity(self):

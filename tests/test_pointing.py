@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from beamdiv import pointing
 from beamdiv.pointing import (
     GainConvention,
-    PointingModel,
     gain_improvement_db,
     optimal_divergence,
     pointing_loss,
@@ -23,6 +22,14 @@ SIGMA_ADCS = math.radians(0.021)  # vendor spec consumed as sigma
 def objective(theta, sigma, convention):
     gain = 16.0 / theta**2 if convention is GainConvention.QUADRATIC else 16.0 / theta
     return gain * 10.0 ** (-2.0 * (2.0 * sigma / theta) ** 2)
+
+
+def assert_matches_sweep(sigma, convention):
+    # The closed form against the brute-force sweep over a decade each way;
+    # the worst gap seen over [1e-7, 1e-2] rad is about 1.3e-8.
+    closed = optimal_divergence(sigma, convention)
+    swept = sweep_optimal_divergence(sigma, convention, closed / 10.0, closed * 10.0)
+    assert abs(swept - closed) / closed <= 1e-6
 
 
 class TestPointingLoss:
@@ -95,10 +102,12 @@ class TestOptimalDivergence:
     @pytest.mark.parametrize("convention", list(GainConvention))
     @pytest.mark.parametrize("sigma", [1e-6, 100e-6, 366.5e-6])
     def test_matches_sweep_oracle(self, convention, sigma):
-        closed = optimal_divergence(sigma, convention)
-        swept = sweep_optimal_divergence(convention=convention, sigma=sigma,
-                                         lo=closed / 10.0, hi=closed * 10.0)
-        assert abs(swept - closed) / closed < 1e-4
+        assert_matches_sweep(sigma, convention)
+
+    @pytest.mark.parametrize("convention", list(GainConvention))
+    @given(sigma=hs.floats(1e-7, 1e-2))
+    def test_matches_sweep_oracle_at_any_sigma(self, convention, sigma):
+        assert_matches_sweep(sigma, convention)
 
     @pytest.mark.parametrize("convention", list(GainConvention))
     def test_argmax_invariance_on_log_sweep(self, convention):
@@ -109,9 +118,12 @@ class TestOptimalDivergence:
         assert np.max(objective(grid, sigma, convention)) <= objective(np.array([star]), sigma, convention)[0]
 
     @pytest.mark.parametrize("convention", list(GainConvention))
-    def test_scale_invariance(self, convention):
-        base = optimal_divergence(50e-6, convention)
-        assert optimal_divergence(7.0 * 50e-6, convention) == pytest.approx(7.0 * base, rel=1e-15)
+    @example(sigma=50e-6, k=7.0)
+    @given(sigma=hs.floats(1e-7, 1e-2), k=hs.floats(1e-3, 1e3))
+    def test_scale_invariance(self, convention, sigma, k):
+        # Both sides round twice, so they may part by 2 ulps, never more.
+        scaled, base = optimal_divergence(k * sigma, convention), k * optimal_divergence(sigma, convention)
+        assert abs(scaled - base) <= 2.0 * math.ulp(max(scaled, base))
 
     def test_zero_sigma_raises(self):
         with pytest.raises(ValueError):
@@ -140,14 +152,6 @@ class TestGainImprovement:
         lin = gain_improvement_db(1e-3, 1e-4, GainConvention.LINEAR)
         quad = gain_improvement_db(1e-3, 1e-4, GainConvention.QUADRATIC)
         assert quad == pytest.approx(2.0 * lin, rel=1e-12)
-
-
-def test_pointing_model_records_interpretation():
-    model = PointingModel(sigma=SIGMA_ADCS, source_note="0.021 deg vendor 3-sigma/3-axis spec taken as sigma")
-    assert model.sigma == pytest.approx(366.52e-6, rel=1e-3)
-    assert "taken as sigma" in model.source_note
-    with pytest.raises(ValueError):
-        PointingModel(sigma=-1e-6)
 
 
 @given(

@@ -212,12 +212,15 @@ class TestRunPass:
         for sa, sb in zip(a.steps, b.steps):
             assert sa["rate_bps"] == sb["rate_bps"]
 
-    def test_wider_sigma_never_beats_smaller(self):
-        rates = []
-        for sigma in (0.0, 50e-6, 200e-6, 366.5e-6):
-            result = run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=sigma)
-            rates.append(result.summary["total_bits"])
-        assert rates == sorted(rates, reverse=True)
+    @example(a=0.0, b=50e-6)
+    @example(a=50e-6, b=200e-6)
+    @example(a=200e-6, b=366.5e-6)
+    @given(a=hs.floats(0.0, 3e-3), b=hs.floats(0.0, 3e-3))
+    def test_wider_sigma_never_beats_smaller(self, a, b):
+        # Constant jitter from none to past the branch-maximum clamp (about 1.43 mrad).
+        narrow, wide = (run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=s).summary["total_bits"]
+                        for s in sorted((a, b)))
+        assert wide <= narrow
 
     def test_jitter_schedule_array(self):
         n = len(pass_profile(GEOM))
@@ -337,7 +340,6 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: ProfilerSample(math.nan, math.nan),
         lambda: ProfilerSample(3.0, math.nan),
         lambda: estimate_min_divergence([90e-6, math.nan]),
-        lambda: estimate_min_divergence([90e-6, 91e-6], math.nan),
         lambda: na_mismatch_effect(math.nan, 0.0765, GaussianBeam(0.02, 1.55e-6), 90e-6),
         lambda: na_mismatch_effect(2.62, 0.0765, GaussianBeam(0.02, 1.55e-6), math.nan),
         lambda: design_link().sensitivity.sensitivity_dbm(math.nan),
@@ -346,6 +348,7 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: free_space_loss_db(600e3, math.inf),
         lambda: receive_gain_db(0.35, math.nan),
         lambda: received_power_dbm(design_link(), math.nan),
+        lambda: received_power_dbm(design_link(), math.inf),
         lambda: received_power_dbm(design_link(), 600e3, math.nan),
         lambda: received_power_column(design_link(), np.array([600e3, math.nan]), np.zeros(2), np.full(2, 90e-6)),
         lambda: link_margin_db(design_link(), 600e3, math.nan),
@@ -362,9 +365,6 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: gain_improvement_db(math.nan, 1e-3, GainConvention.QUADRATIC),
         lambda: footprint(DivergenceAngle(90e-6, Convention.FWHM), math.nan),
         lambda: farfield_intensity(AperturedBeam(GaussianBeam(0.02, 1.55e-6), 0.02), [0.0, math.nan]),
-        lambda: farfield_intensity(_FARFIELD, np.linspace(0.0, 2e-4, 5), n_nodes=4, check_tol=math.nan),
-        lambda: farfield_intensity(_FARFIELD, np.linspace(0.0, 2e-4, 5), n_nodes=4, check_tol=math.inf),
-        lambda: farfield_intensity(_FARFIELD, [0.0], check_tol=-1e-9),
         lambda: farfield_intensity(_FARFIELD, [0.0], n_nodes=True),
         lambda: farfield_intensity(_FARFIELD, [0.0], n_nodes=0),
         lambda: farfield_intensity(_FARFIELD, [0.0], n_nodes=2.5),
@@ -385,15 +385,15 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
         "motor_speed_inf", "step_size_nan", "step_dt_nan", "track_dt_inf", "steer_nan",
         "steering_frequency_nan", "steering_amplitude_nan", "profiler_sample_nan", "profiler_spot_nan",
-        "min_divergence_measurement_nan", "min_divergence_nominal_nan", "na_mismatch_nan", "na_mismatch_fwhm_nan",
+        "min_divergence_measurement_nan", "na_mismatch_nan", "na_mismatch_fwhm_nan",
         "sensitivity_rate_nan", "watts_nan", "path_loss_distance_nan", "path_loss_wavelength_inf",
-        "rx_gain_wavelength_nan", "received_power_distance_nan", "received_power_pointing_nan",
+        "rx_gain_wavelength_nan", "received_power_distance_nan", "received_power_distance_inf",
+        "received_power_pointing_nan",
         "received_power_column_distance_nan", "link_margin_rate_nan", "budget_distance_nan", "budget_rate_nan",
         "optimal_divergence_nan", "sweep_sigma_nan", "sweep_sigma_negative", "sweep_lo_nan", "sweep_hi_inf",
         "optimal_divergence_array_nan", "rule_of_thumb_nan",
         "rule_of_thumb_array_inf", "gain_improvement_nan", "footprint_distance_nan",
-        "farfield_angle_nan", "farfield_check_tol_nan", "farfield_check_tol_inf", "farfield_check_tol_negative",
-        "farfield_n_nodes_bool", "farfield_n_nodes_zero", "farfield_n_nodes_fraction", "fwhm_n_nodes_bool",
+        "farfield_angle_nan", "farfield_n_nodes_bool", "farfield_n_nodes_zero", "farfield_n_nodes_fraction", "fwhm_n_nodes_bool",
         "fwhm_n_nodes_zero", "fwhm_n_nodes_fraction", "sweep_n_points_zero", "sweep_refinements_negative",
         "policy_sigma_nan",
     ],
