@@ -6,10 +6,14 @@ the lens map, repeated collimation measurements gate the setting accuracy,
 the fiber NA mismatch diagnostic explains a too-small collimated beam, and
 thermal/chromatic sweeps produce the lookup-table models.
 
-Fits are plain unweighted least squares.  Replicates at the same stimulus are
-averaged first; quality gates report pass/fail but never silently reject
-data.  The profiler works in 1/e^2 spot diameters; any FWHM conversion
-happens explicitly at the boundary via :mod:`beamdiv.beam_optics`.
+Each measurement file is one record array from reader to fit, a float64
+field per CSV column (``POSITION_DTYPE``, ``PROFILER_DTYPE``,
+``THERMAL_DTYPE``, ``CHROMATIC_DTYPE``); the builders also take a list of
+plain tuples in field order.  Fits are plain unweighted least squares.
+Replicates at the same stimulus are averaged first; quality gates report
+pass/fail but never silently reject data.  The profiler works in 1/e^2 spot
+diameters; any FWHM conversion happens explicitly at the boundary via
+:mod:`beamdiv.beam_optics`.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, integer
 from .actuator import ChromaticModel, DivergenceMap, ThermalModel
 from .beam_optics import DivergenceAngle, GaussianBeam
 from .config import ConfigError
@@ -32,7 +36,10 @@ __all__ = [
     "DESIGN_EFFECTIVE_FOCAL_LENGTH_M",
     "SETTING_ACCURACY_GATE",
     "R_SQUARED_GATE",
-    "ProfilerSample",
+    "POSITION_DTYPE",
+    "PROFILER_DTYPE",
+    "THERMAL_DTYPE",
+    "CHROMATIC_DTYPE",
     "RegressionResult",
     "PositionMapFit",
     "MinDivergenceResult",
@@ -68,18 +75,25 @@ SETTING_ACCURACY_GATE = 0.01   # +-1 % divergence setting accuracy
 R_SQUARED_GATE = 0.9999        # linearity of the position map
 
 
-@dataclass(frozen=True)
-class ProfilerSample:
-    """One beam-profiler reading: 1/e^2 spot diameter at a distance."""
+def _record_dtype(*names: str) -> np.dtype:
+    return np.dtype([(name, np.float64) for name in names])
 
-    distance_m: float
-    spot_diameter_m: float
-    replicate: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        finite("distance_m", self.distance_m, gt=0)
-        # The profiler cannot resolve a spot below its resolution.
-        finite("spot_diameter_m", self.spot_diameter_m, ge=PROFILER_RESOLUTION_M)
+# One float64 field per CSV column, in CSV order: ``samples["distance_m"]``
+# is a column of a profiler file and ``samples[i]`` one reading.
+POSITION_DTYPE = _record_dtype("position_m", "divergence_rad")
+PROFILER_DTYPE = _record_dtype("distance_m", "spot_diameter_m")
+THERMAL_DTYPE = _record_dtype("theta_set_rad", "temp_c", "theta_meas_rad")
+CHROMATIC_DTYPE = _record_dtype("theta_set_rad", "wavelength_m", "theta_meas_rad")
+
+
+def _records(rows, dtype: np.dtype) -> np.ndarray:
+    """``rows`` as a 1-D ``dtype`` array: a record array, or a list of plain tuples in field order."""
+    records = np.asarray(rows, dtype)
+    if records.ndim != 1:
+        # A list of lists would broadcast each number into every field.
+        raise ValueError(f"need one record of {dtype.names} per row, got an array of shape {records.shape}")
+    return records
 
 
 @dataclass(frozen=True)
@@ -112,7 +126,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> RegressionResult:
     return RegressionResult(slope, intercept, r2, tuple(float(r) for r in resid))
 
 
-def fit_divergence(samples: Sequence[ProfilerSample]) -> RegressionResult:
+def fit_divergence(samples) -> RegressionResult:
     """Fit spot diameter versus distance; the slope is the divergence.
 
     Replicates at the same distance are averaged before the fit.  The slope
@@ -120,16 +134,16 @@ def fit_divergence(samples: Sequence[ProfilerSample]) -> RegressionResult:
     intercept is the beam diameter at the device.  Needs at least three
     distinct distances.  Quality is reported, never enforced here.
     """
-    if not samples:
+    samples = _records(samples, PROFILER_DTYPE)
+    distance = finite("distance_m", samples["distance_m"], gt=0)
+    # The profiler cannot resolve a spot below its resolution.
+    spot = finite("spot_diameter_m", samples["spot_diameter_m"], ge=PROFILER_RESOLUTION_M)
+    if not samples.size:
         raise ValueError("no profiler samples")
-    by_distance: dict[float, list[float]] = {}
-    for s in samples:
-        by_distance.setdefault(s.distance_m, []).append(s.spot_diameter_m)
-    if len(by_distance) < 3:
-        raise ValueError(f"need >= 3 distinct distances, got {len(by_distance)}")
-    dist = np.array(sorted(by_distance))
-    spot = np.array([np.mean(by_distance[d]) for d in dist])
-    return _ols(dist, spot)
+    dist = np.unique(distance)
+    if dist.size < 3:
+        raise ValueError(f"need >= 3 distinct distances, got {dist.size}")
+    return _ols(dist, np.array([np.mean(spot[distance == d]) for d in dist]))
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,7 @@ class PositionMapFit:
     map: DivergenceMap
     diverging: RegressionResult
     converging: RegressionResult
-    r_squared_gate: float = R_SQUARED_GATE
+    r_squared_gate: ClassVar[float] = R_SQUARED_GATE
 
     @property
     def passed(self) -> bool:
@@ -161,7 +175,7 @@ class PositionMapFit:
         }
 
 
-def build_position_map(pairs: Iterable[tuple[float, float]]) -> PositionMapFit:
+def build_position_map(pairs) -> PositionMapFit:
     """Fit the position-to-divergence map from (position, divergence) pairs.
 
     Positions are signed meters (positive diverging), divergences FWHM
@@ -169,26 +183,19 @@ def build_position_map(pairs: Iterable[tuple[float, float]]) -> PositionMapFit:
     position of exactly zero contributes the collimated point to both
     branches.  Requires at least two points per branch.
     """
-    div_pts: list[tuple[float, float]] = []
-    conv_pts: list[tuple[float, float]] = []
-    max_abs = 0.0
-    for x, theta in pairs:
-        max_abs = max(max_abs, abs(x))
-        if x >= 0.0:
-            div_pts.append((x, theta))
-        if x <= 0.0:
-            conv_pts.append((-x, theta))
-    if len(div_pts) < 2 or len(conv_pts) < 2:
-        raise ValueError(
-            f"need >= 2 points per branch, got {len(div_pts)} diverging / {len(conv_pts)} converging"
-        )
-    fit_div = _ols(np.array([p[0] for p in div_pts]), np.array([p[1] for p in div_pts]))
-    fit_conv = _ols(np.array([p[0] for p in conv_pts]), np.array([p[1] for p in conv_pts]))
+    pairs = _records(pairs, POSITION_DTYPE)
+    x, theta = pairs["position_m"], pairs["divergence_rad"]
+    div, conv = x >= 0.0, x <= 0.0
+    n_div, n_conv = np.count_nonzero(div), np.count_nonzero(conv)
+    if n_div < 2 or n_conv < 2:
+        raise ValueError(f"need >= 2 points per branch, got {n_div} diverging / {n_conv} converging")
+    fit_div = _ols(x[div], theta[div])
+    fit_conv = _ols(-x[conv], theta[conv])
     dmap = DivergenceMap(
         collimated_divergence=0.5 * (fit_div.intercept + fit_conv.intercept),
         diverging_slope=fit_div.slope,
         converging_slope=fit_conv.slope,
-        max_travel=max_abs,
+        max_travel=float(np.max(np.abs(x))),
     )
     return PositionMapFit(map=dmap, diverging=fit_div, converging=fit_conv)
 
@@ -200,7 +207,7 @@ class MinDivergenceResult:
     mean_rad: float
     nominal_rad: float
     deviation_fraction: float
-    gate_fraction: float = SETTING_ACCURACY_GATE
+    gate_fraction: ClassVar[float] = SETTING_ACCURACY_GATE
 
     @property
     def within_gate(self) -> bool:
@@ -292,7 +299,7 @@ class ThermalFit:
         }
 
 
-def build_thermal_model(observations: Iterable[tuple[float, float, float]]) -> ThermalFit:
+def build_thermal_model(observations) -> ThermalFit:
     """Fit the two-sided thermal deviation model from sweep data.
 
     ``observations`` are (theta_set, temp_c, theta_meas) rows taken at
@@ -303,29 +310,28 @@ def build_thermal_model(observations: Iterable[tuple[float, float, float]]) -> T
     temperatures per side per anchor.
     """
     reference_temperature_c = ThermalModel.reference_temperature_c
-    rows = list(observations)
-    settings = sorted({r[0] for r in rows})
+    rows = _records(observations, THERMAL_DTYPE)
+    setting, temp = rows["theta_set_rad"], rows["temp_c"]
+    settings = np.unique(setting).tolist()
     if len(settings) != 2:
         raise ValueError(f"need observations at exactly 2 anchor settings, got {len(settings)}")
-    temps = [r[1] for r in rows]
-    t_cold, t_hot = min(temps), max(temps)
+    t_cold, t_hot = float(np.min(temp)), float(np.max(temp))
     if not (t_cold < reference_temperature_c < t_hot):
         raise ValueError("observations must straddle the reference temperature")
 
+    deviation = rows["theta_meas_rad"] - setting
+    sides = (
+        ("cold", temp < reference_temperature_c, reference_temperature_c - temp),
+        ("hot", temp > reference_temperature_c, temp - reference_temperature_c),
+    )
     slopes: dict[str, float] = {}
     residual_rms: dict[str, float] = {}
-    for side in ("cold", "hot"):
+    for side, on_side, away in sides:
         for i, anchor in enumerate(settings):
-            if side == "cold":
-                sel = [(reference_temperature_c - t, m - s) for s, t, m in rows
-                       if s == anchor and t < reference_temperature_c]
-            else:
-                sel = [(t - reference_temperature_c, m - s) for s, t, m in rows
-                       if s == anchor and t > reference_temperature_c]
-            if len({x for x, _ in sel}) < 2:
+            sel = on_side & (setting == anchor)
+            x, d = away[sel], deviation[sel]
+            if np.unique(x).size < 2:
                 raise ValueError(f"need >= 2 temperatures on the {side} side for anchor {anchor}")
-            x = np.array([p[0] for p in sel])
-            d = np.array([p[1] for p in sel])
             # Through-origin least squares: deviation vanishes at reference.
             slope = float(np.dot(x, d) / np.dot(x, x))
             key = f"{side}_anchor{i}"
@@ -370,7 +376,7 @@ class ChromaticFit:
         }
 
 
-def build_chromatic_model(observations: Iterable[tuple[float, float, float]]) -> ChromaticFit:
+def build_chromatic_model(observations) -> ChromaticFit:
     """Fit per-wavelength divergence offsets at the two anchor settings.
 
     ``observations`` are (theta_set, wavelength_m, theta_meas) rows sampled
@@ -378,22 +384,24 @@ def build_chromatic_model(observations: Iterable[tuple[float, float, float]]) ->
     wavelength with the smallest combined offset carries exactly zero (the
     optimization wavelength); the shift is visible in ``raw_offsets``.
     """
-    rows = list(observations)
-    settings = sorted({r[0] for r in rows})
-    wavelengths = sorted({r[1] for r in rows})
+    rows = _records(observations, CHROMATIC_DTYPE)
+    setting, wavelength = rows["theta_set_rad"], rows["wavelength_m"]
+    settings = np.unique(setting).tolist()
+    wavelengths = np.unique(wavelength).tolist()
     if len(settings) != 2:
         raise ValueError(f"need observations at exactly 2 anchor settings, got {len(settings)}")
     if len(wavelengths) != 3:
         raise ValueError(f"need observations at exactly 3 wavelengths, got {len(wavelengths)}")
 
+    deviation = rows["theta_meas_rad"] - setting
     raw: dict[str, float] = {}
     means = {}
     for s_i, s in enumerate(settings):
         for w in wavelengths:
-            vals = [m - s for ss, ww, m in rows if ss == s and ww == w]
-            if not vals:
+            sel = (setting == s) & (wavelength == w)
+            if not sel.any():
                 raise ValueError(f"no observation for setting {s} at wavelength {w}")
-            means[(s_i, w)] = float(np.mean(vals))
+            means[(s_i, w)] = float(np.mean(deviation[sel]))
             raw[f"anchor{s_i}_{w}"] = means[(s_i, w)]
     ref_wl = min(wavelengths, key=lambda w: abs(means[(0, w)]) + abs(means[(1, w)]))
     # Re-reference so the optimization wavelength carries an exact zero.
@@ -439,47 +447,46 @@ def simulate_profiler_samples(
     distances_m: Sequence[float],
     replicates: int,
     rng: Union[int, np.random.Generator],
-) -> list[ProfilerSample]:
-    """Synthesize profiler readings of a beam cone for fixture data.
+) -> np.ndarray:
+    """Synthesize profiler readings of a beam cone for fixture data, as a ``PROFILER_DTYPE`` array.
 
     The true spot grows linearly from the device aperture,
     ``spot = D0 + theta * L``; each reading adds uniform noise of one
     resolution element peak-to-peak (the profiler's quantization floor).
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    integer("replicates", replicates, ge=1)
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    samples = []
-    for L in distances_m:
-        true = initial_diameter_m + divergence_full_1e2_rad * L
-        noise = gen.uniform(-0.5 * PROFILER_RESOLUTION_M, 0.5 * PROFILER_RESOLUTION_M, replicates)
-        for i, n in enumerate(noise):
-            samples.append(ProfilerSample(distance_m=L, spot_diameter_m=true + float(n), replicate=i))
+    distance = np.asarray(distances_m, dtype=float)
+    noise = gen.uniform(-0.5 * PROFILER_RESOLUTION_M, 0.5 * PROFILER_RESOLUTION_M, (distance.size, replicates))
+    samples = np.empty(noise.size, PROFILER_DTYPE)
+    samples["distance_m"] = np.repeat(distance, replicates)
+    samples["spot_diameter_m"] = ((initial_diameter_m + divergence_full_1e2_rad * distance)[:, None] + noise).ravel()
     return samples
 
 
-def sample_position_map(dmap: DivergenceMap, points_per_branch: int = 8) -> list[tuple[float, float]]:
-    """Noiseless (position, divergence) pairs covering both branches."""
-    if points_per_branch < 2:
-        raise ValueError("need >= 2 points per branch")
-    xs = np.linspace(0.0, dmap.max_travel, points_per_branch)
-    pairs = [(0.0, dmap.collimated_divergence)]
-    for x in xs[1:]:
-        pairs.append((float(x), dmap.collimated_divergence + dmap.diverging_slope * float(x)))
-        pairs.append((-float(x), dmap.collimated_divergence + dmap.converging_slope * float(x)))
+def sample_position_map(dmap: DivergenceMap, points_per_branch: int = 8) -> np.ndarray:
+    """Noiseless (position, divergence) pairs covering both branches, as a ``POSITION_DTYPE`` array."""
+    integer("points_per_branch", points_per_branch, ge=2)
+    xs = np.linspace(0.0, dmap.max_travel, points_per_branch)[1:]
+    pairs = np.empty(2 * xs.size + 1, POSITION_DTYPE)
+    pairs[0] = (0.0, dmap.collimated_divergence)
+    pairs["position_m"][1::2] = xs
+    pairs["position_m"][2::2] = -xs
+    pairs["divergence_rad"][1::2] = dmap.collimated_divergence + dmap.diverging_slope * xs
+    pairs["divergence_rad"][2::2] = dmap.collimated_divergence + dmap.converging_slope * xs
     return pairs
 
 
-def _read_csv_columns(path, required: Sequence[str], optional: Sequence[str] = ()) -> dict[str, list]:
-    """Numeric columns of a measurement CSV by name, one value per non-blank row; input errors are ConfigErrors.
+def _read_csv_columns(path, dtype: np.dtype) -> np.ndarray:
+    """The data rows of a measurement CSV as one ``dtype`` array, a field per named column; input errors are ConfigErrors.
 
-    Each column is converted and checked as a whole.  A blank optional cell
-    reads ``None``; an optional column absent from the header is left out.
+    Each column is converted and checked as a whole; columns outside the
+    dtype's fields are not read.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last column
-        for col in required:
+        for col in dtype.names:
             if col not in index:
                 raise ConfigError(f"missing column '{col}' in {path}")
         rows, lines = [], []
@@ -489,60 +496,43 @@ def _read_csv_columns(path, required: Sequence[str], optional: Sequence[str] = (
                 lines.append(reader.line_num)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
-    columns = [(col, index[col]) for col in (*required, *optional) if col in index]
+    columns = [(col, index[col]) for col in dtype.names]
+    records = np.empty(len(rows), dtype)
     try:
-        return {col: _numeric_column(col, rows, i, col in optional) for col, i in columns}
+        for col, i in columns:
+            records[col] = [float(cells[i]) if i < len(cells) else math.nan for cells in rows]
+            finite(col, records[col])
+        return records
     except ValueError:
         pass
     # Some cell is bad: name the first one in file order, row by row.
     for cells, line in zip(rows, lines):
         for col, i in columns:
             cell = cells[i] if i < len(cells) else ""
-            if cell or col not in optional:
-                try:
-                    finite(col, float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"need a finite number, got {cell!r} in column '{col}' of {path}, line {line}"
-                    ) from None
+            try:
+                finite(col, float(cell))
+            except ValueError:
+                raise ConfigError(
+                    f"need a finite number, got {cell!r} in column '{col}' of {path}, line {line}"
+                ) from None
     raise AssertionError("a column failed with no bad cell")
 
 
-def _numeric_column(name: str, rows: list[list[str]], i: int, optional: bool) -> list:
-    """Column ``i`` of ``rows`` as finite floats, ``None`` for a blank cell if ``optional``; raises ValueError."""
-    cells = [cells[i] if i < len(cells) else "" for cells in rows]
-    if optional:
-        values = [float(cell) if cell else None for cell in cells]
-        finite(name, [v for v in values if v is not None])
-    else:
-        values = list(map(float, cells))
-        finite(name, values)
-    return values
+def read_profiler_csv(path) -> np.ndarray:
+    """Load profiler samples as a ``PROFILER_DTYPE`` array; columns distance_m, spot_diameter_m."""
+    return _read_csv_columns(path, PROFILER_DTYPE)
 
 
-def read_profiler_csv(path) -> list[ProfilerSample]:
-    """Load profiler samples; columns distance_m, spot_diameter_m[, replicate]."""
-    cols = _read_csv_columns(path, ["distance_m", "spot_diameter_m"], ["replicate"])
-    replicates = cols.get("replicate", [None] * len(cols["distance_m"]))
-    return [
-        ProfilerSample(distance_m=d, spot_diameter_m=s, replicate=None if r is None else int(r))
-        for d, s, r in zip(cols["distance_m"], cols["spot_diameter_m"], replicates)
-    ]
+def read_position_csv(path) -> np.ndarray:
+    """Load lens-map pairs as a ``POSITION_DTYPE`` array; columns position_m, divergence_rad."""
+    return _read_csv_columns(path, POSITION_DTYPE)
 
 
-def read_position_csv(path) -> list[tuple[float, float]]:
-    """Load lens-map pairs; columns position_m, divergence_rad."""
-    cols = _read_csv_columns(path, ["position_m", "divergence_rad"])
-    return list(zip(cols["position_m"], cols["divergence_rad"]))
+def read_thermal_csv(path) -> np.ndarray:
+    """Load thermal sweep rows as a ``THERMAL_DTYPE`` array; columns theta_set_rad, temp_c, theta_meas_rad."""
+    return _read_csv_columns(path, THERMAL_DTYPE)
 
 
-def read_thermal_csv(path) -> list[tuple[float, float, float]]:
-    """Load thermal sweep rows; columns theta_set_rad, temp_c, theta_meas_rad."""
-    cols = _read_csv_columns(path, ["theta_set_rad", "temp_c", "theta_meas_rad"])
-    return list(zip(cols["theta_set_rad"], cols["temp_c"], cols["theta_meas_rad"]))
-
-
-def read_chromatic_csv(path) -> list[tuple[float, float, float]]:
-    """Load chromatic sweep rows; columns theta_set_rad, wavelength_m, theta_meas_rad."""
-    cols = _read_csv_columns(path, ["theta_set_rad", "wavelength_m", "theta_meas_rad"])
-    return list(zip(cols["theta_set_rad"], cols["wavelength_m"], cols["theta_meas_rad"]))
+def read_chromatic_csv(path) -> np.ndarray:
+    """Load chromatic sweep rows as a ``CHROMATIC_DTYPE`` array; columns theta_set_rad, wavelength_m, theta_meas_rad."""
+    return _read_csv_columns(path, CHROMATIC_DTYPE)

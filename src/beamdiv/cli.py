@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="reduce measurement CSVs into a calibration table (JSON)")
     p.add_argument("--positions", help="CSV with position_m,divergence_rad")
-    p.add_argument("--profiler", help="CSV with distance_m,spot_diameter_m[,replicate]")
+    p.add_argument("--profiler", help="CSV with distance_m,spot_diameter_m")
     p.add_argument("--thermal", help="CSV with theta_set_rad,temp_c,theta_meas_rad")
     p.add_argument("--chromatic", help="CSV with theta_set_rad,wavelength_m,theta_meas_rad")
     p.add_argument("--out", help="calibration table JSON path (default stdout)")

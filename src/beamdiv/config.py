@@ -166,7 +166,13 @@ class RunConfig:
         finite("sigma_p_rad", self.sigma_p_rad, ge=0)
 
     def make_actuator_state(self) -> ActuatorState:
-        return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic)
+        """A fresh actuator at the link's wavelength, which must lie in the chromatic band."""
+        try:
+            self.chromatic.check_wavelength(self.link.wavelength)
+        except ValueError as exc:
+            raise ConfigError(f"[link] wavelength_m: {exc}") from exc
+        return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic,
+                             wavelength=self.link.wavelength)
 
 
 def _read_sections(path: str) -> dict:

@@ -67,12 +67,11 @@ class PassGeometry:
     altitude_m: float = 600e3
     min_elevation_deg: float = 5.0
     max_elevation_deg: float = 90.0
-    earth_radius_m: float = EARTH_RADIUS_M
     dt_s: float = 1.0
     max_range_m: Optional[float] = None  # clips the pass at this slant range
 
     def __post_init__(self) -> None:
-        for name in ("altitude_m", "earth_radius_m", "dt_s"):
+        for name in ("altitude_m", "dt_s"):
             finite(name, getattr(self, name), gt=0)
         if not (0.0 < self.min_elevation_deg < 90.0):
             raise ValueError("min_elevation_deg must be in (0, 90)")
@@ -83,7 +82,7 @@ class PassGeometry:
 
     @property
     def orbit_radius_m(self) -> float:
-        return self.earth_radius_m + self.altitude_m
+        return EARTH_RADIUS_M + self.altitude_m
 
     @property
     def angular_rate_rad_per_s(self) -> float:
@@ -99,14 +98,14 @@ def slant_range(elevation_deg: float, geometry: PassGeometry) -> float:
     if not (0.0 < elevation_deg <= 90.0):
         raise ValueError(f"elevation must be in (0, 90] deg, got {elevation_deg}")
     el = math.radians(elevation_deg)
-    re = geometry.earth_radius_m
+    re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
     return math.sqrt(r**2 - (re * math.cos(el)) ** 2) - re * math.sin(el)
 
 
 def elevation_for_range_deg(range_m: float, geometry: PassGeometry) -> float:
     """Elevation at which the slant range equals ``range_m`` (inverse of slant_range)."""
-    re = geometry.earth_radius_m
+    re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
     if not (geometry.altitude_m <= range_m <= math.sqrt(r**2 - re**2)):
         raise ValueError(f"range {range_m} m not reachable above the horizon")
@@ -115,7 +114,7 @@ def elevation_for_range_deg(range_m: float, geometry: PassGeometry) -> float:
 
 
 def _central_angle_for_elevation(elevation_deg: float, geometry: PassGeometry) -> float:
-    re = geometry.earth_radius_m
+    re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
     d = slant_range(elevation_deg, geometry)
     # cos(psi) from the triangle station / Earth center / satellite.
@@ -141,7 +140,7 @@ def pass_profile(geometry: PassGeometry) -> PassProfile:
     The grid is symmetric around culmination (t = 0) and always contains the
     endpoints and the peak exactly.
     """
-    re = geometry.earth_radius_m
+    re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
     omega = geometry.angular_rate_rad_per_s
     # Cross-track central angle fixes the peak elevation.

@@ -194,7 +194,7 @@ def test_calibration_pipeline():
     assert fit.converging.r_squared >= 0.9999
 
     exact = calibration.fit_divergence(
-        [calibration.ProfilerSample(d, 0.0178 + 5e-3 * d) for d in (3.0, 5.0, 10.0, 15.0)]
+        [(d, 0.0178 + 5e-3 * d) for d in (3.0, 5.0, 10.0, 15.0)]
     )
     assert exact.slope == pytest.approx(5e-3, rel=1e-12)
     assert exact.r_squared == pytest.approx(1.0, abs=1e-12)

@@ -6,23 +6,26 @@ import pytest
 
 from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_temperature, apply_wavelength
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam
+from beamdiv.cli import main
 from beamdiv.config import ConfigError
 from beamdiv.calibration import (
     DESIGN_EFFECTIVE_FOCAL_LENGTH_M,
+    PROFILER_DTYPE,
     PROFILER_RESOLUTION_M,
     CalibrationTable,
-    ProfilerSample,
     build_chromatic_model,
     build_position_map,
     build_thermal_model,
     estimate_min_divergence,
     fit_divergence,
     na_mismatch_effect,
+    read_chromatic_csv,
     read_position_csv,
     read_profiler_csv,
     read_thermal_csv,
     sample_position_map,
     simulate_profiler_samples,
+    _ols,
 )
 
 MAP = DivergenceMap()
@@ -31,22 +34,22 @@ LANE_DISTANCES = (3.0, 5.0, 10.0, 15.0)
 
 class TestFitDivergence:
     def test_exact_line_recovery(self):
-        samples = [ProfilerSample(d, 0.001 + 5e-3 * d) for d in LANE_DISTANCES]
+        samples = [(d, 0.001 + 5e-3 * d) for d in LANE_DISTANCES]
         fit = fit_divergence(samples)
         assert fit.slope == pytest.approx(5e-3, rel=1e-12)
         assert fit.intercept == pytest.approx(0.001, rel=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_order_invariance(self):
-        samples = [ProfilerSample(d, 0.001 + 5e-3 * d) for d in LANE_DISTANCES]
+        samples = [(d, 0.001 + 5e-3 * d) for d in LANE_DISTANCES]
         fit_a = fit_divergence(samples)
         fit_b = fit_divergence(list(reversed(samples)))
         assert fit_a.slope == fit_b.slope
         assert fit_a.intercept == fit_b.intercept
 
     def test_exact_replicates_change_nothing(self):
-        base = [ProfilerSample(d, 0.001 + 5e-3 * d) for d in LANE_DISTANCES]
-        doubled = base + [ProfilerSample(s.distance_m, s.spot_diameter_m, 1) for s in base]
+        base = [(d, 0.001 + 5e-3 * d) for d in LANE_DISTANCES]
+        doubled = base + base
         assert fit_divergence(doubled).slope == pytest.approx(fit_divergence(base).slope, rel=1e-12)
 
     def test_design_beam_within_resolution_bound(self):
@@ -69,13 +72,19 @@ class TestFitDivergence:
 
     def test_requires_three_distances(self):
         with pytest.raises(ValueError):
-            fit_divergence([ProfilerSample(3.0, 0.01), ProfilerSample(5.0, 0.02)])
+            fit_divergence([(3.0, 0.01), (5.0, 0.02)])
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            ProfilerSample(0.0, 0.01)
-        with pytest.raises(ValueError):
-            ProfilerSample(3.0, 0.5 * PROFILER_RESOLUTION_M)
+        good = [(d, 0.01) for d in LANE_DISTANCES]
+        with pytest.raises(ValueError, match="distance_m must be finite and > 0, got 0.0"):
+            fit_divergence(good + [(0.0, 0.01)])
+        with pytest.raises(ValueError, match=f"spot_diameter_m must be finite and >= {PROFILER_RESOLUTION_M}"):
+            fit_divergence(good + [(3.0, 0.5 * PROFILER_RESOLUTION_M)])
+
+    def test_record_array_and_tuples_fit_alike(self):
+        samples = simulate_profiler_samples(5e-3, 0.0178, LANE_DISTANCES, replicates=3, rng=2)
+        assert samples.dtype == PROFILER_DTYPE
+        assert fit_divergence(samples) == fit_divergence(samples.tolist())
 
 
 class TestPositionMap:
@@ -203,14 +212,18 @@ class TestThermalFit:
             build_thermal_model(rows)
 
 
+def chromatic_sweep_rows(model):
+    return [
+        (theta, wl, apply_wavelength(theta, wl, model).value)
+        for theta in model.anchor_settings
+        for wl in model.wavelengths
+    ]
+
+
 class TestChromaticFit:
     def test_recovers_design_offsets(self):
         design = ChromaticModel()
-        rows = []
-        for theta in design.anchor_settings:
-            for wl in design.wavelengths:
-                rows.append((theta, wl, apply_wavelength(theta, wl, design).value))
-        fit = build_chromatic_model(rows)
+        fit = build_chromatic_model(chromatic_sweep_rows(design))
         assert fit.reference_wavelength_m == 1.55e-6
         assert fit.model.offsets_low == pytest.approx(design.offsets_low, rel=1e-9)
         assert fit.model.offsets_high == pytest.approx(design.offsets_high, rel=1e-9)
@@ -232,8 +245,16 @@ class TestCsvInterfaces:
                 writer.writerow([d, 0.0178 + 5e-3 * d, 0])
         samples = read_profiler_csv(path)
         assert len(samples) == 4
-        assert samples[0].replicate == 0
+        assert samples.dtype == PROFILER_DTYPE
         assert fit_divergence(samples).slope == pytest.approx(5e-3, rel=1e-9)
+
+    def test_columns_outside_the_fields_are_not_read(self, tmp_path):
+        path = tmp_path / "profiler.csv"
+        path.write_text("replicate,distance_m,spot_diameter_m\n,3.0,0.01\nnan,6.0,0.02\nx\n")
+        with pytest.raises(ConfigError, match="column 'distance_m' of .*, line 4$"):
+            read_profiler_csv(path)
+        path.write_text("replicate,distance_m,spot_diameter_m\n,3.0,0.01\nnan,6.0,0.02\n")
+        assert read_profiler_csv(path).tolist() == [(3.0, 0.01), (6.0, 0.02)]
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -255,20 +276,12 @@ class TestCsvInterfaces:
         with pytest.raises(ConfigError, match=f"in column '{column}' of .*, line {line}$"):
             read_thermal_csv(path)
 
-    def test_blank_optional_cell_reads_none(self, tmp_path):
-        path = tmp_path / "profiler.csv"
-        path.write_text("distance_m,spot_diameter_m,replicate\n3.0,0.01,\n6.0,0.02,2\n9.0,0.03\n")
-        assert [s.replicate for s in read_profiler_csv(path)] == [None, 2, None]
-        path.write_text("distance_m,spot_diameter_m,replicate\n3.0,0.01,\n6.0,0.02,nan\n")
-        with pytest.raises(ConfigError, match="column 'replicate' of .*, line 3$"):
-            read_profiler_csv(path)
-
     def test_position_csv(self, tmp_path):
         path = tmp_path / "positions.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["position_m", "divergence_rad"])
-            for x, theta in sample_position_map(MAP):
+            for x, theta in sample_position_map(MAP).tolist():
                 writer.writerow([repr(x), repr(theta)])
         fit = build_position_map(read_position_csv(path))
         assert fit.passed
@@ -283,6 +296,27 @@ class TestCsvInterfaces:
         fit = build_thermal_model(read_thermal_csv(path))
         assert fit.slopes["cold_anchor0"] == pytest.approx(1.17e-5, rel=1e-9)
 
+    def test_chromatic_csv_round_trip(self, tmp_path, capsys):
+        design = ChromaticModel()
+        path = tmp_path / "chromatic.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["theta_set_rad", "wavelength_m", "theta_meas_rad"])
+            for row in chromatic_sweep_rows(design):
+                writer.writerow([repr(v) for v in row])
+        fit = build_chromatic_model(read_chromatic_csv(path))
+        assert fit.reference_wavelength_m == 1.55e-6
+        assert fit.model.offsets_low == pytest.approx(design.offsets_low, rel=1e-9)
+        assert fit.model.offsets_high == pytest.approx(design.offsets_high, rel=1e-9)
+
+        assert main(["calibrate", "--chromatic", str(path)]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["chromatic"] == json.loads(json.dumps(fit.to_dict()))
+        assert table["chromatic"]["reference_wavelength_m"] == 1.55e-6
+        assert table["chromatic"]["offsets_low_rad"] == pytest.approx(design.offsets_low, rel=1e-9)
+        assert table["chromatic"]["offsets_high_rad"] == pytest.approx(design.offsets_high, rel=1e-9)
+        assert table["provenance"]["chromatic"]["rows"] == 6
+
     def test_calibration_table_json(self):
         table = CalibrationTable(
             position=build_position_map(sample_position_map(MAP)),
@@ -293,3 +327,69 @@ class TestCsvInterfaces:
         assert data["position"]["passed"] is True
         assert data["thermal"]["slopes_rad_per_c"]["cold_anchor0"] == pytest.approx(1.17e-5)
         assert data["chromatic"] is None
+
+
+@pytest.mark.parametrize("build,rows", [
+    (fit_divergence, [(d, 0.01 + 5e-3 * d) for d in LANE_DISTANCES]),
+    (build_position_map, sample_position_map(MAP).tolist()),
+    (build_thermal_model, thermal_sweep_rows(ThermalModel())),
+    (build_chromatic_model, chromatic_sweep_rows(ChromaticModel())),
+], ids=["profiler", "position", "thermal", "chromatic"])
+def test_list_of_lists_rejected(build, rows):
+    build(rows)
+    # np.asarray would broadcast each number of a list into every field.
+    with pytest.raises(ValueError, match="one record"):
+        build([list(row) for row in rows])
+
+
+class TestMasksMatchTheRowLoops:
+    """The masked fits against the per-row loops they replaced, on shuffled noisy rows: equal floats."""
+
+    RNG = np.random.default_rng(11)
+
+    def shuffled(self, rows):
+        rows = list(rows)
+        self.RNG.shuffle(rows)
+        return rows
+
+    def test_profiler_means(self):
+        rows = self.shuffled(simulate_profiler_samples(5e-3, 0.0178, LANE_DISTANCES, replicates=7, rng=3).tolist())
+        by_distance = {}
+        for d, s in rows:
+            by_distance.setdefault(d, []).append(s)
+        # One row per distance is its own mean, so equal fits mean equal averages.
+        assert fit_divergence(rows) == fit_divergence([(d, np.mean(v)) for d, v in by_distance.items()])
+
+    def test_position_branches(self):
+        rows = self.shuffled((x, t * (1.0 + self.RNG.normal(0.0, 1e-3))) for x, t in sample_position_map(MAP).tolist())
+        fit = build_position_map(rows)
+        for branch, pts in (
+            (fit.diverging, [(x, t) for x, t in rows if x >= 0.0]),
+            (fit.converging, [(-x, t) for x, t in rows if x <= 0.0]),
+        ):
+            assert branch == _ols(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+
+    def test_thermal_slopes(self):
+        model = ThermalModel()
+        rows = self.shuffled(
+            (s, t, m + self.RNG.normal(0.0, 1e-7))
+            for s, t, m in thermal_sweep_rows(model, temps=(-30.0, -20.0, -5.0, 20.0, 40.0, 60.0)) * 3
+        )
+        fit = build_thermal_model(rows)
+        ref = model.reference_temperature_c
+        for i, anchor in enumerate(model.anchor_settings):
+            for side, sel in (
+                ("cold", [(ref - t, m - s) for s, t, m in rows if s == anchor and t < ref]),
+                ("hot", [(t - ref, m - s) for s, t, m in rows if s == anchor and t > ref]),
+            ):
+                x, d = np.array([p[0] for p in sel]), np.array([p[1] for p in sel])
+                assert fit.slopes[f"{side}_anchor{i}"] == float(np.dot(x, d) / np.dot(x, x))
+
+    def test_chromatic_means(self):
+        model = ChromaticModel()
+        rows = self.shuffled((s, w, m + self.RNG.normal(0.0, 1e-7)) for s, w, m in chromatic_sweep_rows(model) * 4)
+        fit = build_chromatic_model(rows)
+        for i, anchor in enumerate(model.anchor_settings):
+            for w in model.wavelengths:
+                vals = [m - s for s, ww, m in rows if s == anchor and ww == w]
+                assert fit.raw_offsets[f"anchor{i}_{w}"] == float(np.mean(vals))

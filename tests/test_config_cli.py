@@ -319,7 +319,7 @@ class TestCalibrateCommand:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["position_m", "divergence_rad"])
-            for x, theta in sample_position_map(DivergenceMap(), points_per_branch=16):
+            for x, theta in sample_position_map(DivergenceMap(), points_per_branch=16).tolist():
                 if noise_rng is not None:
                     theta *= 1.0 + noise_rng.normal(0.0, 0.01)
                 writer.writerow([repr(x), repr(theta)])
@@ -442,10 +442,34 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
         assert section in json.loads(capsys.readouterr().err)["error"]
 
+    def test_link_wavelength_drives_the_chromatic_model(self, tmp_path, capsys):
+        # At 1.53 um the design chromatic model adds 10 urad at collimation.
+        path = tmp_path / "wavelength.ini"
+        path.write_text("[link]\nwavelength_m = 1.53e-6\n")
+        out = tmp_path / "pass.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        header, first = out.read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), map(float, first.split(","))))
+        assert row["theta_commanded_rad"] == 90e-6
+        assert row["theta_actual_rad"] == 1e-4
+
     def test_seed_flag_overrides(self, design_ini, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", design_ini, "--seed", "9", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate"], 2),
+    (["emulate"], 2),
+    (["budget", "--distance", "600e3", "--rate", "10e9"], 0),
+], ids=["simulate", "emulate", "budget"])
+def test_link_wavelength_outside_the_chromatic_band(argv, code, tmp_path, capsys):
+    path = tmp_path / "wavelength.ini"
+    path.write_text("[link]\nwavelength_m = 1.6e-6\n")
+    assert main([*argv, "--config", str(path)]) == code
+    if code:
+        assert "[link] wavelength_m" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_one_parser_serves_every_call(design_ini, capsys):
@@ -479,9 +503,15 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     (["emulate", "--script", "{script}"], {"script": "steer nan nan\n"}, 3, "tip"),
     (["calibrate", "--profiler", "{csv}"],
      {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\nnan,0.005\n"}, 2, "line 5"),
+    (["calibrate", "--profiler", "{csv}"],
+     {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.0004\n9.0,0.004\n"}, 3,
+     "spot_diameter_m must be finite and >= 0.0008"),
+    (["calibrate", "--profiler", "{csv}"],
+     {"csv": "distance_m,spot_diameter_m\n0.0,0.002\n6.0,0.003\n9.0,0.004\n"}, 3,
+     "distance_m must be finite and > 0"),
 ], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_reference",
         "optimize_reference_zero", "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
-        "calibrate_profiler"])
+        "calibrate_profiler", "calibrate_profiler_below_resolution", "calibrate_profiler_distance_zero"])
 def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):
     paths = {}
     for name, text in files.items():

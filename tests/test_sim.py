@@ -20,7 +20,13 @@ from beamdiv.beam_optics import (
     footprint,
     truncated_fwhm,
 )
-from beamdiv.calibration import ProfilerSample, estimate_min_divergence, na_mismatch_effect
+from beamdiv.calibration import (
+    estimate_min_divergence,
+    fit_divergence,
+    na_mismatch_effect,
+    sample_position_map,
+    simulate_profiler_samples,
+)
 from beamdiv.link_budget import (
     LinkClosedError,
     LinkConfig,
@@ -312,7 +318,6 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: PassGeometry(dt_s=math.inf),
         lambda: PassGeometry(altitude_m=math.nan),
         lambda: PassGeometry(altitude_m=math.inf),
-        lambda: PassGeometry(earth_radius_m=math.nan),
         lambda: PassGeometry(max_range_m=math.nan),
         lambda: PassGeometry(max_range_m=math.inf),
         lambda: pointing_loss(math.nan, 1e-3),
@@ -337,8 +342,12 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: actuator.steer(ActuatorState(), math.nan, math.nan),
         lambda: actuator.steering_residual(math.nan, 1e-5),
         lambda: actuator.steering_residual(10.0, math.nan),
-        lambda: ProfilerSample(math.nan, math.nan),
-        lambda: ProfilerSample(3.0, math.nan),
+        lambda: fit_divergence([(math.nan, math.nan)]),
+        lambda: fit_divergence([(3.0, math.nan)]),
+        lambda: simulate_profiler_samples(5e-3, 0.0178, (3.0, 5.0, 10.0), replicates=2.5, rng=0),
+        lambda: simulate_profiler_samples(5e-3, 0.0178, (3.0, 5.0, 10.0), replicates=True, rng=0),
+        lambda: sample_position_map(DivergenceMap(), points_per_branch=2.5),
+        lambda: sample_position_map(DivergenceMap(), points_per_branch=True),
         lambda: estimate_min_divergence([90e-6, math.nan]),
         lambda: na_mismatch_effect(math.nan, 0.0765, GaussianBeam(0.02, 1.55e-6), 90e-6),
         lambda: na_mismatch_effect(2.62, 0.0765, GaussianBeam(0.02, 1.55e-6), math.nan),
@@ -378,13 +387,15 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
     ids=[
         "insertion_loss_nan", "misc_loss_nan", "misc_loss_inf", "margin_floor_nan", "margin_floor_inf",
         "fixed_divergence_nan", "fixed_divergence_inf", "ladder_nan", "ladder_inf", "dt_nan", "dt_inf",
-        "altitude_nan", "altitude_inf", "earth_radius_nan", "max_range_nan", "max_range_inf",
+        "altitude_nan", "altitude_inf", "max_range_nan", "max_range_inf",
         "pointing_loss_sigma_nan", "pointing_loss_theta_nan", "pointing_loss_db_sigma_nan",
         "pointing_loss_db_theta_nan", "map_collimated_nan", "map_diverging_slope_nan",
         "map_converging_slope_inf", "map_max_travel_inf", "thermal_output_nan", "thermal_hot_inf",
         "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
         "motor_speed_inf", "step_size_nan", "step_dt_nan", "track_dt_inf", "steer_nan",
         "steering_frequency_nan", "steering_amplitude_nan", "profiler_sample_nan", "profiler_spot_nan",
+        "profiler_replicates_fraction", "profiler_replicates_bool", "position_points_fraction",
+        "position_points_bool",
         "min_divergence_measurement_nan", "na_mismatch_nan", "na_mismatch_fwhm_nan",
         "sensitivity_rate_nan", "watts_nan", "path_loss_distance_nan", "path_loss_wavelength_inf",
         "rx_gain_wavelength_nan", "received_power_distance_nan", "received_power_distance_inf",
