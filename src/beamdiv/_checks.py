@@ -1,13 +1,15 @@
-"""The one rule for numbers entering beamdiv: finite, and past a bound when one is given.
+"""The one rule for numbers entering beamdiv: finite, and inside its bounds.
 
 NaN fails every comparison, so a bare ``if x <= 0: raise`` lets it through;
-this module tests finiteness first, and words every rejection the same way:
-``"<name> must be finite and > <bound>, got <value>"``.  Constructors and
-public entry points state their names and bounds through :func:`finite`; a
-caller that handles bad elements its own way asks :func:`rejected` for their
-indices: ``run_pass`` names the tick of a bad jitter value, and marks as
-outages the ticks whose rate is not finite and positive.  A count, such as a
-quadrature's node number, goes through :func:`integer`.
+this module tests finiteness first, and words every rejection the same way,
+naming each bound it was given: ``"<name> must be finite and >= <a> and <=
+<b>, got <value>"``.  Constructors and public entry points state their names
+and bounds, lower (``gt``, ``ge``) and upper (``lt``, ``le``), through
+:func:`finite`; a caller that handles bad elements its own way asks
+:func:`rejected` for their indices: ``run_pass`` names the tick of a bad
+jitter value, and marks as outages the ticks whose rate is not finite and
+positive.  A count, such as a quadrature's node number, goes through
+:func:`integer`.
 """
 
 from __future__ import annotations
@@ -18,33 +20,35 @@ import numbers
 import numpy as np
 
 
-def finite(name: str, value, *, gt=None, ge=None):
-    """Return ``value`` if it is finite and ``> gt`` / ``>= ge``; else raise ``ValueError`` naming it.
+def finite(name: str, value, *, gt=None, ge=None, lt=None, le=None):
+    """Return ``value`` if it is finite and ``> gt`` / ``>= ge`` / ``< lt`` / ``<= le``; else raise ``ValueError`` naming it.
 
-    ``value`` is a number, or a sequence or array that is checked once as a
-    whole; the error then shows its first rejected element.
+    Only the bounds given apply.  ``value`` is a number, or a sequence or
+    array that is checked once as a whole; the error then shows its first
+    rejected element.
     """
     if isinstance(value, (int, float)):
-        if math.isfinite(value) and (gt is None or value > gt) and (ge is None or value >= ge):
+        if (math.isfinite(value) and (gt is None or value > gt) and (ge is None or value >= ge)
+                and (lt is None or value < lt) and (le is None or value <= le)):
             return value
         shown = value
     else:
-        bad = rejected(value, gt=gt, ge=ge)
+        bad = rejected(value, gt=gt, ge=ge, lt=lt, le=le)
         if not bad.size:
             return value
         shown = np.ravel(value)[bad[0]]
-    bound = f" and > {gt}" if gt is not None else f" and >= {ge}" if ge is not None else ""
-    raise ValueError(f"{name} must be finite{bound}, got {shown}")
+    bounds = "".join(f" and {op} {bound}" for op, bound in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+                     if bound is not None)
+    raise ValueError(f"{name} must be finite{bounds}, got {shown}")
 
 
-def rejected(values, *, gt=None, ge=None) -> np.ndarray:
+def rejected(values, *, gt=None, ge=None, lt=None, le=None) -> np.ndarray:
     """Flat indices of the elements of ``values`` that :func:`finite` would reject, in order; never raises."""
     array = np.asarray(values, dtype=float)
     ok = np.isfinite(array)
-    if gt is not None:
-        ok &= array > gt
-    if ge is not None:
-        ok &= array >= ge
+    for inside, bound in ((np.greater, gt), (np.greater_equal, ge), (np.less, lt), (np.less_equal, le)):
+        if bound is not None:
+            ok &= inside(array, bound)
     return np.flatnonzero(~ok)
 
 

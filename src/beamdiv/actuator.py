@@ -30,7 +30,6 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ._checks import finite
-from ._roots import brentq
 from .beam_optics import Convention, DivergenceAngle
 
 __all__ = [
@@ -151,17 +150,11 @@ def position_from_divergence(
     the same floats.
     """
     value = theta if isinstance(theta, np.ndarray) else _fwhm_rad(theta)
-    hi = dmap.branch_max(branch)
-    values = np.asarray(value)
-    outside = ~((dmap.collimated_divergence <= values) & (values <= hi))
-    if outside.any():
-        raise ValueError(
-            f"divergence {values[outside][0]} rad outside [{dmap.collimated_divergence}, {hi}] rad "
-            f"for the {branch.value} branch"
-        )
+    finite(f"divergence on the {branch.value} branch", value,
+           ge=dmap.collimated_divergence, le=dmap.branch_max(branch))
     travel = (value - dmap.collimated_divergence) / dmap.slope(branch)
     # The branch maximum can map one ulp past the stroke end; clamp it back.
-    travel = np.minimum(travel, dmap.max_travel) if values.ndim else min(travel, dmap.max_travel)
+    travel = np.minimum(travel, dmap.max_travel) if np.ndim(travel) else min(travel, dmap.max_travel)
     return travel if branch is Branch.DIVERGING else -travel
 
 
@@ -201,21 +194,16 @@ class ThermalModel:
     hot_outputs: tuple[float, float] = (423e-6, 5.5e-3)
 
     def __post_init__(self) -> None:
-        for name in ("reference_temperature_c", "cold_temperature_c", "hot_temperature_c",
-                     "anchor_settings", "cold_outputs", "hot_outputs"):
+        for name in ("cold_temperature_c", "hot_temperature_c", "anchor_settings", "cold_outputs", "hot_outputs"):
             finite(name, getattr(self, name))
-        if not (self.cold_temperature_c < self.reference_temperature_c < self.hot_temperature_c):
-            raise ValueError("need cold < reference < hot temperature")
+        finite("reference_temperature_c", self.reference_temperature_c,
+               gt=self.cold_temperature_c, lt=self.hot_temperature_c)
         if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
             raise ValueError("anchor settings must be positive and increasing")
 
     def check_temperature(self, temperature_c: float) -> None:
         """Raise ``ValueError`` unless the temperature lies in the qualified range."""
-        if not (self.cold_temperature_c <= temperature_c <= self.hot_temperature_c):
-            raise ValueError(
-                f"temperature {temperature_c} C outside qualified range "
-                f"[{self.cold_temperature_c}, {self.hot_temperature_c}] C"
-            )
+        finite("temperature_c", temperature_c, ge=self.cold_temperature_c, le=self.hot_temperature_c)
 
     def deviation(self, theta_set, temperature_c: float):
         """Divergence deviation (radians, signed) at a nominal setting.
@@ -283,9 +271,7 @@ class ChromaticModel:
 
     def check_wavelength(self, wavelength: float) -> None:
         """Raise ``ValueError`` unless the wavelength lies in the sampled band."""
-        w0, _, w2 = self.wavelengths
-        if not (w0 <= wavelength <= w2):
-            raise ValueError(f"wavelength {wavelength} m outside sampled band [{w0}, {w2}] m")
+        finite("wavelength", wavelength, ge=self.wavelengths[0], le=self.wavelengths[2])
 
     def offset(self, theta_set, wavelength: float):
         """Divergence offset (radians, >= 0 at the band edges) at a setting or an array of them."""
@@ -329,8 +315,9 @@ def temperature_corrected_position(
 ) -> float:
     """Lens position whose thermally shifted output equals ``theta_target``.
 
-    Root-solves ``apply_temperature(setting_on_branch(x), T) = theta_target``
-    over the full stroke.  The solution may sit past the nominal collimation
+    The output ``apply_temperature(setting_on_branch(x), T)`` is affine in
+    ``x``, so the position interpolates linearly between the outputs at the
+    two stroke ends.  The solution may sit past the nominal collimation
     point (virtual setting); it always verifies against the thermal model.
 
     Raises
@@ -354,7 +341,10 @@ def temperature_corrected_position(
             f"correction exceeds travel range: target {target} rad at {temperature_c} C "
             f"needs output outside [{p_min}, {p_max}] rad"
         )
-    return brentq(lambda x: predicted(x) - target, lo, hi, xtol=1e-15, rtol=1e-15)
+    if target == p_lo:  # also where the output does not depend on x at all
+        return lo
+    # The fraction lies in [0, 1] and an end gives that end exactly, so x stays on the stroke.
+    return lo + (target - p_lo) / (p_hi - p_lo) * (hi - lo)
 
 
 @dataclass
@@ -488,10 +478,8 @@ def set_wavelength(state: ActuatorState, wavelength: float) -> None:
 
 
 def steer(state: ActuatorState, tip: float, tilt: float) -> None:
-    finite("tip", tip)
-    finite("tilt", tilt)
-    if abs(tip) > STEERING_RANGE_RAD or abs(tilt) > STEERING_RANGE_RAD:
-        raise ValueError(f"steering command ({tip}, {tilt}) rad outside +-{STEERING_RANGE_RAD} rad")
+    finite("tip", tip, ge=-STEERING_RANGE_RAD, le=STEERING_RANGE_RAD)
+    finite("tilt", tilt, ge=-STEERING_RANGE_RAD, le=STEERING_RANGE_RAD)
     state.tip = tip
     state.tilt = tilt
 

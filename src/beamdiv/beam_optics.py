@@ -101,11 +101,7 @@ class GaussianBeam:
 
     def __post_init__(self) -> None:
         finite("waist diameter", self.waist_diameter_1e2, gt=0)
-        if not (C_BAND_MIN_M <= self.wavelength <= C_BAND_MAX_M):
-            raise ValueError(
-                f"wavelength {self.wavelength} m outside C band "
-                f"[{C_BAND_MIN_M}, {C_BAND_MAX_M}] m"
-            )
+        finite("wavelength", self.wavelength, ge=C_BAND_MIN_M, le=C_BAND_MAX_M)
 
     @property
     def waist_radius_1e2(self) -> float:
@@ -309,6 +305,4 @@ def footprint(theta_fwhm: DivergenceAngle, distance: float) -> float:
     """
     if theta_fwhm.convention is not Convention.FWHM:
         raise ValueError("footprint expects an FWHM angle; convert first")
-    if theta_fwhm.value >= 0.1:
-        raise ValueError("footprint is a small-angle formula; theta must be < 0.1 rad")
-    return theta_fwhm.value * finite("distance", distance, gt=0)
+    return finite("theta_fwhm", theta_fwhm.value, lt=0.1) * finite("distance", distance, gt=0)

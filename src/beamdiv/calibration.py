@@ -88,11 +88,13 @@ CHROMATIC_DTYPE = _record_dtype("theta_set_rad", "wavelength_m", "theta_meas_rad
 
 
 def _records(rows, dtype: np.dtype) -> np.ndarray:
-    """``rows`` as a 1-D ``dtype`` array: a record array, or a list of plain tuples in field order."""
+    """``rows`` as a 1-D ``dtype`` array of finite numbers: a record array, or a list of plain tuples in field order."""
     records = np.asarray(rows, dtype)
     if records.ndim != 1:
         # A list of lists would broadcast each number into every field.
         raise ValueError(f"need one record of {dtype.names} per row, got an array of shape {records.shape}")
+    for name in dtype.names:
+        finite(name, records[name])
     return records
 
 

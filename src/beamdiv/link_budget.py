@@ -340,7 +340,6 @@ def calibrate_sensitivity(
     distance: float,
     rate: float,
     margin_db: float,
-    pointing_loss_db: float = 0.0,
 ) -> SensitivityModel:
     """Back out the sensitivity model from one known operating point.
 
@@ -349,5 +348,5 @@ def calibrate_sensitivity(
     """
     finite("anchor rate", rate, gt=0)
     finite("anchor margin", margin_db)
-    report = received_power_dbm(config, distance, pointing_loss_db)
+    report = received_power_dbm(config, distance)
     return SensitivityModel(ref_rate=rate, ref_sensitivity_dbm=report.received_power_dbm - margin_db)

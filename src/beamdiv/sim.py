@@ -73,10 +73,8 @@ class PassGeometry:
     def __post_init__(self) -> None:
         for name in ("altitude_m", "dt_s"):
             finite(name, getattr(self, name), gt=0)
-        if not (0.0 < self.min_elevation_deg < 90.0):
-            raise ValueError("min_elevation_deg must be in (0, 90)")
-        if not (0.0 < self.max_elevation_deg <= 90.0):
-            raise ValueError("max_elevation_deg must be in (0, 90]")
+        finite("min_elevation_deg", self.min_elevation_deg, gt=0.0, lt=90.0)
+        finite("max_elevation_deg", self.max_elevation_deg, gt=0.0, le=90.0)
         if self.max_range_m is not None:
             finite("max_range_m", self.max_range_m, gt=self.altitude_m)
 
@@ -95,9 +93,7 @@ def slant_range(elevation_deg: float, geometry: PassGeometry) -> float:
 
     Spherical Earth: ``sqrt((Re+h)^2 - Re^2 cos^2 el) - Re sin el``.
     """
-    if not (0.0 < elevation_deg <= 90.0):
-        raise ValueError(f"elevation must be in (0, 90] deg, got {elevation_deg}")
-    el = math.radians(elevation_deg)
+    el = math.radians(finite("elevation_deg", elevation_deg, gt=0.0, le=90.0))
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
     return math.sqrt(r**2 - (re * math.cos(el)) ** 2) - re * math.sin(el)
@@ -107,8 +103,7 @@ def elevation_for_range_deg(range_m: float, geometry: PassGeometry) -> float:
     """Elevation at which the slant range equals ``range_m`` (inverse of slant_range)."""
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
-    if not (geometry.altitude_m <= range_m <= math.sqrt(r**2 - re**2)):
-        raise ValueError(f"range {range_m} m not reachable above the horizon")
+    finite("range_m", range_m, ge=geometry.altitude_m, le=math.sqrt(r**2 - re**2))  # above the horizon
     sin_el = (r**2 - re**2 - range_m**2) / (2.0 * re * range_m)
     return math.degrees(math.asin(sin_el))
 

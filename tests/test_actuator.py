@@ -342,7 +342,8 @@ def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, 
         u = setting_on_branch(y, branch, MAP)
         return u + THERMAL.deviation(u, temperature_c) - target
 
-    assert x.hex() == brentq(excess, -MAP.max_travel, MAP.max_travel, xtol=1e-15, rtol=1e-15).hex()
+    root = brentq(excess, -MAP.max_travel, MAP.max_travel, xtol=1e-15, rtol=1e-15)
+    assert abs(x - root) <= 1e-15 + 1e-15 * abs(root)
 
 
 @given(hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c), hs.sampled_from(Branch),
@@ -422,6 +423,13 @@ class TestAxisAndSteering:
         assert (st.tip, st.tilt) == (100e-6, -100e-6)
         with pytest.raises(ValueError):
             steer(st, 101e-6, 0.0)
+
+    def test_bad_tilt_leaves_the_tip_unchanged(self):
+        st = ActuatorState()
+        steer(st, 50e-6, 0.0)
+        with pytest.raises(ValueError, match="tilt"):
+            steer(st, -50e-6, 2e-4)
+        assert (st.tip, st.tilt) == (50e-6, 0.0)
 
     def test_temperature_range_enforced(self):
         st = ActuatorState()

@@ -9,9 +9,12 @@ from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam
 from beamdiv.cli import main
 from beamdiv.config import ConfigError
 from beamdiv.calibration import (
+    CHROMATIC_DTYPE,
     DESIGN_EFFECTIVE_FOCAL_LENGTH_M,
+    POSITION_DTYPE,
     PROFILER_DTYPE,
     PROFILER_RESOLUTION_M,
+    THERMAL_DTYPE,
     CalibrationTable,
     build_chromatic_model,
     build_position_map,
@@ -340,6 +343,19 @@ def test_list_of_lists_rejected(build, rows):
     # np.asarray would broadcast each number of a list into every field.
     with pytest.raises(ValueError, match="one record"):
         build([list(row) for row in rows])
+
+
+@pytest.mark.parametrize("build,rows,dtype,field", [
+    (fit_divergence, [(d, 0.01 + 5e-3 * d) for d in LANE_DISTANCES], PROFILER_DTYPE, "distance_m"),
+    (build_position_map, sample_position_map(MAP).tolist(), POSITION_DTYPE, "position_m"),
+    (build_thermal_model, thermal_sweep_rows(ThermalModel()), THERMAL_DTYPE, "temp_c"),
+    (build_chromatic_model, chromatic_sweep_rows(ChromaticModel()), CHROMATIC_DTYPE, "theta_meas_rad"),
+], ids=["profiler", "position", "thermal", "chromatic"])
+def test_non_finite_field_named(build, rows, dtype, field):
+    records = np.asarray(rows, dtype)
+    records[field][1] = np.nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
+        build(records.tolist())
 
 
 class TestMasksMatchTheRowLoops:

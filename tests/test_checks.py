@@ -1,28 +1,109 @@
-"""Whether an input number is finite is decided in one module, ``beamdiv._checks``."""
+"""Whether an input number is finite and inside its bounds is decided in one module, ``beamdiv._checks``."""
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from beamdiv._checks import finite, rejected
+from beamdiv.actuator import (
+    ActuatorState,
+    Branch,
+    DivergenceMap,
+    ThermalModel,
+    position_from_divergence,
+    set_temperature,
+    set_wavelength,
+    steer,
+)
+from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam, footprint
+from beamdiv.sim import PassGeometry, elevation_for_range_deg, slant_range
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "beamdiv"
+MODULES = [path for path in sorted(SRC.glob("*.py")) if path.name != "_checks.py"]
 
 
-def _isfinite_calls(path):
-    """(module file, enclosing function) of every ``isfinite`` call, ``math.`` or ``np.``."""
+def _sites(path, matches):
+    """(module file, enclosing ``Class.function``) of every node ``matches`` accepts."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            callee = getattr(child, "func", None)
-            if getattr(callee, "attr", getattr(callee, "id", None)) == "isfinite":
+            if matches(child):
                 found.append((path.name, where))
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+            else:
+                visit(child, where)
 
     visit(ast.parse(path.read_text()), "<module>")
     return found
 
 
+def _isfinite_call(node):
+    callee = getattr(node, "func", None)
+    return getattr(callee, "attr", getattr(callee, "id", None)) == "isfinite"
+
+
+def _interval_raise(node):
+    """An ``if`` on a chained ``<`` / ``<=`` comparison, negated or not, whose body raises ``ValueError``."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test.operand if isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not) else node.test
+    chained = (isinstance(test, ast.Compare) and len(test.ops) > 1
+               and all(isinstance(op, (ast.Lt, ast.LtE)) for op in test.ops))
+    return chained and any(
+        isinstance(stmt, ast.Raise) and getattr(getattr(stmt.exc, "func", None), "id", None) == "ValueError"
+        for stmt in node.body
+    )
+
+
 def test_isfinite_only_in_the_helper_module():
-    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "_checks.py"]
-    calls = [call for path in modules for call in _isfinite_calls(path)]
+    calls = [call for path in MODULES for call in _sites(path, _isfinite_call)]
     # max_rate tests the rate it computed, not an input.
     assert calls == [("link_budget.py", "max_rate")]
+
+
+def test_interval_bounds_only_in_the_helper_module():
+    sites = [site for path in MODULES for site in _sites(path, _interval_raise)]
+    # What is left orders several numbers against each other, or checks a
+    # data set as a whole; no one number has a bound to state.
+    assert sites == [
+        ("actuator.py", "ThermalModel.__post_init__"),  # anchor settings positive and increasing
+        ("actuator.py", "ChromaticModel.__post_init__"),  # wavelength samples increasing
+        ("actuator.py", "ChromaticModel.__post_init__"),  # anchor settings positive and increasing
+        ("calibration.py", "build_thermal_model"),  # the sweep's temperatures straddle the reference
+    ]
+
+
+def test_every_bound_given_is_named():
+    assert finite("x", 2.0, gt=0, le=2.0) == 2.0
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 0 and <= 4, got 5\.0$"):
+        finite("x", 5.0, ge=0, le=4)
+    with pytest.raises(ValueError, match=r"^x must be finite and > 0 and < 4, got 4\.0$"):
+        finite("x", np.array([1.0, 4.0, 9.0]), gt=0, lt=4)
+    assert rejected([-1.0, 0.0, 3.0, 4.0, math.nan], gt=-1.0, lt=4.0).tolist() == [0, 3, 4]
+    assert rejected([-1.0, 0.0, 3.0, 4.0, math.inf], ge=-1.0, le=4.0).tolist() == [4]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianBeam(0.02, 1.61e-6),
+    lambda: footprint(DivergenceAngle(0.1, Convention.FWHM), 600e3),
+    lambda: position_from_divergence(7e-3, Branch.DIVERGING, DivergenceMap()),
+    lambda: position_from_divergence(np.array([1e-3, 7e-3]), Branch.DIVERGING, DivergenceMap()),
+    lambda: ThermalModel(reference_temperature_c=60.0),
+    lambda: set_temperature(ActuatorState(), 61.0),
+    lambda: set_wavelength(ActuatorState(), 1.6e-6),
+    lambda: steer(ActuatorState(), 2e-4, 0.0),
+    lambda: PassGeometry(min_elevation_deg=90.0),
+    lambda: PassGeometry(max_elevation_deg=90.5),
+    lambda: slant_range(0.0, PassGeometry()),
+    lambda: elevation_for_range_deg(599e3, PassGeometry()),
+], ids=["c_band", "footprint_small_angle", "branch_range", "branch_range_array", "thermal_reference",
+        "temperature", "wavelength", "steer", "min_elevation", "max_elevation", "slant_range_elevation",
+        "range_below_altitude"])
+def test_interval_bound_rejected_through_the_helper(make):
+    with pytest.raises(ValueError, match="must be finite and .*, got"):
+        make()

@@ -501,6 +501,9 @@ def test_one_parser_serves_every_call(design_ini, capsys):
      "max_divergence"),
     (["emulate", "--script", "{script}"], {"script": "query\nstep nan\n"}, 3, "line 2"),
     (["emulate", "--script", "{script}"], {"script": "steer nan nan\n"}, 3, "tip"),
+    (["emulate", "--script", "{script}"], {"script": "set-temperature 61\n"}, 3, "temperature_c"),
+    (["simulate", "--config", "{config}"], {"config": "[geometry]\nmax_elevation_deg = 95\n"}, 2,
+     "max_elevation_deg"),
     (["calibrate", "--profiler", "{csv}"],
      {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\nnan,0.005\n"}, 2, "line 5"),
     (["calibrate", "--profiler", "{csv}"],
@@ -511,6 +514,7 @@ def test_one_parser_serves_every_call(design_ini, capsys):
      "distance_m must be finite and > 0"),
 ], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_reference",
         "optimize_reference_zero", "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
+        "emulate_temperature", "simulate_elevation",
         "calibrate_profiler", "calibrate_profiler_below_resolution", "calibrate_profiler_distance_zero"])
 def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):
     paths = {}
