@@ -10,7 +10,7 @@ import math
 
 from beamdiv.beam_optics import Convention, DivergenceAngle
 from beamdiv.link_budget import LinkConfig, calibrate_sensitivity
-from beamdiv.sim import ControlPolicy, PassGeometry, Strategy, run_pass, write_steps_csv
+from beamdiv.sim import ControlPolicy, PassGeometry, Strategy, pass_profile, run_pass, write_steps_csv
 
 link = LinkConfig(
     tx_power_w=2.0,
@@ -43,7 +43,9 @@ def jitter_schedule(t: float) -> float:
     return base + episode
 
 
-shaken = run_pass(geometry, policy, link, jitter=jitter_schedule, seed=0)
+# run_pass takes one jitter value per tick: evaluate the schedule at the pass's tick times.
+jitter = [jitter_schedule(t) for t in pass_profile(geometry)["t_s"].tolist()]
+shaken = run_pass(geometry, policy, link, jitter=jitter, seed=0)
 print(f"{'t [s]':>7} {'range [km]':>10} {'sigma [ur]':>10} {'theta [ur]':>10} {'rate [Gb/s]':>11}")
 for i in range(0, len(shaken.steps), len(shaken.steps) // 10):
     s = shaken.steps[i]

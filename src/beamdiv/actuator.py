@@ -198,8 +198,8 @@ class ThermalModel:
             finite(name, getattr(self, name))
         finite("reference_temperature_c", self.reference_temperature_c,
                gt=self.cold_temperature_c, lt=self.hot_temperature_c)
-        if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
-            raise ValueError("anchor settings must be positive and increasing")
+        a0, a1 = self.anchor_settings
+        finite("anchor_settings[1]", a1, gt=finite("anchor_settings[0]", a0, gt=0))
 
     def check_temperature(self, temperature_c: float) -> None:
         """Raise ``ValueError`` unless the temperature lies in the qualified range."""
@@ -259,11 +259,10 @@ class ChromaticModel:
             raise ValueError("wavelengths, offsets_low and offsets_high need exactly 3 entries")
         for name in ("wavelengths", "anchor_settings", "offsets_low", "offsets_high"):
             finite(name, getattr(self, name))
-        w = self.wavelengths
-        if not (w[0] < w[1] < w[2]):
-            raise ValueError("wavelength samples must be strictly increasing")
-        if not (0.0 < self.anchor_settings[0] < self.anchor_settings[1]):
-            raise ValueError("anchor settings must be positive and increasing")
+        w0, w1, w2 = self.wavelengths
+        finite("wavelengths[2]", w2, gt=finite("wavelengths[1]", w1, gt=w0))
+        a0, a1 = self.anchor_settings
+        finite("anchor_settings[1]", a1, gt=finite("anchor_settings[0]", a0, gt=0))
         if (0.0, 0.0) not in zip(self.offsets_low, self.offsets_high):
             raise ValueError(
                 "one sampled wavelength must carry zero offset at both anchors (the optimization wavelength)"
@@ -492,7 +491,7 @@ def axis_deviation(state: ActuatorState, rng: Union[int, np.random.Generator]) -
     strictly inside the 5 % stability bound.  Deterministic for a fixed
     generator state.
     """
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    gen = np.random.default_rng(rng)
     theta = actual_divergence(state).value
     mean_mag = AXIS_MEAN_FRACTION * theta
     mag = gen.uniform(0.0, 2.0 * mean_mag)

@@ -457,7 +457,7 @@ def simulate_profiler_samples(
     resolution element peak-to-peak (the profiler's quantization floor).
     """
     integer("replicates", replicates, ge=1)
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    gen = np.random.default_rng(rng)
     distance = np.asarray(distances_m, dtype=float)
     noise = gen.uniform(-0.5 * PROFILER_RESOLUTION_M, 0.5 * PROFILER_RESOLUTION_M, (distance.size, replicates))
     samples = np.empty(noise.size, PROFILER_DTYPE)

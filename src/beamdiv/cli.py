@@ -57,9 +57,9 @@ def cmd_budget(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    sigma = args.sigma
-    if sigma is None:
+    if args.sigma is None:
         raise ConfigError("provide --sigma (radians)")
+    sigma = finite("sigma", args.sigma, ge=0)
     convention = GainConvention(args.convention)
     theta_min = finite("min_divergence", args.min_divergence, gt=0)
     theta_max = finite("max_divergence", args.max_divergence, gt=theta_min)

@@ -8,14 +8,14 @@ at a minimum elevation or at a maximum slant range; range clipping puts the
 first and last ticks exactly at the range limit, which is convenient when a
 design is specified by its nearest/farthest operating distances.
 
-``run_pass`` closes the loop over a whole pass as columns: the jitter
-schedule, the divergence the policy picks, the lens target it implies, the
-achieved divergence, pointing loss, link margin and the supported data rate.
+A pass is one structured array, ``STEP_DTYPE``, with a column per CSV field:
+``pass_profile`` sets its geometry, and ``run_pass`` fills the rest as
+columns: the jitter, the divergence the policy picks, the lens target it
+implies, the achieved divergence, pointing loss, link margin and data rate.
 Only the lens tracker, whose position at one tick depends on the last, runs
 as a loop of scalar steps.  The columns hold the same floats as stepping the
 per-tick APIs tick by tick.  A tick whose link cannot close is recorded as an
-outage (rate 0, margin -inf), so a pass that starts runs to its end.  The
-pass is one structured array, ``STEP_DTYPE``, with a column per CSV field.
+outage (rate 0, margin -inf), so a pass that starts runs to its end.
 Everything is deterministic for fixed inputs.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "EARTH_RADIUS_M",
     "MU_EARTH_M3_PER_S2",
     "PassGeometry",
-    "PassProfile",
     "Strategy",
     "ControlPolicy",
     "STEP_DTYPE",
@@ -56,9 +55,6 @@ __all__ = [
 
 EARTH_RADIUS_M = 6371e3
 MU_EARTH_M3_PER_S2 = 3.986004418e14
-
-JitterSchedule = Union[float, Sequence[float], Callable[[float], float]]
-
 
 @dataclass(frozen=True)
 class PassGeometry:
@@ -117,23 +113,24 @@ def _central_angle_for_elevation(elevation_deg: float, geometry: PassGeometry) -
     return math.acos(min(1.0, max(-1.0, cos_psi)))
 
 
-@dataclass(frozen=True)
-class PassProfile:
-    """Symmetric pass time series (arrays share one index)."""
+# One float64 field per CSV column, in CSV order: ``steps["rate_bps"]`` is a
+# column of a pass and ``steps[i]`` one tick.
+STEP_DTYPE = np.dtype(
+    [
+        (name, np.float64)
+        for name in ("t_s", "elevation_deg", "slant_range_m", "sigma_p_rad", "theta_commanded_rad",
+                     "theta_actual_rad", "pointing_loss_db", "margin_db", "rate_bps")
+    ]
+)
 
-    t_s: np.ndarray
-    elevation_deg: np.ndarray
-    slant_range_m: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.t_s)
+def pass_profile(geometry: PassGeometry) -> np.ndarray:
+    """One overhead pass, clipped by elevation or range, as a ``STEP_DTYPE`` array.
 
-
-def pass_profile(geometry: PassGeometry) -> PassProfile:
-    """Time series of one overhead pass, clipped by elevation or range.
-
-    The grid is symmetric around culmination (t = 0) and always contains the
-    endpoints and the peak exactly.
+    ``t_s``, ``elevation_deg`` and ``slant_range_m`` are set; the other
+    columns are NaN until ``run_pass`` fills them.  The grid is symmetric
+    around culmination (t = 0) and always contains the endpoints and the
+    peak exactly.
     """
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
@@ -156,9 +153,12 @@ def pass_profile(geometry: PassGeometry) -> PassProfile:
     t = np.linspace(-t_end, t_end, 2 * n_half + 1)
     cos_psi = math.cos(psi_peak) * np.cos(omega * t)
     rng = np.sqrt(re**2 + r**2 - 2.0 * re * r * cos_psi)
+    steps = np.full(len(t), math.nan, STEP_DTYPE)
+    steps["t_s"] = t
+    steps["slant_range_m"] = rng
     # At a 90 deg peak the sine can round past 1; clip so culmination is 90, not NaN.
-    elev = np.degrees(np.arcsin(np.clip((r * cos_psi - re) / rng, -1.0, 1.0)))
-    return PassProfile(t_s=t, elevation_deg=elev, slant_range_m=rng)
+    steps["elevation_deg"] = np.degrees(np.arcsin(np.clip((r * cos_psi - re) / rng, -1.0, 1.0)))
+    return steps
 
 
 class Strategy(enum.Enum):
@@ -223,17 +223,6 @@ def adaptive_policy(
     return np.minimum(np.maximum(raw, lo), hi)
 
 
-# One float64 field per CSV column, in CSV order: ``steps["rate_bps"]`` is a
-# column of a pass and ``steps[i]`` one tick.
-STEP_DTYPE = np.dtype(
-    [
-        (name, np.float64)
-        for name in ("t_s", "elevation_deg", "slant_range_m", "sigma_p_rad", "theta_commanded_rad",
-                     "theta_actual_rad", "pointing_loss_db", "margin_db", "rate_bps")
-    ]
-)
-
-
 @dataclass(frozen=True)
 class PassResult:
     """One simulated pass: ``steps`` is a ``STEP_DTYPE`` array with one row per tick."""
@@ -246,14 +235,15 @@ def run_pass(
     geometry: PassGeometry,
     policy: ControlPolicy,
     config: LinkConfig,
-    jitter: JitterSchedule = 0.0,
+    jitter: Union[float, Sequence[float]] = 0.0,
     seed: int = 0,
     state: Optional[ActuatorState] = None,
 ) -> PassResult:
     """Simulate one pass of the adaptive-divergence downlink.
 
-    The jitter schedule (a scalar, one value per tick, or a callable of the
-    tick time) is evaluated once and must be finite and >= 0 everywhere.
+    The pass is ``pass_profile(geometry)``, filled in place.  The jitter is
+    one number, or one value per tick (evaluate a schedule of time over
+    ``pass_profile(geometry)["t_s"]``), finite and >= 0 everywhere.
     Each tick chooses a divergence per the policy, commands the emulator and
     advances its motion by ``dt``, then evaluates the budget with the
     *achieved* divergence and pointing loss and records the data rate that
@@ -272,17 +262,14 @@ def run_pass(
     config.require_sensitivity()
     st = state if state is not None else ActuatorState()
     st.validate()
-    steps = _pass_steps(geometry)
+    steps = pass_profile(geometry)
     n = len(steps)
     t_s, slant_range_m = steps["t_s"], steps["slant_range_m"]
     sigma = steps["sigma_p_rad"]
-    if callable(jitter):
-        sigma[:] = [jitter(t) for t in t_s.tolist()]
-    else:
-        values = np.asarray(jitter, dtype=float)
-        if values.ndim and len(values) != n:
-            raise ValueError(f"jitter schedule has {len(values)} entries for {n} ticks")
-        sigma[:] = values
+    values = np.asarray(jitter, dtype=float)
+    if values.ndim and len(values) != n:
+        raise ValueError(f"jitter schedule has {len(values)} entries for {n} ticks")
+    sigma[:] = values
     bad = rejected(sigma, ge=0)
     if bad.size:
         t, value = t_s[bad[0]], sigma[bad[0]]
@@ -336,16 +323,6 @@ def run_pass(
 
 # The helpers below hold per-tick temporaries that die when they return, so
 # run_pass keeps no more than its STEP_DTYPE array and a few columns alive.
-
-def _pass_steps(geometry: PassGeometry) -> np.ndarray:
-    """A ``STEP_DTYPE`` array with one row per tick of the pass and its geometry columns set."""
-    profile = pass_profile(geometry)
-    steps = np.empty(len(profile), STEP_DTYPE)
-    steps["t_s"] = profile.t_s
-    steps["elevation_deg"] = profile.elevation_deg
-    steps["slant_range_m"] = profile.slant_range_m
-    return steps
-
 
 def _track_column(state: ActuatorState, theta_cmd: np.ndarray, dt: float) -> np.ndarray:
     """Lens position after each tick of tracking the commanded divergences (see ``actuator.track``)."""

@@ -11,6 +11,7 @@ from beamdiv._checks import finite, rejected
 from beamdiv.actuator import (
     ActuatorState,
     Branch,
+    ChromaticModel,
     DivergenceMap,
     ThermalModel,
     position_from_divergence,
@@ -68,12 +69,9 @@ def test_isfinite_only_in_the_helper_module():
 
 def test_interval_bounds_only_in_the_helper_module():
     sites = [site for path in MODULES for site in _sites(path, _interval_raise)]
-    # What is left orders several numbers against each other, or checks a
-    # data set as a whole; no one number has a bound to state.
+    # What is left checks a data set as a whole; no one number has a bound
+    # to state.
     assert sites == [
-        ("actuator.py", "ThermalModel.__post_init__"),  # anchor settings positive and increasing
-        ("actuator.py", "ChromaticModel.__post_init__"),  # wavelength samples increasing
-        ("actuator.py", "ChromaticModel.__post_init__"),  # anchor settings positive and increasing
         ("calibration.py", "build_thermal_model"),  # the sweep's temperatures straddle the reference
     ]
 
@@ -94,6 +92,9 @@ def test_every_bound_given_is_named():
     lambda: position_from_divergence(7e-3, Branch.DIVERGING, DivergenceMap()),
     lambda: position_from_divergence(np.array([1e-3, 7e-3]), Branch.DIVERGING, DivergenceMap()),
     lambda: ThermalModel(reference_temperature_c=60.0),
+    lambda: ThermalModel(anchor_settings=(5e-3, 90e-6)),
+    lambda: ChromaticModel(wavelengths=(1.55e-6, 1.53e-6, 1.565e-6)),
+    lambda: ChromaticModel(anchor_settings=(0.0, 5e-3)),
     lambda: set_temperature(ActuatorState(), 61.0),
     lambda: set_wavelength(ActuatorState(), 1.6e-6),
     lambda: steer(ActuatorState(), 2e-4, 0.0),
@@ -102,8 +103,8 @@ def test_every_bound_given_is_named():
     lambda: slant_range(0.0, PassGeometry()),
     lambda: elevation_for_range_deg(599e3, PassGeometry()),
 ], ids=["c_band", "footprint_small_angle", "branch_range", "branch_range_array", "thermal_reference",
-        "temperature", "wavelength", "steer", "min_elevation", "max_elevation", "slant_range_elevation",
-        "range_below_altitude"])
+        "thermal_anchor_order", "chromatic_wavelength_order", "chromatic_anchor_positive", "temperature",
+        "wavelength", "steer", "min_elevation", "max_elevation", "slant_range_elevation", "range_below_altitude"])
 def test_interval_bound_rejected_through_the_helper(make):
     with pytest.raises(ValueError, match="must be finite and .*, got"):
         make()

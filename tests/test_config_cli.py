@@ -493,6 +493,8 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     (["budget", "--distance", "inf", "--rate", "10e9", "--format", "json"], {}, 3, "distance"),
     (["budget", "--distance", "600e3", "--rate", "nan", "--format", "json"], {}, 3, "rate"),
     (["optimize", "--sigma", "nan"], {}, 3, "sigma"),
+    # argparse takes "-1e-5" for a flag but "-0.01" for a number.
+    (["optimize", "--sigma-deg", "-0.01"], {}, 3, "sigma"),
     (["optimize", "--sigma", "1e-5", "--reference-divergence", "-1"], {}, 3, "theta_ref"),
     (["optimize", "--sigma", "2e-5", "--reference-divergence", "0"], {}, 3, "theta_ref"),
     (["optimize", "--sigma", "1e-5", "--min-divergence", "nan", "--format", "json"], {}, 3, "min_divergence"),
@@ -512,8 +514,8 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     (["calibrate", "--profiler", "{csv}"],
      {"csv": "distance_m,spot_diameter_m\n0.0,0.002\n6.0,0.003\n9.0,0.004\n"}, 3,
      "distance_m must be finite and > 0"),
-], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_reference",
-        "optimize_reference_zero", "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
+], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_sigma_negative",
+        "optimize_reference", "optimize_reference_zero", "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
         "emulate_temperature", "simulate_elevation",
         "calibrate_profiler", "calibrate_profiler_below_resolution", "calibrate_profiler_distance_zero"])
 def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):

@@ -80,6 +80,11 @@ def design_link():
 DESIGN_POLICY = ControlPolicy(strategy=Strategy.EXACT_OPT, margin_floor_db=5.0)
 
 
+def _per_tick(geometry, schedule):
+    """A jitter schedule of time, evaluated at each tick of the pass: the per-tick form ``run_pass`` takes."""
+    return [schedule(t) for t in pass_profile(geometry)["t_s"].tolist()]
+
+
 class TestGeometry:
     def test_zenith_range_is_altitude(self):
         assert slant_range(90.0, GEOM) == 600e3
@@ -109,39 +114,48 @@ class TestPassProfile:
     def test_zenith_peak(self):
         profile = pass_profile(GEOM)
         mid = len(profile) // 2
-        assert profile.t_s[mid] == 0.0
-        assert profile.slant_range_m[mid] == 600e3
-        assert profile.elevation_deg[mid] == pytest.approx(90.0, abs=1e-9)
+        assert profile["t_s"][mid] == 0.0
+        assert profile["slant_range_m"][mid] == 600e3
+        assert profile["elevation_deg"][mid] == pytest.approx(90.0, abs=1e-9)
+
+    def test_is_the_pass_before_the_loop_fills_it(self):
+        profile = pass_profile(GEOM)
+        steps = run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=20e-6).steps
+        assert profile.dtype == STEP_DTYPE
+        for name in ("t_s", "elevation_deg", "slant_range_m"):
+            assert profile[name].tobytes() == steps[name].tobytes()
+        for name in STEP_DTYPE.names[3:]:
+            assert np.all(np.isnan(profile[name]))
 
     def test_overhead_elevations_finite_over_altitudes(self):
         # At a 90 deg peak the arcsin argument can round past 1; 687,654.3 m
         # is an altitude where it does.
         for altitude in [*np.linspace(400e3, 1200e3, 300), 687_654.3]:
             geom = PassGeometry(altitude_m=float(altitude), dt_s=30.0)
-            elevation = pass_profile(geom).elevation_deg
+            elevation = pass_profile(geom)["elevation_deg"]
             assert np.all(np.isfinite(elevation)) and np.all(elevation <= 90.0)
             assert elevation[len(elevation) // 2] == pytest.approx(geom.max_elevation_deg, abs=1e-4)
 
     def test_range_clip_hits_endpoints_exactly(self):
         profile = pass_profile(GEOM)
-        assert profile.slant_range_m[0] == pytest.approx(1200e3, abs=1e-3)
-        assert profile.slant_range_m[-1] == pytest.approx(1200e3, abs=1e-3)
-        assert np.max(profile.slant_range_m) <= 1200e3 + 1e-3
+        assert profile["slant_range_m"][0] == pytest.approx(1200e3, abs=1e-3)
+        assert profile["slant_range_m"][-1] == pytest.approx(1200e3, abs=1e-3)
+        assert np.max(profile["slant_range_m"]) <= 1200e3 + 1e-3
 
     def test_symmetry(self):
         profile = pass_profile(GEOM)
-        assert np.allclose(profile.slant_range_m, profile.slant_range_m[::-1], rtol=1e-12)
-        assert np.allclose(profile.t_s, -profile.t_s[::-1], rtol=1e-12)
+        assert np.allclose(profile["slant_range_m"], profile["slant_range_m"][::-1], rtol=1e-12)
+        assert np.allclose(profile["t_s"], -profile["t_s"][::-1], rtol=1e-12)
 
     def test_elevation_clip(self):
         geom = PassGeometry(altitude_m=600e3, min_elevation_deg=20.0, dt_s=5.0)
         profile = pass_profile(geom)
-        assert np.min(profile.elevation_deg) >= 20.0 - 1e-6
+        assert np.min(profile["elevation_deg"]) >= 20.0 - 1e-6
 
     def test_off_zenith_pass(self):
         geom = PassGeometry(altitude_m=600e3, min_elevation_deg=10.0, max_elevation_deg=45.0, dt_s=5.0)
         profile = pass_profile(geom)
-        assert np.max(profile.elevation_deg) == pytest.approx(45.0, abs=1e-9)
+        assert np.max(profile["elevation_deg"]) == pytest.approx(45.0, abs=1e-9)
 
     def test_empty_pass_rejected(self):
         geom = PassGeometry(altitude_m=600e3, min_elevation_deg=50.0, max_elevation_deg=30.0, dt_s=5.0)
@@ -239,21 +253,21 @@ class TestRunPass:
         with pytest.raises(ValueError):
             run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=[1e-6, 2e-6])
 
-    @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
+    @pytest.mark.parametrize("form", ["scalar", "array"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-6])
     def test_bad_jitter_schedule_names_tick_and_value(self, form, bad):
-        # The bad value sits at one tick (t = 0 for the array and callable)
-        # and the error names that tick and the value.
+        # The bad value sits at one tick (t = 0 for the array) and the error
+        # names that tick and the value.
         n = len(pass_profile(GEOM))
         schedule = np.full(n, 20e-6)
         schedule[n // 2] = bad
-        jitter = {"scalar": bad, "array": schedule, "callable": lambda t: bad if t == 0.0 else 20e-6}[form]
-        t = pass_profile(GEOM).t_s[0] if form == "scalar" else 0.0
+        jitter = {"scalar": bad, "array": schedule}[form]
+        t = pass_profile(GEOM)["t_s"][0] if form == "scalar" else 0.0
         with pytest.raises(ValueError, match=re.escape(f"sigma = {bad} rad at t = {t} s")):
             run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=jitter)
 
     def test_commanded_divergence_always_in_hardware_range(self):
-        schedule = lambda t: 2e-3 * (1.0 + math.sin(t / 20.0)) + 1e-6
+        schedule = _per_tick(GEOM, lambda t: 2e-3 * (1.0 + math.sin(t / 20.0)) + 1e-6)
         result = run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=schedule)
         st = ActuatorState()
         for s in result.steps:
@@ -263,7 +277,7 @@ class TestRunPass:
     def test_actual_trails_command_within_slew(self):
         # Step the jitter hard halfway through; the actual divergence must
         # never lag the command by more than one tick of slew.
-        schedule = lambda t: 0.0 if t < 0 else 500e-6
+        schedule = _per_tick(GEOM, lambda t: 0.0 if t < 0 else 500e-6)
         result = run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=schedule)
         st = ActuatorState()
         max_slew = st.motor_speed * GEOM.dt_s * max(st.dmap.diverging_slope, st.dmap.converging_slope)
@@ -449,14 +463,11 @@ def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
     st = state if state is not None else ActuatorState()
     profile = pass_profile(geometry)
     n = len(profile)
-    if callable(jitter):
-        sigmas = [float(jitter(t)) for t in profile.t_s.tolist()]
-    else:
-        sigmas = np.broadcast_to(np.asarray(jitter, dtype=float), (n,)).tolist()
+    sigmas = np.broadcast_to(np.asarray(jitter, dtype=float), (n,)).tolist()
     floor = policy.margin_floor_db
     rows = []
     for t, elevation, distance, sig in zip(
-        profile.t_s.tolist(), profile.elevation_deg.tolist(), profile.slant_range_m.tolist(), sigmas
+        profile["t_s"].tolist(), profile["elevation_deg"].tolist(), profile["slant_range_m"].tolist(), sigmas
     ):
         theta_cmd = float(adaptive_policy(policy, sig, st))
         actuator.command_divergence(st, theta_cmd)
@@ -545,7 +556,7 @@ def _passes(draw):
 
     base = draw(hs.sampled_from([0.0, 1e-6, 20e-6]) | hs.floats(0.0, 1e-3))
     spike = draw(hs.sampled_from([0.0, 5e-4, 5e-3, 0.1]))
-    form = draw(hs.sampled_from(["scalar", "array", "callable"]))
+    form = draw(hs.sampled_from(["scalar", "array", "periodic"]))
     if form == "scalar":
         jitter = base
     elif form == "array":
@@ -562,9 +573,11 @@ def _passes(draw):
     else:
         period = draw(hs.floats(5.0, 200.0))
 
-        def jitter(t):
+        def spikes(t):
             phase = (t / period) % 1.0
             return spike if phase < 0.1 else 0.0 if phase < 0.2 else base
+
+        jitter = _per_tick(geometry, spikes)
 
     return geometry, policy, jitter, state
 
@@ -590,7 +603,7 @@ def _spike_at_culmination(t):
 
 
 # A continuous rate with a spike that closes no rate: outages off the ladder.
-@example(case=(GEOM, DESIGN_POLICY, _spike_at_culmination, {}), seed=0)
+@example(case=(GEOM, DESIGN_POLICY, _per_tick(GEOM, _spike_at_culmination), {}), seed=0)
 @given(_passes(), hs.integers(0, 2**31))
 def test_columnar_pass_equals_the_per_tick_loop(case, seed):
     geometry, policy, jitter, state = case
@@ -622,7 +635,8 @@ def _outage_from_t0(steps, state):
         # its way to a wide divergence.
         (dataclasses.replace(GEOM, dt_s=0.25), 1e-3, {"step_size": 3.6e-3}, _stops_at_the_stroke_end),
         # A 0.1 rad spike costs thousands of dB of pointing loss from t = 0 on.
-        (GEOM, lambda t: 0.1 if t >= 0.0 else 20e-6, {"lens_position": 1e-3, "step_size": 0.0}, _outage_from_t0),
+        (GEOM, _per_tick(GEOM, lambda t: 0.1 if t >= 0.0 else 20e-6), {"lens_position": 1e-3, "step_size": 0.0},
+         _outage_from_t0),
     ],
     ids=["travel", "link_closed"],
 )
@@ -708,9 +722,12 @@ def _cell_events(steps, block):
             yield "subnormal"
 
 
+_BLOCKS_GEOM = dataclasses.replace(GEOM, dt_s=0.05)
+
+
 # A real pass longer than one block: constant columns run across the boundary.
-@example(case=(run_pass(dataclasses.replace(GEOM, dt_s=0.05), DESIGN_POLICY, design_link(),
-                        jitter=_spike_at_culmination).steps, _CSV_BLOCK_ROWS))
+@example(case=(run_pass(_BLOCKS_GEOM, DESIGN_POLICY, design_link(),
+                        jitter=_per_tick(_BLOCKS_GEOM, _spike_at_culmination)).steps, _CSV_BLOCK_ROWS))
 @given(_step_arrays())
 def test_csv_equals_the_row_wise_renderer(tmp_path_factory, case):
     steps, block = case
