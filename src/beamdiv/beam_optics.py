@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from ._checks import finite, integer
 from ._roots import brentq
@@ -155,6 +154,22 @@ CHECK_TOL = 1e-9
 _BLOCK_ROWS = 256
 
 _ON_AXIS = np.zeros(1)
+
+
+@functools.cache
+def _scipy_j0():
+    from scipy.special import j0
+
+    return j0
+
+
+def j0(x):
+    """``scipy.special.j0``, imported on the first call.
+
+    The far field is SciPy's only user in the package, so ``import beamdiv``
+    and the CLI commands that never reach it do not load SciPy.
+    """
+    return _scipy_j0()(x)
 
 
 @functools.lru_cache(maxsize=16)

@@ -45,6 +45,12 @@ DESIGN_LINK = LinkConfig(
 )
 DESIGN_ANCHOR = (600e3, 10e9, 5.0)
 DESIGN_POLICY = ControlPolicy(margin_floor_db=DESIGN_ANCHOR[2])
+# The other models' design point is their dataclass defaults.  All are frozen,
+# so each is built and validated once, not on every load.
+_DESIGN_MAP = DivergenceMap()
+_DESIGN_THERMAL = ThermalModel()
+_DESIGN_CHROMATIC = ChromaticModel()
+_DESIGN_GEOMETRY = PassGeometry()
 
 
 class ConfigError(ValueError):
@@ -267,10 +273,10 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             sensitivity = calibrate_sensitivity(link, **anchor)
     run = RunConfig(
         link=link.with_sensitivity(sensitivity),
-        dmap=model("map", DivergenceMap()),
-        thermal=model("thermal", ThermalModel()),
-        chromatic=model("chromatic", ChromaticModel()),
-        geometry=model("geometry", PassGeometry()),
+        dmap=model("map", _DESIGN_MAP),
+        thermal=model("thermal", _DESIGN_THERMAL),
+        chromatic=model("chromatic", _DESIGN_CHROMATIC),
+        geometry=model("geometry", _DESIGN_GEOMETRY),
         policy=DESIGN_POLICY,
     )
     return model("run", model("policy", run))

@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from ._checks import finite
+from ._columns import per_value
 from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle
 
 __all__ = [
@@ -249,16 +249,17 @@ def received_power_column(
     same floats.
 
     Sums and products run in numpy, whose arithmetic rounds like Python's;
-    the log terms go through the scalar term functions element by element,
-    since numpy's SIMD ``log10`` and ``power`` differ from ``math.log10`` and
-    ``**`` in the last bit on some inputs.  The distances are checked once,
-    as a column; NaN angles give NaN.
+    the log terms go through the scalar term functions, since numpy's SIMD
+    ``log10`` and ``power`` differ from ``math.log10`` and ``**`` in the last
+    bit on some inputs.  Where a block of distances or angles repeats (a
+    symmetric pass, a settled lens), each term function runs once per
+    distinct value (``_columns.per_value``).  The distances are checked
+    once, as a column; NaN angles give NaN.
     """
     finite("distance", distance, gt=0)
-    n = len(distance)
     theta = divergence_fwhm / FWHM_PER_FULL_1E2
-    tx_gain = np.fromiter(map(_tx_gain_db, theta.tolist()), float, n)
-    path = -np.fromiter(map(_path_loss_db, distance.tolist(), repeat(config.wavelength)), float, n)
+    tx_gain = per_value(_tx_gain_db, theta)
+    path = -per_value(_path_loss_db, distance, config.wavelength)
     return _received(
         config,
         watts_to_dbm(config.tx_power_w),
@@ -310,7 +311,7 @@ def max_rate(
     """
     sensitivity = config.require_sensitivity()
     report = received_power_dbm(config, distance, pointing_loss_db)
-    rate = _rate_at(sensitivity, report.received_power_dbm, required_margin_db)
+    rate = _rate_at(report.received_power_dbm, sensitivity, required_margin_db)
     if not (math.isfinite(rate) and rate > 0.0):
         raise LinkClosedError(
             f"link closed at no rate: received {report.received_power_dbm} dBm "
@@ -319,7 +320,7 @@ def max_rate(
     return rate
 
 
-def _rate_at(sensitivity: SensitivityModel, received_dbm: float, margin_db: float) -> float:
+def _rate_at(received_dbm: float, sensitivity: SensitivityModel, margin_db: float) -> float:
     exponent = (received_dbm - sensitivity.ref_sensitivity_dbm - margin_db) / 10.0
     return sensitivity.ref_rate * 10.0**exponent
 
@@ -327,12 +328,12 @@ def _rate_at(sensitivity: SensitivityModel, received_dbm: float, margin_db: floa
 def max_rate_column(config: LinkConfig, received_dbm: np.ndarray, required_margin_db: float) -> np.ndarray:
     """:func:`max_rate` at each received power, bit/s, as the same floats.
 
-    Raises no :class:`LinkClosedError`: where ``max_rate`` raises it the
-    element is not a finite positive rate, and the caller decides.
+    The power of ten runs as Python's ``**``, once per distinct received
+    power where a block of them repeats (``_columns.per_value``).  Raises no
+    :class:`LinkClosedError`: where ``max_rate`` raises it the element is
+    not a finite positive rate, and the caller decides.
     """
-    sensitivity = config.require_sensitivity()
-    rates = map(_rate_at, repeat(sensitivity), received_dbm.tolist(), repeat(required_margin_db))
-    return np.fromiter(rates, float, len(received_dbm))
+    return per_value(_rate_at, received_dbm, config.require_sensitivity(), required_margin_db)
 
 
 def calibrate_sensitivity(

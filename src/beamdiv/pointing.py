@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from ._checks import finite, integer
+from ._columns import per_value
 
 __all__ = [
     "GainConvention",
@@ -78,10 +79,11 @@ def pointing_loss_db_column(sigma: np.ndarray, theta_d: np.ndarray) -> np.ndarra
 
     ``beta`` is formed by numpy, whose division rounds like Python's; the
     square goes through Python's ``**``, from which numpy's differs in the
-    last bit on some inputs.  Inputs are not checked: a NaN angle gives NaN.
+    last bit on some inputs, once per distinct beta where a block of them
+    repeats (``_columns.per_value``), as under a constant jitter and a
+    settled lens.  Inputs are not checked: a NaN angle gives NaN.
     """
-    beta = 2.0 * sigma / theta_d
-    return np.fromiter(map(_loss_db, beta.tolist()), float, len(beta))
+    return per_value(_loss_db, 2.0 * sigma / theta_d)
 
 
 def rule_of_thumb_divergence(sigma):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import actuator
 from ._checks import finite, rejected
+from ._columns import BLOCK_ROWS, per_value
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
 from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
@@ -330,41 +331,27 @@ def _track_column(state: ActuatorState, theta_cmd: np.ndarray, dt: float) -> np.
     return np.array(actuator.track(state, targets.tolist(), dt))
 
 
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_ROWS = BLOCK_ROWS
 
 
 def steps_to_csv(steps: np.ndarray) -> str:
     """Render a ``STEP_DTYPE`` array as CSV with full-precision floats (repr round-trip).
 
-    Every cell is byte for byte the ``repr`` of its float, but ``repr``
-    runs once per run of bit-identical values in a column: a constant sigma
-    or a settled lens costs one call per block, not one per tick.  Rows are
-    rendered in blocks of ``_CSV_BLOCK_ROWS`` (1024), so the per-cell
-    strings of at most one block, about 1 MB, are alive at a time.
+    Every cell is byte for byte the ``repr`` of its float.  Where a column's
+    values repeat within a block -- a constant sigma, a settled lens, or the
+    mirror pairs of a symmetric pass -- ``repr`` runs once per distinct value
+    (``_columns.per_value``), not once per tick.  Rows are rendered in blocks
+    of ``_CSV_BLOCK_ROWS`` (1024), so the per-cell strings of at most one
+    block, about 1 MB, are alive at a time.
     """
     names = steps.dtype.names
     blocks = [",".join(names) + "\n"]
     for start in range(0, len(steps), _CSV_BLOCK_ROWS):
-        block = steps[start:start + _CSV_BLOCK_ROWS]
-        columns = [_repr_column(block[name]) for name in names]
-        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+        block = np.ascontiguousarray(steps[start:start + _CSV_BLOCK_ROWS])
+        cells = per_value(repr, block.view(np.float64).reshape(len(block), len(names)), dtype=object)
+        # Read back as columns and zipped: one list per column is cheaper than one per row.
+        blocks.append("\n".join(map(",".join, zip(*cells.T.tolist()))) + "\n")
     return "".join(blocks)
-
-
-def _repr_column(column: np.ndarray) -> list[str]:
-    """``repr`` of every value of a float64 column, called once per run of equal bits.
-
-    Runs are found on the int64 view, so ``0.0`` and ``-0.0`` stay apart and
-    NaN needs no special case.  A column that changes on most rows goes
-    straight through ``repr``.
-    """
-    bits = column.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * len(starts) > len(column):
-        return list(map(repr, column.tolist()))
-    starts = np.concatenate(([0], starts))
-    texts = np.array(list(map(repr, column[starts].tolist())), dtype=object)
-    return np.repeat(texts, np.diff(starts, append=len(column))).tolist()
 
 
 def write_steps_csv(steps: np.ndarray, path) -> None:
@@ -374,7 +361,9 @@ def write_steps_csv(steps: np.ndarray, path) -> None:
     rendering through that name) and written at once, without its header
     line after the first block.  The file is byte for byte
     ``steps_to_csv(steps)``, but only one block's text is held at a time,
-    not the whole pass's.
+    not the whole pass's.  Blocks are also the span over which repeated
+    values are found: a column repeats within a block, or runs ``repr``
+    once per tick.
     """
     with open(path, "w", newline="") as fh:
         fh.write(steps_to_csv(steps[:_CSV_BLOCK_ROWS]))

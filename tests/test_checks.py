@@ -61,6 +61,26 @@ def _interval_raise(node):
     )
 
 
+def _scalar_loop(node):
+    """``np.fromiter(...)``, or ``map(...)`` over a ``.tolist()``, unless it maps a string's ``join``."""
+    if not isinstance(node, ast.Call):
+        return False
+    callee = node.func
+    if getattr(callee, "attr", None) == "fromiter":
+        return True
+    return (getattr(callee, "id", None) == "map" and bool(node.args)
+            and getattr(node.args[0], "attr", None) != "join"
+            and any(getattr(getattr(arg, "func", None), "attr", None) == "tolist" for arg in node.args[1:]))
+
+
+def test_per_element_scalar_loops_only_in_the_columns_module():
+    # One place calls a scalar function per element, so that each repeated value is evaluated once.
+    loops = [site for path in sorted(SRC.glob("*.py")) if path.name != "_columns.py"
+             for site in _sites(path, _scalar_loop)]
+    assert loops == []
+    assert {where for _, where in _sites(SRC / "_columns.py", _scalar_loop)} == {"per_value"}
+
+
 def test_isfinite_only_in_the_helper_module():
     calls = [call for path in MODULES for call in _sites(path, _isfinite_call)]
     # max_rate tests the rate it computed, not an input.

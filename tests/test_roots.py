@@ -94,11 +94,15 @@ def test_endpoint_root_returns_the_endpoint(root):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # A fresh interpreter: every solver beamdiv uses is called once, and SciPy's
-    # optimize subpackage (with linalg behind it) must still not be loaded.
+    # A fresh interpreter: importing beamdiv loads no SciPy special functions
+    # until the far field needs j0.  Then every solver beamdiv uses is called
+    # once, and SciPy's optimize subpackage (with linalg behind it) must still
+    # not be loaded.
     code = "\n".join([
         "import sys",
         "import beamdiv, beamdiv.cli",
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.special'))",
+        "assert not loaded, loaded",
         "from beamdiv.actuator import DivergenceMap, ThermalModel, temperature_corrected_position",
         "beamdiv.truncated_fwhm(beamdiv.AperturedBeam(beamdiv.GaussianBeam(0.0178, 1.55e-6), 0.02))",
         "temperature_corrected_position(90e-6, -30.0, ThermalModel(), DivergenceMap())",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as hs
 
-from beamdiv import actuator, sim
+from beamdiv import actuator, link_budget, pointing, sim
 from beamdiv.actuator import ActuatorState, Branch, ChromaticModel, DivergenceMap, ThermalModel, TravelRangeError
 from beamdiv.beam_optics import (
     AperturedBeam,
@@ -302,6 +302,16 @@ class TestRunPass:
         )
         with pytest.raises(ValueError):
             run_pass(GEOM, DESIGN_POLICY, bare)
+
+    def test_term_functions_run_once_per_distinct_input(self):
+        # A symmetric pass under a constant jitter: ranges come in mirror pairs, and beta settles.
+        link = design_link()
+        with mock.patch.object(link_budget, "_path_loss_db", wraps=link_budget._path_loss_db) as path_loss, \
+                mock.patch.object(pointing, "_loss_db", wraps=pointing._loss_db) as loss:
+            steps = run_pass(GEOM, DESIGN_POLICY, link, jitter=20e-6).steps
+        beta = 2.0 * steps["sigma_p_rad"] / steps["theta_actual_rad"]
+        assert path_loss.call_count == len(np.unique(steps["slant_range_m"].view(np.int64))) < len(steps)
+        assert loss.call_count == len(np.unique(beta.view(np.int64))) < len(steps)
 
     def test_csv_layout(self):
         result = run_pass(GEOM, DESIGN_POLICY, design_link())
@@ -728,6 +738,8 @@ _BLOCKS_GEOM = dataclasses.replace(GEOM, dt_s=0.05)
 # A real pass longer than one block: constant columns run across the boundary.
 @example(case=(run_pass(_BLOCKS_GEOM, DESIGN_POLICY, design_link(),
                         jitter=_per_tick(_BLOCKS_GEOM, _spike_at_culmination)).steps, _CSV_BLOCK_ROWS))
+# A symmetric pass in one block under a constant jitter: most columns repeat, so repr runs once per value.
+@example(case=(run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=20e-6).steps, _CSV_BLOCK_ROWS))
 @given(_step_arrays())
 def test_csv_equals_the_row_wise_renderer(tmp_path_factory, case):
     steps, block = case
