@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._checks import finite
-from ._columns import per_value
+from ._columns import one
 from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle
 
 __all__ = [
@@ -184,11 +184,22 @@ def free_space_loss_db(distance: float, wavelength: float) -> float:
     """Free-space path loss ``20 log10(4 pi L / lambda)``, positive dB."""
     finite("distance", distance, gt=0)
     finite("wavelength", wavelength, gt=0)
-    return _path_loss_db(distance, wavelength)
+    return one(_path_loss_kernel, distance, wavelength)
 
 
-def _path_loss_db(distance: float, wavelength: float) -> float:
-    return 20.0 * math.log10(4.0 * math.pi * distance / wavelength)
+# The budget's transcendental terms, one numpy kernel each, shared by the
+# scalar and column forms.  Overflow saturates to inf without a warning.
+
+def _tx_gain_kernel(theta_full_1e2: np.ndarray) -> np.ndarray:
+    """Transmit gain ``10 log10(16 / theta^2)``, dB, per full 1/e^2 angle."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return 10.0 * np.log10(16.0 / np.square(theta_full_1e2))
+
+
+def _path_loss_kernel(distance: np.ndarray, wavelength: float) -> np.ndarray:
+    """Free-space path loss ``20 log10(4 pi L / lambda)``, positive dB."""
+    with np.errstate(over="ignore"):
+        return 20.0 * np.log10(4.0 * math.pi * distance / wavelength)
 
 
 def receive_gain_db(aperture_diameter: float, wavelength: float) -> float:
@@ -212,8 +223,8 @@ def received_power_dbm(
     finite("pointing_loss_db", pointing_loss_db, ge=0)
     theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
-    tx_gain = _tx_gain_db(theta.value)
-    path = -_path_loss_db(distance, config.wavelength)
+    tx_gain = one(_tx_gain_kernel, theta.value)
+    path = -one(_path_loss_kernel, distance, config.wavelength)
     rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
     received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)
     return BudgetReport(
@@ -227,10 +238,6 @@ def received_power_dbm(
         misc_db=-config.misc_loss_db,
         received_power_dbm=received,
     )
-
-
-def _tx_gain_db(theta_full_1e2: float) -> float:
-    return 10.0 * math.log10(16.0 / theta_full_1e2**2)
 
 
 def _received(config: LinkConfig, tx_power, tx_gain, pointing_loss_db, path, rx_gain):
@@ -248,18 +255,14 @@ def received_power_column(
     ``config.with_divergence(FWHM angle)`` at that distance and loss, as the
     same floats.
 
-    Sums and products run in numpy, whose arithmetic rounds like Python's;
-    the log terms go through the scalar term functions, since numpy's SIMD
-    ``log10`` and ``power`` differ from ``math.log10`` and ``**`` in the last
-    bit on some inputs.  Where a block of distances or angles repeats (a
-    symmetric pass, a settled lens), each term function runs once per
-    distinct value (``_columns.per_value``).  The distances are checked
-    once, as a column; NaN angles give NaN.
+    The log terms are the numpy kernels that ``received_power_dbm`` applies
+    to one element, and sums and products round like Python's, so the two
+    forms agree bit for bit.  The distances are checked once, as a column;
+    NaN angles give NaN.
     """
     finite("distance", distance, gt=0)
-    theta = divergence_fwhm / FWHM_PER_FULL_1E2
-    tx_gain = per_value(_tx_gain_db, theta)
-    path = -per_value(_path_loss_db, distance, config.wavelength)
+    tx_gain = _tx_gain_kernel(divergence_fwhm / FWHM_PER_FULL_1E2)
+    path = -_path_loss_kernel(distance, config.wavelength)
     return _received(
         config,
         watts_to_dbm(config.tx_power_w),
@@ -309,9 +312,8 @@ def max_rate(
     Closed form from the log-linear sensitivity model:
     ``R = R_ref * 10**((P_rx - S_ref - m) / 10)``.
     """
-    sensitivity = config.require_sensitivity()
     report = received_power_dbm(config, distance, pointing_loss_db)
-    rate = _rate_at(report.received_power_dbm, sensitivity, required_margin_db)
+    rate = float(max_rate_column(config, np.array([report.received_power_dbm]), required_margin_db)[0])
     if not (math.isfinite(rate) and rate > 0.0):
         raise LinkClosedError(
             f"link closed at no rate: received {report.received_power_dbm} dBm "
@@ -320,20 +322,18 @@ def max_rate(
     return rate
 
 
-def _rate_at(received_dbm: float, sensitivity: SensitivityModel, margin_db: float) -> float:
-    exponent = (received_dbm - sensitivity.ref_sensitivity_dbm - margin_db) / 10.0
-    return sensitivity.ref_rate * 10.0**exponent
-
-
 def max_rate_column(config: LinkConfig, received_dbm: np.ndarray, required_margin_db: float) -> np.ndarray:
     """:func:`max_rate` at each received power, bit/s, as the same floats.
 
-    The power of ten runs as Python's ``**``, once per distinct received
-    power where a block of them repeats (``_columns.per_value``).  Raises no
-    :class:`LinkClosedError`: where ``max_rate`` raises it the element is
-    not a finite positive rate, and the caller decides.
+    This is the rate kernel, ``R_ref * 10**x`` through ``np.power``, and
+    ``max_rate`` applies it to one element.  An overflow saturates to inf.
+    Raises no :class:`LinkClosedError`: where ``max_rate`` raises it the
+    element is not a finite positive rate, and the caller decides.
     """
-    return per_value(_rate_at, received_dbm, config.require_sensitivity(), required_margin_db)
+    sensitivity = config.require_sensitivity()
+    exponent = (received_dbm - sensitivity.ref_sensitivity_dbm - required_margin_db) / 10.0
+    with np.errstate(over="ignore"):
+        return sensitivity.ref_rate * np.power(10.0, exponent)
 
 
 def calibrate_sensitivity(

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ._checks import finite, integer
-from ._columns import per_value
+from ._columns import one
 
 __all__ = [
     "GainConvention",
@@ -48,42 +48,27 @@ class GainConvention(enum.Enum):
 
 def pointing_loss(sigma: float, theta_d: float) -> float:
     """Mean pointing-loss fraction ``10**(-2 beta^2)``, in [0, 1]."""
-    return 10.0 ** (-2.0 * _square(_beta(sigma, theta_d)))
+    return 10.0 ** (pointing_loss_db(sigma, theta_d) / 10.0)
 
 
 def pointing_loss_db(sigma: float, theta_d: float) -> float:
     """Pointing loss in dB: ``10*log10(L_p) = -20 beta^2`` (always <= 0)."""
-    return _loss_db(_beta(sigma, theta_d))
-
-
-def _beta(sigma: float, theta_d: float) -> float:
     finite("theta_d", theta_d, gt=0)
     finite("sigma", sigma, ge=0)
-    return 2.0 * sigma / theta_d
-
-
-def _square(beta: float) -> float:
-    """``beta**2``, saturating to inf past about 1.3e154, where ``**`` raises OverflowError."""
-    try:
-        return beta**2
-    except OverflowError:
-        return math.inf
-
-
-def _loss_db(beta: float) -> float:
-    return -20.0 * _square(beta)
+    return one(pointing_loss_db_column, sigma, theta_d)
 
 
 def pointing_loss_db_column(sigma: np.ndarray, theta_d: np.ndarray) -> np.ndarray:
     """:func:`pointing_loss_db` element by element, as the same floats.
 
-    ``beta`` is formed by numpy, whose division rounds like Python's; the
-    square goes through Python's ``**``, from which numpy's differs in the
-    last bit on some inputs, once per distinct beta where a block of them
-    repeats (``_columns.per_value``), as under a constant jitter and a
-    settled lens.  Inputs are not checked: a NaN angle gives NaN.
+    This is the pointing-loss kernel, ``-20 beta^2`` with ``beta = 2 sigma /
+    theta_d``, and ``pointing_loss_db`` applies it to one element.
+    ``np.square`` is the correctly rounded ``beta * beta``; past about
+    1.3e154 it saturates to inf, a total loss.  Inputs are not checked: a
+    NaN angle gives NaN.
     """
-    return per_value(_loss_db, 2.0 * sigma / theta_d)
+    with np.errstate(over="ignore"):
+        return -20.0 * np.square(2.0 * sigma / theta_d)
 
 
 def rule_of_thumb_divergence(sigma):

@@ -348,7 +348,7 @@ def steps_to_csv(steps: np.ndarray) -> str:
     blocks = [",".join(names) + "\n"]
     for start in range(0, len(steps), _CSV_BLOCK_ROWS):
         block = np.ascontiguousarray(steps[start:start + _CSV_BLOCK_ROWS])
-        cells = per_value(repr, block.view(np.float64).reshape(len(block), len(names)), dtype=object)
+        cells = per_value(repr, block.view(np.float64).reshape(len(block), len(names)))
         # Read back as columns and zipped: one list per column is cheaper than one per row.
         blocks.append("\n".join(map(",".join, zip(*cells.T.tolist()))) + "\n")
     return "".join(blocks)

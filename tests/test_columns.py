@@ -1,39 +1,12 @@
-"""``_columns.per_value`` returns what one scalar call per element returns, bit for bit."""
+"""``_columns.per_value`` returns what one ``repr`` call per element returns."""
 
 import math
-from itertools import repeat
 
 import numpy as np
 from hypothesis import event, given
 from hypothesis import strategies as hs
 
-from beamdiv import link_budget, pointing
 from beamdiv._columns import BLOCK_ROWS, per_value
-
-_SENSITIVITY = link_budget.SensitivityModel(ref_rate=10e9, ref_sensitivity_dbm=-35.0)
-_FAILED = float(np.array([0x7FF00000DEADBEEF], dtype=np.int64).view(np.float64)[0])
-
-
-def _total(fn):
-    """``fn``, with a math error turned into a NaN of its own payload, so that a whole column can be compared."""
-
-    def call(value, *args):
-        try:
-            return fn(value, *args)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return _FAILED
-
-    return call
-
-
-# (function, extra arguments, result dtype): the CSV's repr and the four budget terms.
-_FUNCTIONS = {
-    "repr": (repr, (), object),
-    "tx_gain_db": (_total(link_budget._tx_gain_db), (), float),
-    "path_loss_db": (_total(link_budget._path_loss_db), (1.55e-6,), float),
-    "rate_at": (_total(link_budget._rate_at), (_SENSITIVITY, 5.0), float),
-    "loss_db": (_total(pointing._loss_db), (), float),
-}
 
 _NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
 _CELLS = [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
@@ -69,21 +42,16 @@ def _columns(draw):
     return column
 
 
-@given(hs.sampled_from(sorted(_FUNCTIONS)), _columns())
-def test_equals_one_call_per_element(name, column):
-    fn, args, dtype = _FUNCTIONS[name]
-    expected = np.fromiter(map(fn, column.tolist(), *map(repeat, args)), dtype, len(column))
-    got = per_value(fn, column, *args, dtype=dtype)
-    assert got.dtype == dtype and got.shape == column.shape
-    if dtype is object:
-        assert got.tolist() == expected.tolist()
-    else:
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+@given(_columns())
+def test_equals_one_call_per_element(column):
+    got = per_value(repr, column)
+    assert got.dtype == object and got.shape == column.shape
+    assert got.tolist() == list(map(repr, column.tolist()))
 
 
 @given(hs.lists(_columns(), min_size=1, max_size=4).map(lambda cs: [c[:min(map(len, cs))] for c in cs]))
 def test_a_table_equals_its_columns(columns):
     table = np.stack(columns, axis=1)
-    got = per_value(repr, table, dtype=object)
+    got = per_value(repr, table)
     assert got.shape == table.shape
     assert got.tolist() == [list(map(repr, row)) for row in table.tolist()]

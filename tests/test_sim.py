@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as hs
 
-from beamdiv import actuator, link_budget, pointing, sim
+from beamdiv import actuator, sim
 from beamdiv.actuator import ActuatorState, Branch, ChromaticModel, DivergenceMap, ThermalModel, TravelRangeError
 from beamdiv.beam_optics import (
     AperturedBeam,
@@ -302,16 +302,6 @@ class TestRunPass:
         )
         with pytest.raises(ValueError):
             run_pass(GEOM, DESIGN_POLICY, bare)
-
-    def test_term_functions_run_once_per_distinct_input(self):
-        # A symmetric pass under a constant jitter: ranges come in mirror pairs, and beta settles.
-        link = design_link()
-        with mock.patch.object(link_budget, "_path_loss_db", wraps=link_budget._path_loss_db) as path_loss, \
-                mock.patch.object(pointing, "_loss_db", wraps=pointing._loss_db) as loss:
-            steps = run_pass(GEOM, DESIGN_POLICY, link, jitter=20e-6).steps
-        beta = 2.0 * steps["sigma_p_rad"] / steps["theta_actual_rad"]
-        assert path_loss.call_count == len(np.unique(steps["slant_range_m"].view(np.int64))) < len(steps)
-        assert loss.call_count == len(np.unique(beta.view(np.int64))) < len(steps)
 
     def test_csv_layout(self):
         result = run_pass(GEOM, DESIGN_POLICY, design_link())
