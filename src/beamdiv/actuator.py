@@ -18,6 +18,10 @@ positions are mapped to a *signed* setting on the commanded branch's line
 thermal defocus is active), and the achieved divergence folds back at the
 collimated minimum.  This keeps the device fully correctable within its
 stroke, matching how a pure defocus error behaves.
+
+Each law -- the stroke, the setting line, the anchor interpolation, the
+achieved divergence -- is written once, in arithmetic that takes a float or a
+numpy column alike, so a column gives the floats each element gives alone.
 """
 
 from __future__ import annotations
@@ -128,16 +132,18 @@ class DivergenceMap:
         return self.diverging_max if branch is Branch.DIVERGING else self.converging_max
 
 
-def _check_travel(x: float, dmap: DivergenceMap, what: str = "lens position") -> None:
-    if not abs(x) <= dmap.max_travel:  # NaN is outside
-        raise TravelRangeError(f"{what} {x} m outside +-{dmap.max_travel} m travel")
+def _check_travel(what: str, x, lo: float, hi: float) -> None:
+    """``finite(what, x, ge=lo, le=hi)`` for a float or a column, raised as a :class:`TravelRangeError`."""
+    try:
+        finite(what, x, ge=lo, le=hi)
+    except ValueError as exc:
+        raise TravelRangeError(*exc.args) from None
 
 
 def divergence_from_position(x: float, dmap: DivergenceMap) -> DivergenceAngle:
-    """Nominal FWHM divergence at lens position ``x`` (signed, meters)."""
-    _check_travel(x, dmap)
-    slope = dmap.diverging_slope if x >= 0.0 else dmap.converging_slope
-    return DivergenceAngle(dmap.collimated_divergence + slope * abs(x), Convention.FWHM)
+    """Nominal FWHM divergence at lens position ``x`` (signed, meters): the setting on ``x``'s own side."""
+    branch = Branch.DIVERGING if x >= 0.0 else Branch.CONVERGING
+    return DivergenceAngle(setting_on_branch(x, branch, dmap), Convention.FWHM)
 
 
 def position_from_divergence(
@@ -158,21 +164,20 @@ def position_from_divergence(
     return travel if branch is Branch.DIVERGING else -travel
 
 
-def setting_on_branch(x: float, branch: Branch, dmap: DivergenceMap) -> float:
+def setting_on_branch(x: Union[float, np.ndarray], branch: Branch, dmap: DivergenceMap) -> Union[float, np.ndarray]:
     """Signed nominal setting at position ``x`` on a branch's extended line.
 
     For positions on the branch's own side this equals the physical map.
     Past the collimation point the line continues below the collimated value
-    (a virtual setting); that region is what thermal corrections use.
+    (a virtual setting); that region is what thermal corrections use.  A
+    column of positions gives the column of settings, element for element
+    the same floats; any position off the stroke raises
+    :class:`TravelRangeError` naming the first.
     """
-    _check_travel(x, dmap)
-    return _setting(x, branch, dmap)
-
-
-def _setting(x, branch: Branch, dmap: DivergenceMap):
-    # setting_on_branch without the travel check; x may be an array.
-    signed = x if branch is Branch.DIVERGING else -x
-    return dmap.collimated_divergence + dmap.slope(branch) * signed
+    _check_travel("lens position", x, -dmap.max_travel, dmap.max_travel)
+    if branch is Branch.DIVERGING:
+        return dmap.collimated_divergence + dmap.diverging_slope * x
+    return dmap.collimated_divergence + dmap.converging_slope * -x
 
 
 @dataclass(frozen=True)
@@ -214,19 +219,14 @@ class ThermalModel:
         """
         self.check_temperature(temperature_c)
         ref = self.reference_temperature_c
-        if temperature_c == ref:
-            return 0.0
         if temperature_c < ref:
             frac = (ref - temperature_c) / (ref - self.cold_temperature_c)
-            dev0 = self.cold_outputs[0] - self.anchor_settings[0]
-            dev1 = self.cold_outputs[1] - self.anchor_settings[1]
+            outputs = self.cold_outputs
         else:
             frac = (temperature_c - ref) / (self.hot_temperature_c - ref)
-            dev0 = self.hot_outputs[0] - self.anchor_settings[0]
-            dev1 = self.hot_outputs[1] - self.anchor_settings[1]
+            outputs = self.hot_outputs
         a0, a1 = self.anchor_settings
-        w = (theta_set - a0) / (a1 - a0)
-        return frac * (dev0 + w * (dev1 - dev0))
+        return frac * _between_anchors(self.anchor_settings, outputs[0] - a0, outputs[1] - a1, theta_set)
 
     def cold_slope(self, anchor_index: int) -> float:
         """Deviation growth per degree below reference, radians/C."""
@@ -277,9 +277,13 @@ class ChromaticModel:
         self.check_wavelength(wavelength)
         off0 = _quadratic_through(self.wavelengths, self.offsets_low, wavelength)
         off1 = _quadratic_through(self.wavelengths, self.offsets_high, wavelength)
-        a0, a1 = self.anchor_settings
-        frac = (theta_set - a0) / (a1 - a0)
-        return off0 + frac * (off1 - off0)
+        return _between_anchors(self.anchor_settings, off0, off1, theta_set)
+
+
+def _between_anchors(anchors: tuple[float, float], low: float, high: float, theta_set):
+    # The line through (anchors[0], low) and (anchors[1], high) at a setting or an array of them; extrapolates.
+    a0, a1 = anchors
+    return low + (theta_set - a0) / (a1 - a0) * (high - low)
 
 
 def _quadratic_through(xs: tuple[float, float, float], ys: tuple[float, float, float], x: float) -> float:
@@ -334,12 +338,8 @@ def temperature_corrected_position(
 
     lo, hi = -dmap.max_travel, dmap.max_travel
     p_lo, p_hi = predicted(lo), predicted(hi)
-    p_min, p_max = min(p_lo, p_hi), max(p_lo, p_hi)
-    if not (p_min <= target <= p_max):
-        raise TravelRangeError(
-            f"correction exceeds travel range: target {target} rad at {temperature_c} C "
-            f"needs output outside [{p_min}, {p_max}] rad"
-        )
+    _check_travel(f"correction exceeds travel range: theta_target at {temperature_c} C",
+                  target, min(p_lo, p_hi), max(p_lo, p_hi))
     if target == p_lo:  # also where the output does not depend on x at all
         return lo
     # The fraction lies in [0, 1] and an end gives that end exactly, so x stays on the stroke.
@@ -376,8 +376,9 @@ class ActuatorState:
         """
         finite("motor_speed", self.motor_speed, gt=0)
         finite("step_size", self.step_size, ge=0)
-        _check_travel(self.lens_position, self.dmap)
-        _check_travel(self.target_position, self.dmap, "target position")
+        stroke = self.dmap.max_travel
+        _check_travel("lens position", self.lens_position, -stroke, stroke)
+        _check_travel("target position", self.target_position, -stroke, stroke)
         self.thermal.check_temperature(self.temperature_c)
         self.chromatic.check_wavelength(self.wavelength)
 
@@ -437,33 +438,26 @@ def step(state: ActuatorState, dt: float) -> ActuatorState:
     return state
 
 
-def _achieved(state: ActuatorState, u):
-    # Nominal setting(s) u plus the temperature and wavelength deviations,
-    # folded back at the collimated minimum; u may be an array.
+def achieved_divergence(state: ActuatorState, positions: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Achieved FWHM divergence, radians, at a lens position or a column of them.
+
+    The nominal setting is taken on the commanded branch's signed line, the
+    temperature and wavelength deviations are added, and the result folds
+    back at the collimated minimum (a beam driven past its corrected
+    collimation point re-diverges; it never narrows below the diffraction
+    minimum).  A column gives, element for element, the floats a single
+    position gives; any position off the stroke raises
+    :class:`TravelRangeError`.
+    """
+    u = setting_on_branch(positions, state.branch, state.dmap)
     raw = u + state.thermal.deviation(u, state.temperature_c) + state.chromatic.offset(u, state.wavelength)
     floor = state.dmap.collimated_divergence
     return floor + abs(raw - floor)
 
 
 def actual_divergence(state: ActuatorState) -> DivergenceAngle:
-    """Achieved FWHM divergence including thermal and chromatic effects.
-
-    The nominal setting is taken on the commanded branch's signed line, the
-    temperature and wavelength deviations are added, and the result folds
-    back at the collimated minimum (a beam driven past its corrected
-    collimation point re-diverges; it never narrows below the diffraction
-    minimum).
-    """
-    u = setting_on_branch(state.lens_position, state.branch, state.dmap)
-    return DivergenceAngle(_achieved(state, u), Convention.FWHM)
-
-
-def achieved_divergence(state: ActuatorState, positions: np.ndarray) -> np.ndarray:
-    """:func:`actual_divergence` at each lens position, radians FWHM, as the same floats.
-
-    Positions are not checked against the stroke; :func:`track` keeps them on it.
-    """
-    return _achieved(state, _setting(positions, state.branch, state.dmap))
+    """Achieved FWHM divergence at the current lens position, thermal and chromatic effects included."""
+    return DivergenceAngle(achieved_divergence(state, state.lens_position), Convention.FWHM)
 
 
 def set_temperature(state: ActuatorState, temperature_c: float) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite, integer
+from ._columns import one
 from ._roots import brentq
 
 __all__ = [
@@ -296,6 +297,12 @@ def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAn
     return DivergenceAngle(2.0 * half_angle, Convention.FWHM)
 
 
+def _full_1e2(theta: DivergenceAngle) -> float:
+    if theta.convention is not Convention.FULL_1E2:
+        raise ValueError("transmit_gain expects a FULL_1E2 angle; convert first")
+    return theta.value
+
+
 def transmit_gain(theta: DivergenceAngle) -> float:
     """On-axis transmit antenna gain ``16 / theta^2``.
 
@@ -303,14 +310,18 @@ def transmit_gain(theta: DivergenceAngle) -> float:
     first.  ``gain * theta^2`` is 16 to within one ulp of 16, not always
     exactly.
     """
-    if theta.convention is not Convention.FULL_1E2:
-        raise ValueError("transmit_gain expects a FULL_1E2 angle; convert first")
-    return 16.0 / theta.value**2
+    return 16.0 / _full_1e2(theta)**2
 
 
 def transmit_gain_db(theta: DivergenceAngle) -> float:
-    """Transmit gain in dB."""
-    return 10.0 * math.log10(transmit_gain(theta))
+    """Transmit gain in dB: the link budget's gain kernel at one full 1/e^2 angle."""
+    return one(_tx_gain_kernel, _full_1e2(theta))
+
+
+def _tx_gain_kernel(theta_full_1e2: np.ndarray) -> np.ndarray:
+    """Transmit gain ``10 log10(16 / theta^2)``, dB, per full 1/e^2 angle; overflow saturates to inf."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return 10.0 * np.log10(16.0 / np.square(theta_full_1e2))
 
 
 def footprint(theta_fwhm: DivergenceAngle, distance: float) -> float:

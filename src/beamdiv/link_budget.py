@@ -27,7 +27,7 @@ import numpy as np
 
 from ._checks import finite
 from ._columns import one
-from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle
+from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 
 __all__ = [
     "SensitivityModel",
@@ -188,13 +188,8 @@ def free_space_loss_db(distance: float, wavelength: float) -> float:
 
 
 # The budget's transcendental terms, one numpy kernel each, shared by the
-# scalar and column forms.  Overflow saturates to inf without a warning.
-
-def _tx_gain_kernel(theta_full_1e2: np.ndarray) -> np.ndarray:
-    """Transmit gain ``10 log10(16 / theta^2)``, dB, per full 1/e^2 angle."""
-    with np.errstate(over="ignore", divide="ignore"):
-        return 10.0 * np.log10(16.0 / np.square(theta_full_1e2))
-
+# scalar and column forms (the transmit gain's lives in ``beam_optics``).
+# Overflow saturates to inf without a warning.
 
 def _path_loss_kernel(distance: np.ndarray, wavelength: float) -> np.ndarray:
     """Free-space path loss ``20 log10(4 pi L / lambda)``, positive dB."""
@@ -223,7 +218,7 @@ def received_power_dbm(
     finite("pointing_loss_db", pointing_loss_db, ge=0)
     theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
-    tx_gain = one(_tx_gain_kernel, theta.value)
+    tx_gain = transmit_gain_db(theta)
     path = -one(_path_loss_kernel, distance, config.wavelength)
     rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
     received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)

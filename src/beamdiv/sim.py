@@ -30,7 +30,7 @@ import numpy as np
 
 from . import actuator
 from ._checks import finite, rejected
-from ._columns import BLOCK_ROWS, per_value
+from ._columns import per_value
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
 from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
@@ -331,7 +331,8 @@ def _track_column(state: ActuatorState, theta_cmd: np.ndarray, dt: float) -> np.
     return np.array(actuator.track(state, targets.tolist(), dt))
 
 
-_CSV_BLOCK_ROWS = BLOCK_ROWS
+# Rows per CSV block: the span over which repeated values are found.
+_CSV_BLOCK_ROWS = 1024
 
 
 def steps_to_csv(steps: np.ndarray) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from beamdiv.actuator import (
     DivergenceMap,
     ThermalModel,
     TravelRangeError,
+    achieved_divergence,
     actual_divergence,
     apply_temperature,
     apply_wavelength,
@@ -214,6 +216,12 @@ class TestThermalModel:
             0.5 * (THERMAL.deviation(lo, -30.0) + THERMAL.deviation(hi, -30.0)), rel=1e-12
         )
 
+    def test_an_array_of_settings_gives_an_array_at_the_reference(self):
+        settings = np.array([[90e-6, 1e-3], [5e-3, 6.14e-3], [-1e-3, 0.0]])
+        deviation = THERMAL.deviation(settings, THERMAL.reference_temperature_c)
+        assert isinstance(deviation, np.ndarray) and deviation.shape == settings.shape
+        assert not deviation.any()
+
     def test_monotone_in_distance_from_reference(self):
         temps_cold = [10.0, 0.0, -10.0, -20.0, -30.0]
         devs = [THERMAL.deviation(90e-6, t) for t in temps_cold]
@@ -380,6 +388,45 @@ class TestActualDivergence:
         for x in np.linspace(-3.5e-3, 3.5e-3, 41):
             st.lens_position = x
             assert actual_divergence(st).value >= MAP.collimated_divergence
+
+
+STROKE = MAP.max_travel
+# Positions on the stroke, its ends and both zeros included.
+POSITIONS = hs.lists(hs.sampled_from([0.0, -0.0, STROKE, -STROKE]) | hs.floats(-STROKE, STROKE), min_size=1, max_size=20)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@given(hs.sampled_from([THERMAL.cold_temperature_c, THERMAL.reference_temperature_c, THERMAL.hot_temperature_c])
+       | hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c),
+       hs.sampled_from(CHROMA.wavelengths) | hs.floats(CHROMA.wavelengths[0], CHROMA.wavelengths[2]),
+       hs.sampled_from(Branch), POSITIONS)
+def test_a_column_of_positions_gives_what_each_position_gives(temperature_c, wavelength, branch, positions):
+    st = ActuatorState(temperature_c=temperature_c, wavelength=wavelength, branch=branch)
+    column = np.array(positions)
+    achieved, settings = achieved_divergence(st, column), setting_on_branch(column, branch, MAP)
+    one_by_one = []
+    for x in positions:
+        st.lens_position = x
+        one_by_one.append(actual_divergence(st).value)
+    assert _bits(achieved) == _bits(one_by_one)
+    assert _bits(settings) == _bits([setting_on_branch(x, branch, MAP) for x in positions])
+
+
+@given(POSITIONS, hs.integers(0, 19), hs.sampled_from(Branch),
+       hs.sampled_from([math.nextafter(STROKE, math.inf), -math.nextafter(STROKE, math.inf), math.nan])
+       | hs.floats(min_value=STROKE, exclude_min=True) | hs.floats(max_value=-STROKE, exclude_max=True))
+def test_a_column_with_a_position_off_the_stroke_is_rejected_naming_it(positions, at, branch, off):
+    column = np.array(positions)
+    column[at % len(column)] = off
+    st = ActuatorState(branch=branch)
+    message = f"^lens position must be finite and >= {-STROKE} and <= {STROKE}, got {re.escape(repr(off))}$"
+    with pytest.raises(TravelRangeError, match=message):
+        achieved_divergence(st, column)
+    with pytest.raises(TravelRangeError, match=message):
+        setting_on_branch(column, branch, MAP)
 
 
 class TestAxisAndSteering:

@@ -1,6 +1,7 @@
 """Whether an input number is finite and inside its bounds is decided in one module, ``beamdiv._checks``."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -24,6 +25,11 @@ from beamdiv.sim import PassGeometry, elevation_for_range_deg, slant_range
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "beamdiv"
 MODULES = [path for path in sorted(SRC.glob("*.py")) if path.name != "_checks.py"]
+# ValueError and the package's subclasses of it (TravelRangeError, ConfigError), by name.
+VALUE_ERRORS = {"ValueError"} | {
+    name for path in MODULES for name, obj in vars(importlib.import_module(f"beamdiv.{path.stem}")).items()
+    if isinstance(obj, type) and issubclass(obj, ValueError)
+}
 
 
 def _sites(path, matches):
@@ -49,14 +55,14 @@ def _isfinite_call(node):
 
 
 def _interval_raise(node):
-    """An ``if`` on a chained ``<`` / ``<=`` comparison, negated or not, whose body raises ``ValueError``."""
+    """An ``if`` on a chained ``<`` / ``<=`` comparison, negated or not, whose body raises a ``ValueError``."""
     if not isinstance(node, ast.If):
         return False
     test = node.test.operand if isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not) else node.test
     chained = (isinstance(test, ast.Compare) and len(test.ops) > 1
                and all(isinstance(op, (ast.Lt, ast.LtE)) for op in test.ops))
     return chained and any(
-        isinstance(stmt, ast.Raise) and getattr(getattr(stmt.exc, "func", None), "id", None) == "ValueError"
+        isinstance(stmt, ast.Raise) and getattr(getattr(stmt.exc, "func", None), "id", None) in VALUE_ERRORS
         for stmt in node.body
     )
 

@@ -17,11 +17,10 @@ from hypothesis import strategies as hs
 
 from beamdiv._columns import one
 from beamdiv.actuator import DivergenceMap
-from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle
+from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel
 from beamdiv.link_budget import (
     LinkConfig,
     _path_loss_kernel,
-    _tx_gain_kernel,
     calibrate_sensitivity,
     max_rate_column,
     receive_gain_db,
