@@ -30,7 +30,7 @@ import numpy as np
 
 from . import actuator
 from ._checks import finite, rejected
-from ._columns import per_value
+from ._columns import csv_text
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
 from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
@@ -331,27 +331,23 @@ def _track_column(state: ActuatorState, theta_cmd: np.ndarray, dt: float) -> np.
     return np.array(actuator.track(state, targets.tolist(), dt))
 
 
-# Rows per CSV block: the span over which repeated values are found.
-_CSV_BLOCK_ROWS = 1024
+# Rows per CSV block: the text and the kernel's arrays of one block are alive at a time.
+_CSV_BLOCK_ROWS = 512
 
 
 def steps_to_csv(steps: np.ndarray) -> str:
     """Render a ``STEP_DTYPE`` array as CSV with full-precision floats (repr round-trip).
 
-    Every cell is byte for byte the ``repr`` of its float.  Where a column's
-    values repeat within a block -- a constant sigma, a settled lens, or the
-    mirror pairs of a symmetric pass -- ``repr`` runs once per distinct value
-    (``_columns.per_value``), not once per tick.  Rows are rendered in blocks
-    of ``_CSV_BLOCK_ROWS`` (1024), so the per-cell strings of at most one
-    block, about 1 MB, are alive at a time.
+    Every cell is byte for byte the ``repr`` of its float, written for a
+    whole block of rows at once by ``_columns.csv_text``.  Rows are rendered
+    in blocks of ``_CSV_BLOCK_ROWS`` (512), so the kernel's arrays for at
+    most one block, about 1 MB, are alive at a time.
     """
     names = steps.dtype.names
     blocks = [",".join(names) + "\n"]
     for start in range(0, len(steps), _CSV_BLOCK_ROWS):
         block = np.ascontiguousarray(steps[start:start + _CSV_BLOCK_ROWS])
-        cells = per_value(repr, block.view(np.float64).reshape(len(block), len(names)))
-        # Read back as columns and zipped: one list per column is cheaper than one per row.
-        blocks.append("\n".join(map(",".join, zip(*cells.T.tolist()))) + "\n")
+        blocks.append(csv_text(block.view(np.float64).reshape(len(block), len(names))))
     return "".join(blocks)
 
 
@@ -362,9 +358,7 @@ def write_steps_csv(steps: np.ndarray, path) -> None:
     rendering through that name) and written at once, without its header
     line after the first block.  The file is byte for byte
     ``steps_to_csv(steps)``, but only one block's text is held at a time,
-    not the whole pass's.  Blocks are also the span over which repeated
-    values are found: a column repeats within a block, or runs ``repr``
-    once per tick.
+    not the whole pass's.
     """
     with open(path, "w", newline="") as fh:
         fh.write(steps_to_csv(steps[:_CSV_BLOCK_ROWS]))

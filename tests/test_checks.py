@@ -80,11 +80,11 @@ def _scalar_loop(node):
 
 
 def test_per_element_scalar_loops_only_in_the_columns_module():
-    # One place calls a scalar function per element, so that each repeated value is evaluated once.
+    # One place calls a scalar function per element: the CSV kernel's repr fallback.
     loops = [site for path in sorted(SRC.glob("*.py")) if path.name != "_columns.py"
              for site in _sites(path, _scalar_loop)]
     assert loops == []
-    assert {where for _, where in _sites(SRC / "_columns.py", _scalar_loop)} == {"per_value"}
+    assert {where for _, where in _sites(SRC / "_columns.py", _scalar_loop)} == {"_splice_repr"}
 
 
 def test_isfinite_only_in_the_helper_module():

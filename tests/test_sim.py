@@ -758,7 +758,9 @@ def long_pass():
 
 
 @pytest.mark.parametrize(
-    "rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 5, None]
+    "rows",
+    [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+     2 * _CSV_BLOCK_ROWS - 1, 2 * _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 1, 6 * _CSV_BLOCK_ROWS + 5, None],
 )
 def test_written_csv_equals_the_rendered_text(tmp_path, long_pass, rows):
     steps = long_pass[:rows]
