@@ -1,8 +1,4 @@
-"""Scalars and float columns: one kernel at one element, and the CSV text of a block of floats.
-
-The budget's terms are numpy kernels over columns.  Their scalar forms run
-the same kernel on a 1-element array (``one``), so a scalar and a column
-give the same floats with no second code path.
+"""The CSV text of a block of floats.
 
 The CSV holds each float as its ``repr``: the shortest decimal string that
 reads back as the same float, and of those the nearest to it (Gay 1990,
@@ -44,11 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def one(kernel, value: float, *args) -> float:
-    """``kernel`` at one float, run on a 1-element array: the float a column holding ``value`` gives."""
-    return float(kernel(np.array([value]), *args)[0])
 
 
 def _at_least(k: int) -> float:

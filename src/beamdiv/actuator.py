@@ -362,11 +362,15 @@ class ActuatorState:
     wavelength: float = 1.55e-6
     tip: float = 0.0
     tilt: float = 0.0
-    in_motion: bool = False
     time_s: float = 0.0
 
     def __post_init__(self) -> None:
         self.validate()
+
+    @property
+    def in_motion(self) -> bool:
+        """Whether the lens is short of its target."""
+        return self.lens_position != self.target_position
 
     def validate(self) -> None:
         """Reject a state the motion rule and the optics models cannot start from.
@@ -397,7 +401,6 @@ def command_divergence(
     target_x = position_from_divergence(theta_target, use_branch, state.dmap)
     state.branch = use_branch
     state.target_position = target_x
-    state.in_motion = target_x != state.lens_position
 
 
 def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[float]:
@@ -408,8 +411,7 @@ def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[flo
     target by more than one quantization step, and a target within one
     tick's travel is reached exactly.  The stroke ends are hard stops: a
     quantized position past +-``max_travel`` lands on the end.  Returns the
-    lens position after each tick and leaves ``state`` as after the last one,
-    ``in_motion`` set while the lens is short of its target.
+    lens position after each tick and leaves ``state`` as after the last one.
     """
     travel = state.motor_speed * finite("dt", dt, gt=0)
     quantum, stroke = state.step_size, state.dmap.max_travel
@@ -428,7 +430,6 @@ def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[flo
         positions.append(lens)
     if positions:
         state.lens_position, state.target_position, state.time_s = lens, target, time_s
-        state.in_motion = lens != target
     return positions
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite, integer
-from ._columns import one
 from ._roots import brentq
 
 __all__ = [
@@ -315,7 +314,7 @@ def transmit_gain(theta: DivergenceAngle) -> float:
 
 def transmit_gain_db(theta: DivergenceAngle) -> float:
     """Transmit gain in dB: the link budget's gain kernel at one full 1/e^2 angle."""
-    return one(_tx_gain_kernel, _full_1e2(theta))
+    return float(_tx_gain_kernel(_full_1e2(theta)))
 
 
 def _tx_gain_kernel(theta_full_1e2: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from ._checks import finite
-from ._columns import one
 from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 
 __all__ = [
@@ -184,11 +183,11 @@ def free_space_loss_db(distance: float, wavelength: float) -> float:
     """Free-space path loss ``20 log10(4 pi L / lambda)``, positive dB."""
     finite("distance", distance, gt=0)
     finite("wavelength", wavelength, gt=0)
-    return one(_path_loss_kernel, distance, wavelength)
+    return float(_path_loss_kernel(distance, wavelength))
 
 
-# The budget's transcendental terms, one numpy kernel each, shared by the
-# scalar and column forms (the transmit gain's lives in ``beam_optics``).
+# The budget's transcendental terms, one numpy kernel each, which the scalar
+# APIs call on the float itself (the transmit gain's lives in ``beam_optics``).
 # Overflow saturates to inf without a warning.
 
 def _path_loss_kernel(distance: np.ndarray, wavelength: float) -> np.ndarray:
@@ -219,7 +218,7 @@ def received_power_dbm(
     theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
     tx_gain = transmit_gain_db(theta)
-    path = -one(_path_loss_kernel, distance, config.wavelength)
+    path = -free_space_loss_db(distance, config.wavelength)
     rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
     received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)
     return BudgetReport(
@@ -250,8 +249,8 @@ def received_power_column(
     ``config.with_divergence(FWHM angle)`` at that distance and loss, as the
     same floats.
 
-    The log terms are the numpy kernels that ``received_power_dbm`` applies
-    to one element, and sums and products round like Python's, so the two
+    The log terms are the numpy kernels that ``received_power_dbm`` calls on
+    its floats, and sums and products round like Python's, so the two
     forms agree bit for bit.  The distances are checked once, as a column;
     NaN angles give NaN.
     """
@@ -308,20 +307,21 @@ def max_rate(
     ``R = R_ref * 10**((P_rx - S_ref - m) / 10)``.
     """
     report = received_power_dbm(config, distance, pointing_loss_db)
-    rate = float(max_rate_column(config, np.array([report.received_power_dbm]), required_margin_db)[0])
-    if not (math.isfinite(rate) and rate > 0.0):
+    rate = float(max_rate_column(config, report.received_power_dbm, required_margin_db))
+    try:
+        return finite("rate", rate, gt=0)
+    except ValueError:
         raise LinkClosedError(
             f"link closed at no rate: received {report.received_power_dbm} dBm "
             f"cannot support margin {required_margin_db} dB"
-        )
-    return rate
+        ) from None
 
 
 def max_rate_column(config: LinkConfig, received_dbm: np.ndarray, required_margin_db: float) -> np.ndarray:
     """:func:`max_rate` at each received power, bit/s, as the same floats.
 
     This is the rate kernel, ``R_ref * 10**x`` through ``np.power``, and
-    ``max_rate`` applies it to one element.  An overflow saturates to inf.
+    ``max_rate`` calls it on one float.  An overflow saturates to inf.
     Raises no :class:`LinkClosedError`: where ``max_rate`` raises it the
     element is not a finite positive rate, and the caller decides.
     """

@@ -21,13 +21,11 @@ import math
 import numpy as np
 
 from ._checks import finite, integer
-from ._columns import one
 
 __all__ = [
     "GainConvention",
     "pointing_loss",
     "pointing_loss_db",
-    "pointing_loss_db_column",
     "rule_of_thumb_divergence",
     "optimal_divergence",
     "gain_improvement_db",
@@ -51,24 +49,18 @@ def pointing_loss(sigma: float, theta_d: float) -> float:
     return 10.0 ** (pointing_loss_db(sigma, theta_d) / 10.0)
 
 
-def pointing_loss_db(sigma: float, theta_d: float) -> float:
-    """Pointing loss in dB: ``10*log10(L_p) = -20 beta^2`` (always <= 0)."""
+def pointing_loss_db(sigma, theta_d):
+    """Pointing loss in dB, ``10*log10(L_p) = -20 beta^2`` (always <= 0), of floats or columns alike.
+
+    ``beta = 2 sigma / theta_d``, and ``beta * beta`` is its correctly
+    rounded square; past about 1.3e154 it saturates to inf, a total loss.
+    A column gives, element for element, the floats each element gives alone.
+    """
     finite("theta_d", theta_d, gt=0)
     finite("sigma", sigma, ge=0)
-    return one(pointing_loss_db_column, sigma, theta_d)
-
-
-def pointing_loss_db_column(sigma: np.ndarray, theta_d: np.ndarray) -> np.ndarray:
-    """:func:`pointing_loss_db` element by element, as the same floats.
-
-    This is the pointing-loss kernel, ``-20 beta^2`` with ``beta = 2 sigma /
-    theta_d``, and ``pointing_loss_db`` applies it to one element.
-    ``np.square`` is the correctly rounded ``beta * beta``; past about
-    1.3e154 it saturates to inf, a total loss.  Inputs are not checked: a
-    NaN angle gives NaN.
-    """
     with np.errstate(over="ignore"):
-        return -20.0 * np.square(2.0 * sigma / theta_d)
+        beta = 2.0 * sigma / theta_d
+        return -20.0 * (beta * beta)
 
 
 def rule_of_thumb_divergence(sigma):

@@ -34,8 +34,7 @@ from ._columns import csv_text
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
 from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
-from .pointing import GainConvention, optimal_divergence, pointing_loss_db_column, rule_of_thumb_divergence
-from .pointing import pointing_loss_db  # noqa: F401  (perfbench traces it through this module)
+from .pointing import GainConvention, optimal_divergence, pointing_loss_db, rule_of_thumb_divergence
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -281,7 +280,7 @@ def run_pass(
     theta_act = steps["theta_actual_rad"]
     theta_act[:] = actuator.achieved_divergence(st, _track_column(st, theta_cmd, geometry.dt_s))
     lp_db = steps["pointing_loss_db"]
-    lp_db[:] = pointing_loss_db_column(sigma, theta_act)  # <= 0, FWHM convention
+    lp_db[:] = pointing_loss_db(sigma, theta_act)  # <= 0, FWHM convention
     received = received_power_column(config, slant_range_m, -lp_db, theta_act)
     rate = max_rate_column(config, received, policy.margin_floor_db)
     outage = rejected(rate, gt=0)  # rate 0.0, where max_rate raises LinkClosedError
@@ -339,28 +338,29 @@ def steps_to_csv(steps: np.ndarray) -> str:
     """Render a ``STEP_DTYPE`` array as CSV with full-precision floats (repr round-trip).
 
     Every cell is byte for byte the ``repr`` of its float, written for a
-    whole block of rows at once by ``_columns.csv_text``.  Rows are rendered
-    in blocks of ``_CSV_BLOCK_ROWS`` (512), so the kernel's arrays for at
-    most one block, about 1 MB, are alive at a time.
+    whole block of rows at once by ``_columns.csv_text``.
     """
-    names = steps.dtype.names
-    blocks = [",".join(names) + "\n"]
-    for start in range(0, len(steps), _CSV_BLOCK_ROWS):
-        block = np.ascontiguousarray(steps[start:start + _CSV_BLOCK_ROWS])
-        blocks.append(csv_text(block.view(np.float64).reshape(len(block), len(names))))
-    return "".join(blocks)
+    return "".join(_csv_blocks(steps))
 
 
 def write_steps_csv(steps: np.ndarray, path) -> None:
-    """Write ``steps_to_csv(steps)`` to ``path``, one block of ``_CSV_BLOCK_ROWS`` rows at a time.
+    """Write ``steps_to_csv(steps)`` to ``path``, one block of rows at a time.
 
-    Each block is rendered by ``steps_to_csv`` (perfbench times the
-    rendering through that name) and written at once, without its header
-    line after the first block.  The file is byte for byte
-    ``steps_to_csv(steps)``, but only one block's text is held at a time,
-    not the whole pass's.
+    The file is byte for byte ``steps_to_csv(steps)``, but only one block's
+    text is held at a time, not the whole pass's.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(steps_to_csv(steps[:_CSV_BLOCK_ROWS]))
-        for start in range(_CSV_BLOCK_ROWS, len(steps), _CSV_BLOCK_ROWS):
-            fh.write(steps_to_csv(steps[start:start + _CSV_BLOCK_ROWS]).partition("\n")[2])
+        fh.writelines(_csv_blocks(steps))
+
+
+def _csv_blocks(steps: np.ndarray):
+    """The CSV header line, then the text of each block of ``_CSV_BLOCK_ROWS`` (512) rows.
+
+    Each block is copied out contiguous on its own, so the kernel's arrays
+    for at most one block, about 1 MB, are alive at a time.
+    """
+    names = steps.dtype.names
+    yield ",".join(names) + "\n"
+    for start in range(0, len(steps), _CSV_BLOCK_ROWS):
+        block = np.ascontiguousarray(steps[start:start + _CSV_BLOCK_ROWS])
+        yield csv_text(block.view(np.float64).reshape(len(block), len(names)))

@@ -89,8 +89,7 @@ def test_per_element_scalar_loops_only_in_the_columns_module():
 
 def test_isfinite_only_in_the_helper_module():
     calls = [call for path in MODULES for call in _sites(path, _isfinite_call)]
-    # max_rate tests the rate it computed, not an input.
-    assert calls == [("link_budget.py", "max_rate")]
+    assert calls == []
 
 
 def test_interval_bounds_only_in_the_helper_module():

@@ -1,9 +1,9 @@
-"""The budget's numpy kernels: one element equals its column position, and the old ``math`` forms are close.
+"""The budget's numpy kernels: one float equals its column position, and the old ``math`` forms are close.
 
-Each budget term is one numpy kernel, and each scalar API runs it on a
-1-element array.  numpy picks its ``log10`` and ``power`` loops by CPU
+Each budget term is one numpy kernel, and each scalar API calls it on the
+Python float itself.  numpy picks its ``log10`` and ``power`` loops by CPU
 feature at run time, and a SIMD loop treats a vector body and its tail
-apart, so the first test holds each kernel at one element to the same bits
+apart, so the first test holds each kernel at one float to the same bits
 at every position of columns of 1, 7, 8, 9, 289 and 1025 elements.  The
 second states how far each kernel is from the ``math.log10`` and ``**``
 forms it replaced, over the physical domain of a pass.
@@ -15,19 +15,20 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from beamdiv._columns import one
 from beamdiv.actuator import DivergenceMap
-from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel
+from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 from beamdiv.link_budget import (
     LinkConfig,
     _path_loss_kernel,
     calibrate_sensitivity,
+    free_space_loss_db,
+    max_rate,
     max_rate_column,
     receive_gain_db,
     received_power_column,
     watts_to_dbm,
 )
-from beamdiv.pointing import pointing_loss_db_column
+from beamdiv.pointing import pointing_loss, pointing_loss_db
 
 WAVELENGTH = 1.55e-6
 MARGIN_DB = 5.0
@@ -48,12 +49,12 @@ def _log_uniform(rng, lo, hi, n):
     return 10.0 ** rng.uniform(lo, hi, n)
 
 
-# name -> (kernel over float columns, extra arguments, a column of n inputs from rng).  Domains run
+# name -> (kernel over a float or a float column, extra arguments, a column of n inputs from rng).  Domains run
 # past the physical ones, into the ranges where a square or a power overflows or underflows.
 KERNELS = {
     "tx_gain": (_tx_gain_kernel, (), lambda rng, n: _log_uniform(rng, -200.0, 10.0, n)),
     "path_loss": (_path_loss_kernel, (WAVELENGTH,), lambda rng, n: _log_uniform(rng, -3.0, 305.0, n)),
-    "pointing_loss": (pointing_loss_db_column, (1e-3,), lambda rng, n: _log_uniform(rng, -160.0, 200.0, n)),
+    "pointing_loss": (pointing_loss_db, (1e-3,), lambda rng, n: _log_uniform(rng, -160.0, 200.0, n)),
     "rate": (lambda received: max_rate_column(LINK, received, MARGIN_DB), (),
              lambda rng, n: rng.uniform(-4000.0, 4000.0, n) * 10.0 ** rng.integers(-3, 2, n)),
 }
@@ -66,8 +67,20 @@ def test_one_element_equals_its_column_position(name, n, seed, drawn):
     column = inputs(np.random.default_rng(seed), n)
     column[:len(drawn)] = drawn[:n]
     whole = kernel(column, *args)
-    alone = np.array([one(kernel, value, *args) for value in column.tolist()])
+    alone = np.array([float(kernel(value, *args)) for value in column.tolist()])
     assert alone.view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+
+def test_scalar_forms_return_python_floats():
+    # An np.float64 would reach a repr as "np.float64(...)".
+    values = [
+        pointing_loss_db(1e-5, 90e-6),
+        pointing_loss(1e-5, 90e-6),
+        free_space_loss_db(600e3, WAVELENGTH),
+        transmit_gain_db(DivergenceAngle(90e-6, Convention.FWHM).to(Convention.FULL_1E2)),
+        max_rate(LINK, 600e3, MARGIN_DB),
+    ]
+    assert [type(value) for value in values] == [float] * len(values)
 
 
 def _within_ulps(new, old, ulps):
@@ -105,7 +118,7 @@ def test_kernels_within_the_stated_tolerance_of_the_math_forms(points):
     square_old = np.array([b**2 for b in beta.tolist()])
     assert np.square(beta).tolist() == (beta * beta).tolist()
     assert _within_ulps(np.square(beta), square_old, 1)
-    loss = pointing_loss_db_column(sigma, fwhm)
+    loss = pointing_loss_db(sigma, fwhm)
     assert _within_ulps(loss, -20.0 * square_old, 2)
 
     # The rate kernel alone, at the same received power: within 2 ulps of ref_rate * 10.0**x.

@@ -338,6 +338,8 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: pointing_loss(1e-5, math.nan),
         lambda: pointing_loss_db(math.nan, 1e-3),
         lambda: pointing_loss_db(1e-5, math.nan),
+        lambda: pointing_loss_db(np.array([1e-5, math.nan]), np.array([1e-4, 1e-4])),
+        lambda: pointing_loss_db(np.array([1e-5, 1e-5]), np.array([1e-4, -1e-4])),
 
         lambda: DivergenceMap(collimated_divergence=math.nan),
         lambda: DivergenceMap(diverging_slope=math.nan),
@@ -403,7 +405,8 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         "fixed_divergence_nan", "fixed_divergence_inf", "ladder_nan", "ladder_inf", "dt_nan", "dt_inf",
         "altitude_nan", "altitude_inf", "max_range_nan", "max_range_inf",
         "pointing_loss_sigma_nan", "pointing_loss_theta_nan", "pointing_loss_db_sigma_nan",
-        "pointing_loss_db_theta_nan", "map_collimated_nan", "map_diverging_slope_nan",
+        "pointing_loss_db_theta_nan", "pointing_loss_db_sigma_column_nan", "pointing_loss_db_theta_column_negative",
+        "map_collimated_nan", "map_diverging_slope_nan",
         "map_converging_slope_inf", "map_max_travel_inf", "thermal_output_nan", "thermal_hot_inf",
         "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
         "motor_speed_inf", "step_size_nan", "step_dt_nan", "track_dt_inf", "steer_nan",
@@ -728,7 +731,7 @@ _BLOCKS_GEOM = dataclasses.replace(GEOM, dt_s=0.05)
 # A real pass longer than one block: constant columns run across the boundary.
 @example(case=(run_pass(_BLOCKS_GEOM, DESIGN_POLICY, design_link(),
                         jitter=_per_tick(_BLOCKS_GEOM, _spike_at_culmination)).steps, _CSV_BLOCK_ROWS))
-# A symmetric pass in one block under a constant jitter: most columns repeat, so repr runs once per value.
+# A symmetric pass in one block under a constant jitter: some columns hold one value throughout.
 @example(case=(run_pass(GEOM, DESIGN_POLICY, design_link(), jitter=20e-6).steps, _CSV_BLOCK_ROWS))
 @given(_step_arrays())
 def test_csv_equals_the_row_wise_renderer(tmp_path_factory, case):
