@@ -27,7 +27,7 @@ while state.in_motion:
     step(state, 0.05)
     t += 0.05
 print(f"arrived after {t:.2f} s at {state.lens_position * 1e3:+.2f} mm "
-      f"({actual_divergence(state).value * 1e3:.2f} mrad)")
+      f"({actual_divergence(state) * 1e3:.2f} mrad)")
 
 print()
 print("=== Cold soak at -30 C: what each setting really produces ===")
@@ -37,7 +37,7 @@ print(f"{'setting':>10} {'actual':>12} {'error':>9}")
 for theta in (90e-6, 1e-3, 3e-3, 5e-3):
     command_divergence(state, theta, Branch.CONVERGING)
     step(state, 0.9)
-    actual = actual_divergence(state).value
+    actual = actual_divergence(state)
     print(f"{theta * 1e6:7.0f} ur {actual * 1e6:9.0f} ur {(actual - theta) / theta * 100:+8.1f} %")
 
 print()
@@ -50,7 +50,7 @@ for temp in (-30.0, 20.0, 60.0):
         x = temperature_corrected_position(theta, temp, state.thermal, state.dmap, Branch.CONVERGING)
         state.branch = Branch.CONVERGING
         state.lens_position = state.target_position = x
-        achieved = actual_divergence(state).value
+        achieved = actual_divergence(state)
         print(f"{theta * 1e6:7.0f} ur {temp:6.0f} {x * 1e3:+8.3f} mm {achieved * 1e6:9.1f} ur "
               f"{(achieved - theta) / theta * 100:+8.4f} %")
 print("note the 90 urad corrections park the lens past the nominal zero:")

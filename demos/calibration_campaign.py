@@ -71,7 +71,7 @@ print()
 print("=== Thermal and chromatic sweeps -> lookup-table models ===")
 thermal_truth = ThermalModel()
 thermal_rows = [
-    (theta, t, apply_temperature(theta, t, thermal_truth).value)
+    (theta, t, apply_temperature(theta, t, thermal_truth))
     for theta in thermal_truth.anchor_settings
     for t in (-30.0, -20.0, 20.0, 40.0, 60.0)
 ]
@@ -81,7 +81,7 @@ print(f"cold collimated slope {thermal_fit.slopes['cold_anchor0'] * 1e6:6.2f} ur
 
 chroma_truth = ChromaticModel()
 chroma_rows = [
-    (theta, wl, apply_wavelength(theta, wl, chroma_truth).value)
+    (theta, wl, apply_wavelength(theta, wl, chroma_truth))
     for theta in chroma_truth.anchor_settings
     for wl in chroma_truth.wavelengths
 ]

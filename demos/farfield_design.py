@@ -38,7 +38,7 @@ print(f"truncation ratio      {design.truncation_ratio:.4f}")
 print(f"untruncated full 1/e2 {untrunc.value * 1e6:.2f} urad "
       f"(FWHM {untrunc.to(Convention.FWHM).value * 1e6:.2f} urad)")
 print(f"truncated FWHM        {fwhm.value * 1e6:.2f} urad  <- the collimated minimum")
-print(f"transmit gain         {transmit_gain_db(fwhm.to(Convention.FULL_1E2)):.2f} dB")
+print(f"transmit gain         {transmit_gain_db(fwhm):.2f} dB")
 
 print()
 print("=== Ground footprint of the collimated beam ===")

@@ -19,9 +19,11 @@ thermal defocus is active), and the achieved divergence folds back at the
 collimated minimum.  This keeps the device fully correctable within its
 stroke, matching how a pure defocus error behaves.
 
-Each law -- the stroke, the setting line, the anchor interpolation, the
-achieved divergence -- is written once, in arithmetic that takes a float or a
-numpy column alike, so a column gives the floats each element gives alone.
+Every angle here, in and out, is a FWHM divergence in radians: a float, or
+a numpy column of them.  Each law -- the stroke, the setting line, the anchor
+interpolation, the achieved divergence -- is written once, in arithmetic that
+takes a float or a column alike, so a column gives the floats each element
+gives alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ._checks import finite
-from .beam_optics import Convention, DivergenceAngle
 
 __all__ = [
     "Branch",
@@ -82,8 +83,6 @@ ISOLATION_REJECTION = 0.01
 # stability bound.
 AXIS_MEAN_FRACTION = 1.3e-6 / 90e-6
 
-AngleLike = Union[DivergenceAngle, float]
-
 
 class Branch(enum.Enum):
     """Which side of the collimation point realizes a given divergence."""
@@ -94,12 +93,6 @@ class Branch(enum.Enum):
 
 class TravelRangeError(ValueError):
     """Requested position or correction exceeds the lens travel range."""
-
-
-def _fwhm_rad(theta: AngleLike) -> float:
-    if isinstance(theta, DivergenceAngle):
-        return theta.to(Convention.FWHM).value
-    return float(theta)
 
 
 @dataclass(frozen=True)
@@ -140,25 +133,23 @@ def _check_travel(what: str, x, lo: float, hi: float) -> None:
         raise TravelRangeError(*exc.args) from None
 
 
-def divergence_from_position(x: float, dmap: DivergenceMap) -> DivergenceAngle:
-    """Nominal FWHM divergence at lens position ``x`` (signed, meters): the setting on ``x``'s own side."""
-    branch = Branch.DIVERGING if x >= 0.0 else Branch.CONVERGING
-    return DivergenceAngle(setting_on_branch(x, branch, dmap), Convention.FWHM)
+def divergence_from_position(x: float, dmap: DivergenceMap) -> float:
+    """Nominal divergence at lens position ``x`` (signed, meters): the setting on ``x``'s own side."""
+    return setting_on_branch(x, Branch.DIVERGING if x >= 0.0 else Branch.CONVERGING, dmap)
 
 
 def position_from_divergence(
-    theta: Union[AngleLike, np.ndarray], branch: Branch, dmap: DivergenceMap
+    theta: Union[float, np.ndarray], branch: Branch, dmap: DivergenceMap
 ) -> Union[float, np.ndarray]:
     """Signed lens position realizing ``theta`` on the given branch.
 
     Exact inverse of :func:`divergence_from_position` on that branch.  An
-    array of FWHM angles gives the array of positions, element for element
-    the same floats.
+    array of angles gives the array of positions, element for element the
+    same floats.
     """
-    value = theta if isinstance(theta, np.ndarray) else _fwhm_rad(theta)
-    finite(f"divergence on the {branch.value} branch", value,
+    finite(f"divergence on the {branch.value} branch", theta,
            ge=dmap.collimated_divergence, le=dmap.branch_max(branch))
-    travel = (value - dmap.collimated_divergence) / dmap.slope(branch)
+    travel = (theta - dmap.collimated_divergence) / dmap.slope(branch)
     # The branch maximum can map one ulp past the stroke end; clamp it back.
     travel = np.minimum(travel, dmap.max_travel) if np.ndim(travel) else min(travel, dmap.max_travel)
     return travel if branch is Branch.DIVERGING else -travel
@@ -297,20 +288,18 @@ def _quadratic_through(xs: tuple[float, float, float], ys: tuple[float, float, f
     )
 
 
-def apply_temperature(theta_set: AngleLike, temperature_c: float, model: ThermalModel) -> DivergenceAngle:
-    """Divergence actually achieved at a nominal setting and temperature."""
-    value = _fwhm_rad(theta_set)
-    return DivergenceAngle(value + model.deviation(value, temperature_c), Convention.FWHM)
+def apply_temperature(theta_set: float, temperature_c: float, model: ThermalModel) -> float:
+    """Divergence actually achieved at a nominal setting and temperature; finite and > 0."""
+    return finite("divergence angle", theta_set + model.deviation(theta_set, temperature_c), gt=0)
 
 
-def apply_wavelength(theta_set: AngleLike, wavelength: float, model: ChromaticModel) -> DivergenceAngle:
-    """Divergence actually achieved at a nominal setting and wavelength."""
-    value = _fwhm_rad(theta_set)
-    return DivergenceAngle(value + model.offset(value, wavelength), Convention.FWHM)
+def apply_wavelength(theta_set: float, wavelength: float, model: ChromaticModel) -> float:
+    """Divergence actually achieved at a nominal setting and wavelength; finite and > 0."""
+    return finite("divergence angle", theta_set + model.offset(theta_set, wavelength), gt=0)
 
 
 def temperature_corrected_position(
-    theta_target: AngleLike,
+    theta_target: float,
     temperature_c: float,
     model: ThermalModel,
     dmap: DivergenceMap,
@@ -330,7 +319,7 @@ def temperature_corrected_position(
     TravelRangeError
         If no position within +-max_travel realizes the target.
     """
-    target = finite("theta_target", _fwhm_rad(theta_target), gt=0)
+    target = finite("theta_target", theta_target, gt=0)
 
     def predicted(x: float) -> float:
         u = setting_on_branch(x, branch, dmap)
@@ -389,7 +378,7 @@ class ActuatorState:
 
 def command_divergence(
     state: ActuatorState,
-    theta_target: AngleLike,
+    theta_target: float,
     branch: Optional[Branch] = None,
 ) -> None:
     """Command a nominal divergence: set the target position and start the motion.
@@ -456,9 +445,9 @@ def achieved_divergence(state: ActuatorState, positions: Union[float, np.ndarray
     return floor + abs(raw - floor)
 
 
-def actual_divergence(state: ActuatorState) -> DivergenceAngle:
-    """Achieved FWHM divergence at the current lens position, thermal and chromatic effects included."""
-    return DivergenceAngle(achieved_divergence(state, state.lens_position), Convention.FWHM)
+def actual_divergence(state: ActuatorState) -> float:
+    """Achieved divergence at the current lens position, thermal and chromatic effects included."""
+    return achieved_divergence(state, state.lens_position)
 
 
 def set_temperature(state: ActuatorState, temperature_c: float) -> None:
@@ -487,8 +476,7 @@ def axis_deviation(state: ActuatorState, rng: Union[int, np.random.Generator]) -
     generator state.
     """
     gen = np.random.default_rng(rng)
-    theta = actual_divergence(state).value
-    mean_mag = AXIS_MEAN_FRACTION * theta
+    mean_mag = AXIS_MEAN_FRACTION * actual_divergence(state)
     mag = gen.uniform(0.0, 2.0 * mean_mag)
     angle = gen.uniform(0.0, 2.0 * math.pi)
     return (mag * math.cos(angle), mag * math.sin(angle))
@@ -513,7 +501,6 @@ def steering_residual(disturbance_frequency_hz: float, amplitude_rad: float) -> 
 
 def snapshot(state: ActuatorState, command: str = "") -> dict:
     """JSON-serializable snapshot of the state (one trace row)."""
-    nominal = divergence_from_position(state.lens_position, state.dmap)
     return {
         "time_s": state.time_s,
         "command": command,
@@ -521,8 +508,8 @@ def snapshot(state: ActuatorState, command: str = "") -> dict:
         "target_position_m": state.target_position,
         "in_motion": state.in_motion,
         "branch": state.branch.value,
-        "nominal_divergence_rad": nominal.value,
-        "actual_divergence_rad": actual_divergence(state).value,
+        "nominal_divergence_rad": divergence_from_position(state.lens_position, state.dmap),
+        "actual_divergence_rad": actual_divergence(state),
         "temperature_c": state.temperature_c,
         "wavelength_m": state.wavelength,
         "tip_rad": state.tip,

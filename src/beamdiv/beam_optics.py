@@ -1,10 +1,16 @@
 """Gaussian-beam far-field optics for a truncated-aperture transmitter.
 
-Everything here is a pure function of its inputs.  Angles always travel with
-an explicit convention (:class:`Convention`) because the two common ways to
-quote a beam divergence -- full width at half maximum intensity, and the full
-angle at 1/e^2 intensity -- differ by a factor of ``sqrt(ln 2 / 2) ~ 0.589``
-for a Gaussian profile, and mixing them up silently wrecks a link budget.
+Everything here is a pure function of its inputs.  Angles in this module
+travel with an explicit convention (:class:`Convention`) because the two
+common ways to quote a beam divergence -- full width at half maximum
+intensity, and the full angle at 1/e^2 intensity -- differ by a factor of
+``sqrt(ln 2 / 2) ~ 0.589`` for a Gaussian profile, and mixing them up
+silently wrecks a link budget.  A :class:`DivergenceAngle` converts itself
+where it is used: the transmit gain reads its full 1/e^2 angle and the
+footprint its FWHM, whichever convention it was quoted in.  Outside this
+module and the link budget's transmit divergence, every angle is a bare FWHM
+float in radians: the actuator, the policy, the pass columns and the
+calibration files.
 
 Units are SI throughout: meters, radians, watts.
 """
@@ -296,25 +302,18 @@ def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAn
     return DivergenceAngle(2.0 * half_angle, Convention.FWHM)
 
 
-def _full_1e2(theta: DivergenceAngle) -> float:
-    if theta.convention is not Convention.FULL_1E2:
-        raise ValueError("transmit_gain expects a FULL_1E2 angle; convert first")
-    return theta.value
-
-
 def transmit_gain(theta: DivergenceAngle) -> float:
-    """On-axis transmit antenna gain ``16 / theta^2``.
+    """On-axis transmit antenna gain ``16 / theta^2``, ``theta`` the full 1/e^2 angle.
 
-    ``theta`` must already be expressed as the full 1/e^2 angle; convert
-    first.  ``gain * theta^2`` is 16 to within one ulp of 16, not always
-    exactly.
+    An angle quoted in another convention is converted first.  ``gain *
+    theta^2`` is 16 to within one ulp of 16, not always exactly.
     """
-    return 16.0 / _full_1e2(theta)**2
+    return 16.0 / theta.full_1e2**2
 
 
 def transmit_gain_db(theta: DivergenceAngle) -> float:
-    """Transmit gain in dB: the link budget's gain kernel at one full 1/e^2 angle."""
-    return float(_tx_gain_kernel(_full_1e2(theta)))
+    """Transmit gain in dB: the link budget's gain kernel at ``theta``'s full 1/e^2 angle."""
+    return float(_tx_gain_kernel(theta.full_1e2))
 
 
 def _tx_gain_kernel(theta_full_1e2: np.ndarray) -> np.ndarray:
@@ -323,11 +322,9 @@ def _tx_gain_kernel(theta_full_1e2: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(16.0 / np.square(theta_full_1e2))
 
 
-def footprint(theta_fwhm: DivergenceAngle, distance: float) -> float:
-    """Beam footprint diameter ``theta * distance`` at the receiver, meters.
+def footprint(theta: DivergenceAngle, distance: float) -> float:
+    """Beam footprint diameter ``theta * distance`` at the receiver, meters, ``theta`` the FWHM angle.
 
-    Small-angle geometry only (theta < 0.1 rad).
+    Small-angle geometry only (FWHM < 0.1 rad).
     """
-    if theta_fwhm.convention is not Convention.FWHM:
-        raise ValueError("footprint expects an FWHM angle; convert first")
-    return finite("theta_fwhm", theta_fwhm.value, lt=0.1) * finite("distance", distance, gt=0)
+    return finite("theta_fwhm", theta.fwhm, lt=0.1) * finite("distance", distance, gt=0)

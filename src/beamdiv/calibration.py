@@ -28,7 +28,7 @@ import numpy as np
 
 from ._checks import finite, integer
 from .actuator import ChromaticModel, DivergenceMap, ThermalModel
-from .beam_optics import DivergenceAngle, GaussianBeam
+from .beam_optics import GaussianBeam
 from .config import ConfigError
 
 __all__ = [
@@ -253,7 +253,7 @@ def na_mismatch_effect(
     delta_na_deg: float,
     f_eff_m: float,
     nominal_beam: GaussianBeam,
-    nominal_fwhm: Union[DivergenceAngle, float],
+    nominal_fwhm: float,
 ) -> NaMismatchResult:
     """Collimated-beam and divergence change from a fiber NA mismatch.
 
@@ -264,8 +264,7 @@ def na_mismatch_effect(
     """
     finite("delta_na_deg", delta_na_deg)
     finite("f_eff_m", f_eff_m, gt=0)
-    fwhm = nominal_fwhm.fwhm if isinstance(nominal_fwhm, DivergenceAngle) else float(nominal_fwhm)
-    finite("nominal_fwhm", fwhm, gt=0)
+    fwhm = finite("nominal_fwhm", nominal_fwhm, gt=0)
     d_nom = nominal_beam.waist_diameter_1e2
     change = f_eff_m * math.radians(delta_na_deg)
     d_new = d_nom - change

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._checks import finite
-from .beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
+from .beam_optics import FWHM_PER_FULL_1E2, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 
 __all__ = [
     "SensitivityModel",
@@ -215,9 +215,8 @@ def received_power_dbm(
     """
     finite("distance", distance, gt=0)
     finite("pointing_loss_db", pointing_loss_db, ge=0)
-    theta = config.tx_divergence.to(Convention.FULL_1E2)
     tx_power = watts_to_dbm(config.tx_power_w)
-    tx_gain = transmit_gain_db(theta)
+    tx_gain = transmit_gain_db(config.tx_divergence)
     path = -free_space_loss_db(distance, config.wavelength)
     rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
     received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._checks import finite, integer
+from ._checks import finite
 
 __all__ = [
     "GainConvention",
@@ -35,6 +35,10 @@ __all__ = [
 # Closed-form optimizer constants: theta* / sigma for each gain convention.
 _OPT_FACTOR_QUADRATIC = math.sqrt(8.0 * math.log(10.0))   # ~4.2919
 _OPT_FACTOR_LINEAR = 4.0 * math.sqrt(math.log(10.0))      # ~6.0697
+
+# Brute-force oracle: log-spaced angles per sweep, and re-sweeps around the argmax.
+_SWEEP_POINTS = 1000
+_SWEEP_REFINEMENTS = 3
 
 
 class GainConvention(enum.Enum):
@@ -110,24 +114,20 @@ def sweep_optimal_divergence(
     convention: GainConvention,
     lo: float,
     hi: float,
-    n_points: int = 1000,
-    refinements: int = 3,
 ) -> float:
     """Brute-force maximizer of gain times pointing loss on a log-spaced grid.
 
-    Sweeps ``n_points`` log-spaced angles over [lo, hi], then re-sweeps the
-    bracket around the argmax ``refinements`` more times.  This is the
-    independent oracle for :func:`optimal_divergence`; it never uses the
+    Sweeps ``_SWEEP_POINTS`` log-spaced angles over [lo, hi], then re-sweeps
+    the bracket around the argmax ``_SWEEP_REFINEMENTS`` more times.  This is
+    the independent oracle for :func:`optimal_divergence`; it never uses the
     closed form.
     """
     finite("sigma", sigma, gt=0)
     finite("hi", hi, gt=finite("lo", lo, gt=0))
-    integer("n_points", n_points, ge=1)
-    integer("refinements", refinements, ge=0)
-    theta = _log_grid(lo, hi, n_points)
-    for _ in range(refinements):
+    theta = _log_grid(lo, hi, _SWEEP_POINTS)
+    for _ in range(_SWEEP_REFINEMENTS):
         i = int(np.argmax(_objective(theta, sigma, convention)))
-        theta = _log_grid(theta[max(i - 1, 0)], theta[min(i + 1, n_points - 1)], n_points)
+        theta = _log_grid(theta[max(i - 1, 0)], theta[min(i + 1, _SWEEP_POINTS - 1)], _SWEEP_POINTS)
     return float(theta[np.argmax(_objective(theta, sigma, convention))])
 
 

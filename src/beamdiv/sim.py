@@ -243,7 +243,9 @@ def run_pass(
 
     The pass is ``pass_profile(geometry)``, filled in place.  The jitter is
     one number, or one value per tick (evaluate a schedule of time over
-    ``pass_profile(geometry)["t_s"]``), finite and >= 0 everywhere.
+    ``pass_profile(geometry)["t_s"]``), finite and >= 0 everywhere.  With
+    no ``state`` the pass drives a default actuator at the link's
+    wavelength, which must lie in its chromatic band.
     Each tick chooses a divergence per the policy, commands the emulator and
     advances its motion by ``dt``, then evaluates the budget with the
     *achieved* divergence and pointing loss and records the data rate that
@@ -260,7 +262,7 @@ def run_pass(
     ``seed`` draws nothing; it is recorded in the summary as the run's seed.
     """
     config.require_sensitivity()
-    st = state if state is not None else ActuatorState()
+    st = state if state is not None else ActuatorState(wavelength=config.wavelength)
     st.validate()
     steps = pass_profile(geometry)
     n = len(steps)

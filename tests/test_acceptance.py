@@ -97,9 +97,7 @@ def test_pointing_math():
             closed = optimal_divergence(sigma, convention)
             # 1000-point log-spaced sweep, bracket refined by re-sweeping,
             # never using the closed form.
-            swept = sweep_optimal_divergence(
-                sigma, convention, closed / 10.0, closed * 10.0, n_points=1000
-            )
+            swept = sweep_optimal_divergence(sigma, convention, closed / 10.0, closed * 10.0)
             worst = max(worst, abs(swept - closed) / closed)
     assert worst < 1e-4
     return f"rule {rule * 1e3:.4f} mrad, worst sweep-vs-closed-form error {worst:.2e}"
@@ -132,8 +130,8 @@ def test_link_budget_consistency():
 @criterion(5, "actuator map anchors and constant-speed timing")
 def test_actuator_map_and_timing():
     dmap = DivergenceMap()
-    assert divergence_from_position(3.5e-3, dmap).value == pytest.approx(6.14e-3, rel=1e-12)
-    assert divergence_from_position(-3.5e-3, dmap).value == pytest.approx(6.25e-3, rel=1e-12)
+    assert divergence_from_position(3.5e-3, dmap) == pytest.approx(6.14e-3, rel=1e-12)
+    assert divergence_from_position(-3.5e-3, dmap) == pytest.approx(6.25e-3, rel=1e-12)
     st = ActuatorState(lens_position=-3.5e-3, target_position=-3.5e-3)
     command_divergence(st, 6.14e-3, Branch.DIVERGING)
     dt, ticks = 0.01, 0
@@ -160,8 +158,8 @@ def test_thermal_and_chromatic_models():
         (5e-3, -30.0, 5e-3 / 1.2),
         (5e-3, 60.0, 5.5e-3),
     ):
-        assert apply_temperature(theta, temp, thermal).value == pytest.approx(expected, rel=1e-12)
-    assert apply_temperature(5e-3, -30.0, thermal).value == pytest.approx(4.167e-3, abs=5e-7)
+        assert apply_temperature(theta, temp, thermal) == pytest.approx(expected, rel=1e-12)
+    assert apply_temperature(5e-3, -30.0, thermal) == pytest.approx(4.167e-3, abs=5e-7)
 
     dmap = DivergenceMap()
     worst = 0.0
@@ -179,7 +177,7 @@ def test_thermal_and_chromatic_models():
         (5e-3, 1.53e-6, 5.171e-3),
         (5e-3, 1.565e-6, 5.13e-3),
     ):
-        assert apply_wavelength(theta, wl, chroma).value == pytest.approx(expected, rel=1e-12)
+        assert apply_wavelength(theta, wl, chroma) == pytest.approx(expected, rel=1e-12)
     return f"worst lookup-table round-trip residual {worst:.2e}"
 
 
@@ -218,7 +216,7 @@ def test_axis_stability_campaign():
         st = ActuatorState()
         command_divergence(st, float(theta), Branch.DIVERGING)
         step(st, 1.0)
-        current = actuator.actual_divergence(st).value
+        current = actuator.actual_divergence(st)
         mags = []
         for _ in range(7):
             tip, tilt = axis_deviation(st, rng)

@@ -57,13 +57,13 @@ def assert_travel_time(seconds, theta, lens_position=0.0):
 
 class TestDivergenceMap:
     def test_collimated_point(self):
-        assert divergence_from_position(0.0, MAP).value == 90e-6
+        assert divergence_from_position(0.0, MAP) == 90e-6
 
     def test_diverging_endpoint(self):
-        assert divergence_from_position(3.5e-3, MAP).value == pytest.approx(6.14e-3, rel=1e-12)
+        assert divergence_from_position(3.5e-3, MAP) == pytest.approx(6.14e-3, rel=1e-12)
 
     def test_converging_endpoint(self):
-        assert divergence_from_position(-3.5e-3, MAP).value == pytest.approx(6.25e-3, rel=1e-12)
+        assert divergence_from_position(-3.5e-3, MAP) == pytest.approx(6.25e-3, rel=1e-12)
 
     def test_design_slopes(self):
         # 6.05 mrad over 3.5 mm and 6.16 mrad over 3.5 mm.
@@ -84,7 +84,7 @@ class TestDivergenceMap:
         hi = next((start for start in ROUND_TRIP_STARTS if start > theta), MAP.branch_max(branch))
         target = min(theta + fraction * (hi - theta), hi)
         x = position_from_divergence(target, branch, MAP)
-        assert abs(divergence_from_position(x, MAP).value - target) <= math.ulp(target)
+        assert abs(divergence_from_position(x, MAP) - target) <= math.ulp(target)
 
     def test_inverse_examples(self):
         assert position_from_divergence(90e-6, Branch.DIVERGING, MAP) == 0.0
@@ -107,14 +107,14 @@ class TestDivergenceMap:
         assert abs(target) == MAP.max_travel
         step(st, MAP.max_travel / st.motor_speed)
         assert st.lens_position == target
-        assert actual_divergence(st).value == pytest.approx(MAP.branch_max(branch), rel=1e-12)
+        assert actual_divergence(st) == pytest.approx(MAP.branch_max(branch), rel=1e-12)
         script = [f"set-divergence {MAP.branch_max(branch)!r} {branch.value}", "step 1"]
         assert run_script(script)[-1]["lens_position_m"] == target
 
     def test_virtual_setting_extends_below_collimation(self):
         u = setting_on_branch(-1e-3, Branch.DIVERGING, MAP)
         assert u == pytest.approx(90e-6 - MAP.diverging_slope * 1e-3, rel=1e-12)
-        assert setting_on_branch(1e-3, Branch.DIVERGING, MAP) == divergence_from_position(1e-3, MAP).value
+        assert setting_on_branch(1e-3, Branch.DIVERGING, MAP) == divergence_from_position(1e-3, MAP)
 
 
 class TestMotion:
@@ -195,11 +195,11 @@ class TestThermalModel:
         (5e-3, 60.0, 5.5e-3),
     ])
     def test_qualification_anchors(self, theta, temp, expected):
-        assert apply_temperature(theta, temp, THERMAL).value == pytest.approx(expected, rel=1e-12)
+        assert apply_temperature(theta, temp, THERMAL) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [90e-6, 1e-3, 5e-3, 6.14e-3])
     def test_identity_at_reference(self, theta):
-        assert apply_temperature(theta, 20.0, THERMAL).value == theta
+        assert apply_temperature(theta, 20.0, THERMAL) == theta
 
     def test_deviation_linear_in_temperature_per_side(self):
         dev_10 = THERMAL.deviation(90e-6, 10.0)
@@ -245,11 +245,11 @@ class TestChromaticModel:
         (5e-3, 1.565e-6, 5.13e-3),
     ])
     def test_band_edge_anchors(self, theta, wl, expected):
-        assert apply_wavelength(theta, wl, CHROMA).value == pytest.approx(expected, rel=1e-12)
+        assert apply_wavelength(theta, wl, CHROMA) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [90e-6, 2e-3, 5e-3])
     def test_identity_at_optimized_wavelength(self, theta):
-        assert apply_wavelength(theta, 1.55e-6, CHROMA).value == theta
+        assert apply_wavelength(theta, 1.55e-6, CHROMA) == theta
 
     def test_offsets_nonnegative_at_band_edges(self):
         for theta in np.linspace(90e-6, 6.25e-3, 20):
@@ -315,7 +315,7 @@ class TestTemperatureCorrection:
         set_temperature(st, -30.0)
         x = temperature_corrected_position(90e-6, -30.0, st.thermal, st.dmap, st.branch)
         st.lens_position = st.target_position = x
-        assert actual_divergence(st).value == pytest.approx(90e-6, rel=1e-9)
+        assert actual_divergence(st) == pytest.approx(90e-6, rel=1e-9)
 
     def test_correction_beyond_travel_raises(self):
         # 5 mrad at -30 C on the diverging branch needs ~3.52 mm of travel.
@@ -341,7 +341,7 @@ def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, 
     p_min, p_max = sorted(_stroke_outputs(temperature_c, branch))
     target = max(p_min, 1e-6) + fraction * (p_max - max(p_min, 1e-6))
     x = temperature_corrected_position(target, temperature_c, THERMAL, MAP, branch)
-    achieved = apply_temperature(setting_on_branch(x, branch, MAP), temperature_c, THERMAL).value
+    achieved = apply_temperature(setting_on_branch(x, branch, MAP), temperature_c, THERMAL)
     # The output is affine in x, so the solver's x tolerance maps through its slope; plus rounding.
     slope = (p_max - p_min) / (2 * MAP.max_travel)
     assert abs(achieved - target) <= slope * (1e-15 + 1e-15 * abs(x)) + 4 * math.ulp(p_max)
@@ -370,24 +370,24 @@ class TestActualDivergence:
         st = ActuatorState()
         command_divergence(st, 3e-3, Branch.DIVERGING)
         step(st, 1.0)
-        assert actual_divergence(st).value == pytest.approx(3e-3, rel=1e-12)
+        assert actual_divergence(st) == pytest.approx(3e-3, rel=1e-12)
 
     def test_cold_collimated(self):
         st = ActuatorState()
         set_temperature(st, -30.0)
-        assert actual_divergence(st).value == pytest.approx(675e-6, rel=1e-12)
+        assert actual_divergence(st) == pytest.approx(675e-6, rel=1e-12)
 
     def test_band_edge_wavelength(self):
         st = ActuatorState()
         set_wavelength(st, 1.53e-6)
-        assert actual_divergence(st).value == pytest.approx(100e-6, rel=1e-12)
+        assert actual_divergence(st) == pytest.approx(100e-6, rel=1e-12)
 
     def test_never_below_collimated_minimum(self):
         st = ActuatorState()
         set_temperature(st, -30.0)
         for x in np.linspace(-3.5e-3, 3.5e-3, 41):
             st.lens_position = x
-            assert actual_divergence(st).value >= MAP.collimated_divergence
+            assert actual_divergence(st) >= MAP.collimated_divergence
 
 
 STROKE = MAP.max_travel
@@ -410,7 +410,7 @@ def test_a_column_of_positions_gives_what_each_position_gives(temperature_c, wav
     one_by_one = []
     for x in positions:
         st.lens_position = x
-        one_by_one.append(actual_divergence(st).value)
+        one_by_one.append(actual_divergence(st))
     assert _bits(achieved) == _bits(one_by_one)
     assert _bits(settings) == _bits([setting_on_branch(x, branch, MAP) for x in positions])
 
@@ -440,7 +440,7 @@ class TestAxisAndSteering:
             st = ActuatorState()
             command_divergence(st, theta, Branch.DIVERGING)
             step(st, 1.0)
-            current = actual_divergence(st).value
+            current = actual_divergence(st)
             for _ in range(500):
                 tip, tilt = axis_deviation(st, rng)
                 assert math.hypot(tip, tilt) <= 0.05 * current

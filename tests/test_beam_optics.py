@@ -277,9 +277,10 @@ class TestTransmitGain:
         g = transmit_gain(DivergenceAngle(angle, Convention.FULL_1E2))
         assert abs(g * angle**2 - 16.0) <= math.ulp(16.0)
 
-    def test_requires_full_1e2(self):
-        with pytest.raises(ValueError):
-            transmit_gain(DivergenceAngle(90e-6, Convention.FWHM))
+    def test_converts_a_fwhm_angle(self):
+        fwhm = DivergenceAngle(90e-6, Convention.FWHM)
+        assert transmit_gain(fwhm) == transmit_gain(fwhm.to(Convention.FULL_1E2))
+        assert transmit_gain_db(fwhm) == transmit_gain_db(fwhm.to(Convention.FULL_1E2))
 
 
 class TestFootprint:
@@ -293,8 +294,8 @@ class TestFootprint:
         assert footprint(DivergenceAngle(5e-3, Convention.FWHM), 600e3) == pytest.approx(3000.0, rel=1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            footprint(DivergenceAngle(90e-6, Convention.FULL_1E2), 600e3)
+        full = DivergenceAngle(90e-6, Convention.FULL_1E2)
+        assert footprint(full, 600e3) == footprint(full.to(Convention.FWHM), 600e3)
         with pytest.raises(ValueError):
             footprint(DivergenceAngle(0.2, Convention.FWHM), 600e3)
         with pytest.raises(ValueError):

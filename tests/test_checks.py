@@ -87,6 +87,18 @@ def test_per_element_scalar_loops_only_in_the_columns_module():
     assert {where for _, where in _sites(SRC / "_columns.py", _scalar_loop)} == {"_splice_repr"}
 
 
+def _names_a_tagged_angle(node):
+    """A name, attribute or import of ``Convention`` or ``DivergenceAngle``; comments and strings are not nodes."""
+    name = node.name if isinstance(node, ast.alias) else getattr(node, "id", getattr(node, "attr", None))
+    return name in {"Convention", "DivergenceAngle"}
+
+
+def test_divergence_convention_named_only_where_conventions_mix():
+    # Everywhere else an angle is a FWHM float in radians.
+    naming = {path.stem for path in sorted(SRC.glob("*.py")) if _sites(path, _names_a_tagged_angle)}
+    assert naming <= {"beam_optics", "link_budget", "config", "__init__"}
+
+
 def test_isfinite_only_in_the_helper_module():
     calls = [call for path in MODULES for call in _sites(path, _isfinite_call)]
     assert calls == []

@@ -350,7 +350,7 @@ class TestCalibrateCommand:
             writer.writerow(["theta_set_rad", "temp_c", "theta_meas_rad"])
             for theta in model.anchor_settings:
                 for t in (-30.0, -20.0, 20.0, 40.0, 60.0):
-                    writer.writerow([repr(theta), repr(t), repr(apply_temperature(theta, t, model).value)])
+                    writer.writerow([repr(theta), repr(t), repr(apply_temperature(theta, t, model))])
         code = main(["calibrate", "--thermal", str(path)])
         assert code == 0
         data = json.loads(capsys.readouterr().out)

@@ -15,7 +15,18 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from beamdiv.actuator import DivergenceMap
+from beamdiv.actuator import (
+    ActuatorState,
+    ChromaticModel,
+    DivergenceMap,
+    ThermalModel,
+    achieved_divergence,
+    actual_divergence,
+    apply_temperature,
+    apply_wavelength,
+    divergence_from_position,
+    temperature_corrected_position,
+)
 from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 from beamdiv.link_budget import (
     LinkConfig,
@@ -79,6 +90,12 @@ def test_scalar_forms_return_python_floats():
         free_space_loss_db(600e3, WAVELENGTH),
         transmit_gain_db(DivergenceAngle(90e-6, Convention.FWHM).to(Convention.FULL_1E2)),
         max_rate(LINK, 600e3, MARGIN_DB),
+        actual_divergence(ActuatorState(lens_position=1e-3)),
+        divergence_from_position(-1e-3, DMAP),
+        apply_temperature(1e-3, -10.0, ThermalModel()),
+        apply_wavelength(1e-3, 1.53e-6, ChromaticModel()),
+        temperature_corrected_position(1e-3, 40.0, ThermalModel(), DMAP),
+        achieved_divergence(ActuatorState(), 1e-3),
     ]
     assert [type(value) for value in values] == [float] * len(values)
 

@@ -67,10 +67,10 @@ from beamdiv.sim import (
 GEOM = PassGeometry(altitude_m=600e3, max_range_m=1200e3, dt_s=1.0)
 
 
-def design_link():
+def design_link(wavelength=1.55e-6):
     cfg = LinkConfig(
         tx_power_w=2.0,
-        wavelength=1.55e-6,
+        wavelength=wavelength,
         tx_divergence=DivergenceAngle(90e-6, Convention.FWHM),
         rx_aperture_diameter=0.35,
     )
@@ -303,6 +303,14 @@ class TestRunPass:
         with pytest.raises(ValueError):
             run_pass(GEOM, DESIGN_POLICY, bare)
 
+    def test_default_actuator_is_at_the_link_wavelength(self):
+        # At 1.53 um the chromatic offset widens the collimated beam to 100 urad.
+        link = design_link(wavelength=1.53e-6)
+        alone = run_pass(GEOM, DESIGN_POLICY, link, jitter=20e-6)
+        at_link = run_pass(GEOM, DESIGN_POLICY, link, jitter=20e-6, state=ActuatorState(wavelength=1.53e-6))
+        assert alone.steps.tobytes() == at_link.steps.tobytes()
+        assert alone.summary == at_link.summary
+
     def test_csv_layout(self):
         result = run_pass(GEOM, DESIGN_POLICY, design_link())
         text = steps_to_csv(result.steps)
@@ -358,6 +366,8 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: actuator.steer(ActuatorState(), math.nan, math.nan),
         lambda: actuator.steering_residual(math.nan, 1e-5),
         lambda: actuator.steering_residual(10.0, math.nan),
+        lambda: actuator.apply_temperature(math.nan, 20.0, ThermalModel()),
+        lambda: actuator.apply_wavelength(-1.0, 1.55e-6, ChromaticModel()),
         lambda: fit_divergence([(math.nan, math.nan)]),
         lambda: fit_divergence([(3.0, math.nan)]),
         lambda: simulate_profiler_samples(5e-3, 0.0178, (3.0, 5.0, 10.0), replicates=2.5, rng=0),
@@ -396,8 +406,6 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         lambda: truncated_fwhm(_FARFIELD, n_nodes=True),
         lambda: truncated_fwhm(_FARFIELD, n_nodes=0),
         lambda: truncated_fwhm(_FARFIELD, n_nodes=2.5),
-        lambda: sweep_optimal_divergence(1e-5, GainConvention.QUADRATIC, 1e-7, 1e-1, n_points=0),
-        lambda: sweep_optimal_divergence(1e-5, GainConvention.QUADRATIC, 1e-7, 1e-1, refinements=-1),
         lambda: adaptive_policy(DESIGN_POLICY, np.array([1e-5, math.nan]), ActuatorState()),
     ],
     ids=[
@@ -410,7 +418,8 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         "map_converging_slope_inf", "map_max_travel_inf", "thermal_output_nan", "thermal_hot_inf",
         "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
         "motor_speed_inf", "step_size_nan", "step_dt_nan", "track_dt_inf", "steer_nan",
-        "steering_frequency_nan", "steering_amplitude_nan", "profiler_sample_nan", "profiler_spot_nan",
+        "steering_frequency_nan", "steering_amplitude_nan", "apply_temperature_nan", "apply_wavelength_negative",
+        "profiler_sample_nan", "profiler_spot_nan",
         "profiler_replicates_fraction", "profiler_replicates_bool", "position_points_fraction",
         "position_points_bool",
         "min_divergence_measurement_nan", "na_mismatch_nan", "na_mismatch_fwhm_nan",
@@ -422,7 +431,7 @@ _FARFIELD = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
         "optimal_divergence_array_nan", "rule_of_thumb_nan",
         "rule_of_thumb_array_inf", "gain_improvement_nan", "footprint_distance_nan",
         "farfield_angle_nan", "farfield_n_nodes_bool", "farfield_n_nodes_zero", "farfield_n_nodes_fraction", "fwhm_n_nodes_bool",
-        "fwhm_n_nodes_zero", "fwhm_n_nodes_fraction", "sweep_n_points_zero", "sweep_refinements_negative",
+        "fwhm_n_nodes_zero", "fwhm_n_nodes_fraction",
         "policy_sigma_nan",
     ],
 )
@@ -463,7 +472,7 @@ def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
     A tick where ``max_rate`` raises is an outage: rate 0, and margin -inf.
     ``run_pass`` computes the same pass as columns; this is its oracle.
     """
-    st = state if state is not None else ActuatorState()
+    st = state if state is not None else ActuatorState(wavelength=config.wavelength)
     profile = pass_profile(geometry)
     n = len(profile)
     sigmas = np.broadcast_to(np.asarray(jitter, dtype=float), (n,)).tolist()
@@ -475,7 +484,7 @@ def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
         theta_cmd = float(adaptive_policy(policy, sig, st))
         actuator.command_divergence(st, theta_cmd)
         actuator.step(st, geometry.dt_s)
-        theta_act = actuator.actual_divergence(st).value
+        theta_act = actuator.actual_divergence(st)
         lp_db = pointing_loss_db(sig, theta_act)
         live = config.with_divergence(DivergenceAngle(theta_act, Convention.FWHM))
         try:
