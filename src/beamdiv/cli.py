@@ -16,16 +16,17 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import calibration
-from ._checks import finite
-from .actuator import DivergenceMap, run_script
+from .actuator import run_script
 from .beam_optics import QuadratureError
 from .calibration import CalibrationTable
 from .config import ConfigError, load_config
 from .link_budget import budget_report
-from .pointing import GainConvention, gain_improvement_db, optimal_divergence, rule_of_thumb_divergence
-from .sim import run_pass, steps_to_csv
+from .pointing import gain_improvement_db
+from .pointing import optimal_divergence, rule_of_thumb_divergence  # noqa: F401  (perfbench traces them through this module)
+from .sim import Strategy, adaptive_policy, run_pass, steps_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,27 +58,27 @@ def cmd_budget(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.sigma is None:
-        raise ConfigError("provide --sigma (radians)")
-    sigma = finite("sigma", args.sigma, ge=0)
-    convention = GainConvention(args.convention)
-    theta_min = finite("min_divergence", args.min_divergence, gt=0)
-    theta_max = finite("max_divergence", args.max_divergence, gt=theta_min)
-    clamped_note = None
-    if sigma <= 0.0:
-        theta_rule = theta_min
-        theta_opt = theta_min
-        clamped_note = "sigma <= 0: no finite optimum, clamped to the hardware minimum"
+    if args.sigma is not None:
+        sigma = args.sigma
+    elif args.sigma_deg is not None:
+        sigma = math.radians(args.sigma_deg)
     else:
-        theta_rule = min(max(rule_of_thumb_divergence(sigma), theta_min), theta_max)
-        theta_opt = min(max(optimal_divergence(sigma, convention), theta_min), theta_max)
+        raise ConfigError("provide --sigma (radians) or --sigma-deg")
+    cfg = load_config(args.config)
+    state = cfg.make_actuator_state()
+    convention = cfg.policy.convention
+    # The closed loop's own law: zero jitter commands the collimated minimum, and
+    # every pick is clamped to the limits of the actuator's branch.
+    theta_rule, theta_opt = (float(adaptive_policy(replace(cfg.policy, strategy=strategy), sigma, state))
+                             for strategy in (Strategy.RULE_5_SIGMA, Strategy.EXACT_OPT))
+    clamped_note = "sigma <= 0: no finite optimum, clamped to the hardware minimum" if sigma == 0.0 else None
     out = {
         "sigma_rad": sigma,
         "convention": convention.value,
         "rule_of_thumb_rad": theta_rule,
         "exact_optimum_rad": theta_opt,
-        "hardware_min_rad": theta_min,
-        "hardware_max_rad": theta_max,
+        "hardware_min_rad": state.dmap.collimated_divergence,
+        "hardware_max_rad": state.dmap.branch_max(state.branch),
     }
     if args.reference_divergence is not None:
         out["gain_improvement_db_vs_reference"] = gain_improvement_db(
@@ -209,14 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("optimize", help="optimum divergence for a pointing accuracy sigma")
-    p.add_argument("--sigma", type=float, help="pointing accuracy sigma in radians")
-    p.add_argument("--sigma-deg", dest="sigma_deg", type=float, help="sigma in degrees (converted)")
-    p.add_argument("--convention", choices=[c.value for c in GainConvention], default="quadratic",
-                   help="gain scaling used in the gain*loss objective")
-    p.add_argument("--min-divergence", type=float, default=DivergenceMap().collimated_divergence,
-                   help="hardware minimum, radians FWHM")
-    p.add_argument("--max-divergence", type=float, default=DivergenceMap().diverging_max,
-                   help="hardware maximum, radians FWHM")
+    sigma = p.add_mutually_exclusive_group()
+    sigma.add_argument("--sigma", type=float, help="pointing accuracy sigma in radians")
+    sigma.add_argument("--sigma-deg", dest="sigma_deg", type=float, help="sigma in degrees (converted)")
+    p.add_argument("--config", help="config file (INI or .json) whose [policy] convention and [map] limits apply; "
+                                    "defaults to the design point")
     p.add_argument("--reference-divergence", type=float,
                    help="report gain improvement versus this divergence (radians)")
     p.add_argument("--format", choices=["json", "table"], default="table")
@@ -250,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "sigma_deg", None) is not None and args.sigma is None:
-        args.sigma = math.radians(args.sigma_deg)
     # The exit code follows the exception type, in this order: a ConfigError
     # is also a ValueError.
     try:

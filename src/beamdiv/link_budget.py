@@ -41,6 +41,7 @@ __all__ = [
     "received_power_dbm",
     "received_power_column",
     "link_margin_db",
+    "budget_report",
     "max_rate",
     "max_rate_column",
     "calibrate_sensitivity",

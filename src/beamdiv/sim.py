@@ -3,10 +3,11 @@
 The pass model is a circular orbit over a spherical Earth: the satellite
 sweeps a symmetric arc over the ground station, parametrized by the central
 angle between the sub-satellite point and the station.  The station's
-cross-track offset sets the peak elevation.  The pass can be clipped either
-at a minimum elevation or at a maximum slant range; range clipping puts the
-first and last ticks exactly at the range limit, which is convenient when a
-design is specified by its nearest/farthest operating distances.
+cross-track offset sets the peak elevation.  The pass ends at its minimum
+elevation or, if one is set, at its maximum slant range, whichever is reached
+first; a range clip reached first puts the first and last ticks exactly at
+the range limit, which is convenient when a design is specified by its
+nearest/farthest operating distances.
 
 A pass is one structured array, ``STEP_DTYPE``, with a column per CSV field:
 ``pass_profile`` sets its geometry, and ``run_pass`` fills the rest as
@@ -64,7 +65,7 @@ class PassGeometry:
     min_elevation_deg: float = 5.0
     max_elevation_deg: float = 90.0
     dt_s: float = 1.0
-    max_range_m: Optional[float] = None  # clips the pass at this slant range
+    max_range_m: Optional[float] = None  # clips at this slant range or min_elevation_deg, whichever is reached first
 
     def __post_init__(self) -> None:
         for name in ("altitude_m", "dt_s"):
@@ -125,7 +126,7 @@ STEP_DTYPE = np.dtype(
 
 
 def pass_profile(geometry: PassGeometry) -> np.ndarray:
-    """One overhead pass, clipped by elevation or range, as a ``STEP_DTYPE`` array.
+    """One overhead pass, clipped by elevation or range (whichever is reached first), as a ``STEP_DTYPE`` array.
 
     ``t_s``, ``elevation_deg`` and ``slant_range_m`` are set; the other
     columns are NaN until ``run_pass`` fills them.  The grid is symmetric
@@ -137,10 +138,10 @@ def pass_profile(geometry: PassGeometry) -> np.ndarray:
     omega = geometry.angular_rate_rad_per_s
     # Cross-track central angle fixes the peak elevation.
     psi_peak = _central_angle_for_elevation(geometry.max_elevation_deg, geometry)
+    psi_end = _central_angle_for_elevation(geometry.min_elevation_deg, geometry)
     if geometry.max_range_m is not None:
-        psi_end = _central_angle_for_elevation(elevation_for_range_deg(geometry.max_range_m, geometry), geometry)
-    else:
-        psi_end = _central_angle_for_elevation(geometry.min_elevation_deg, geometry)
+        psi_range = _central_angle_for_elevation(elevation_for_range_deg(geometry.max_range_m, geometry), geometry)
+        psi_end = min(psi_end, psi_range)
     if psi_end < psi_peak:
         raise ValueError(
             "empty pass: peak elevation lies below the clipping limit "

@@ -11,7 +11,7 @@ from beamdiv.actuator import DivergenceMap, ThermalModel, apply_temperature
 from beamdiv.calibration import sample_position_map
 from beamdiv.cli import build_parser, main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
-from beamdiv.sim import Strategy
+from beamdiv.sim import Strategy, adaptive_policy
 
 DESIGN_INI = """\
 [link]
@@ -280,6 +280,36 @@ class TestOptimizeCommand:
     def test_missing_sigma_exits_2(self, capsys):
         assert main(["optimize"]) == 2
 
+    def test_sigma_is_given_one_way(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--sigma", "1e-5", "--sigma-deg", "0.021"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_answers_with_the_config_policy_and_map(self, tmp_path, capsys):
+        path = tmp_path / "linear.ini"
+        path.write_text("[map]\ncollimated_divergence_rad = 100e-6\nmax_travel_m = 3e-3\n"
+                        "[policy]\nconvention = linear\n")
+        cfg = load_config(str(path))
+        state = cfg.make_actuator_state()
+        for sigma in (0.0, 15e-6, 250e-6, 2e-3):
+            assert main(["optimize", "--sigma", repr(sigma), "--config", str(path), "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert (data.pop("warning", None) is not None) == (sigma == 0.0)
+            picks = {
+                name: float(adaptive_policy(dataclasses.replace(cfg.policy, strategy=strategy), sigma, state))
+                for name, strategy in (("rule_of_thumb_rad", Strategy.RULE_5_SIGMA),
+                                       ("exact_optimum_rad", Strategy.EXACT_OPT))
+            }
+            assert data == {
+                "sigma_rad": sigma,
+                "convention": "linear",
+                **picks,
+                "hardware_min_rad": 100e-6,
+                "hardware_max_rad": state.dmap.diverging_max,
+            }
+        assert state.dmap.diverging_max != load_config(None).dmap.diverging_max
+
 
 class TestEmulateCommand:
     def test_script_trace(self, tmp_path, capsys):
@@ -462,8 +492,9 @@ class TestSimulateCommand:
 @pytest.mark.parametrize("argv,code", [
     (["simulate"], 2),
     (["emulate"], 2),
+    (["optimize", "--sigma", "1e-5"], 2),
     (["budget", "--distance", "600e3", "--rate", "10e9"], 0),
-], ids=["simulate", "emulate", "budget"])
+], ids=["simulate", "emulate", "optimize", "budget"])
 def test_link_wavelength_outside_the_chromatic_band(argv, code, tmp_path, capsys):
     path = tmp_path / "wavelength.ini"
     path.write_text("[link]\nwavelength_m = 1.6e-6\n")
@@ -497,10 +528,14 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     (["optimize", "--sigma-deg", "-0.01"], {}, 3, "sigma"),
     (["optimize", "--sigma", "1e-5", "--reference-divergence", "-1"], {}, 3, "theta_ref"),
     (["optimize", "--sigma", "2e-5", "--reference-divergence", "0"], {}, 3, "theta_ref"),
-    (["optimize", "--sigma", "1e-5", "--min-divergence", "nan", "--format", "json"], {}, 3, "min_divergence"),
-    (["optimize", "--sigma", "1e-5", "--max-divergence", "inf", "--format", "json"], {}, 3, "max_divergence"),
-    (["optimize", "--sigma", "1e-5", "--min-divergence", "5e-3", "--max-divergence", "1e-3"], {}, 3,
-     "max_divergence"),
+    # The hardware limits come from [map]: the collimated minimum, and the
+    # branch maximum that a negative slope would put below it.
+    (["optimize", "--sigma", "1e-5", "--config", "{config}", "--format", "json"],
+     {"config": "[map]\ncollimated_divergence_rad = nan\n"}, 2, "[map] section: collimated_divergence"),
+    (["optimize", "--sigma", "1e-5", "--config", "{config}", "--format", "json"],
+     {"config": "[map]\nmax_travel_m = inf\n"}, 2, "[map] section: max_travel"),
+    (["optimize", "--sigma", "1e-5", "--config", "{config}"],
+     {"config": "[map]\ndiverging_slope_rad_per_m = -1\n"}, 2, "[map] section: diverging_slope"),
     (["emulate", "--script", "{script}"], {"script": "query\nstep nan\n"}, 3, "line 2"),
     (["emulate", "--script", "{script}"], {"script": "steer nan nan\n"}, 3, "tip"),
     (["emulate", "--script", "{script}"], {"script": "set-temperature 61\n"}, 3, "temperature_c"),

@@ -17,7 +17,8 @@ from scipy.optimize import brentq as scipy_brentq
 import beamdiv
 from beamdiv._roots import brentq
 
-# The (xtol, rtol) pairs beamdiv solves at: truncated_fwhm, then the thermal correction.
+# (xtol, rtol) pairs: truncated_fwhm's, which is brentq's only caller, then a
+# tighter pair kept as extra coverage of the port.
 TOLERANCES = [(1e-14, 1e-13), (1e-15, 1e-15)]
 
 

@@ -152,6 +152,21 @@ class TestPassProfile:
         profile = pass_profile(geom)
         assert np.min(profile["elevation_deg"]) >= 20.0 - 1e-6
 
+    @pytest.mark.parametrize("min_elevation_deg,max_range_m,first", [
+        (30.0, 2000e3, "elevation"),  # 2000 km lies at 9.04 deg
+        (20.0, 1200e3, "range"),  # 1200 km lies at 25.4 deg
+    ])
+    def test_both_clips_end_at_the_first_reached(self, min_elevation_deg, max_range_m, first):
+        geom = PassGeometry(altitude_m=600e3, min_elevation_deg=min_elevation_deg, max_range_m=max_range_m, dt_s=5.0)
+        if first == "elevation":
+            alone = PassGeometry(altitude_m=600e3, min_elevation_deg=min_elevation_deg, dt_s=5.0)
+        else:
+            alone = PassGeometry(altitude_m=600e3, max_range_m=max_range_m, dt_s=5.0)
+        profile = pass_profile(geom)
+        assert profile.tobytes() == pass_profile(alone).tobytes()
+        assert np.min(profile["elevation_deg"]) >= min_elevation_deg - 1e-6
+        assert np.max(profile["slant_range_m"]) <= max_range_m + 1e-3
+
     def test_off_zenith_pass(self):
         geom = PassGeometry(altitude_m=600e3, min_elevation_deg=10.0, max_elevation_deg=45.0, dt_s=5.0)
         profile = pass_profile(geom)
