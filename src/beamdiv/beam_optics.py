@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,9 @@ CHECK_TOL = 1e-9
 
 # Rows of the far-field kernel evaluated at a time.  A multiple of 4, so that
 # every full block meets the matrix-vector product's row unrolling the same way.
+# Blocks are independent and run on every core the process may use, each lane
+# holding one block buffer at a time; a block's floats do not depend on which
+# lane computes it.
 _BLOCK_ROWS = 256
 
 _ON_AXIS = np.zeros(1)
@@ -169,13 +173,13 @@ def _scipy_j0():
     return j0
 
 
-def j0(x):
+def j0(x, out=None):
     """``scipy.special.j0``, imported on the first call.
 
     The far field is SciPy's only user in the package, so ``import beamdiv``
     and the CLI commands that never reach it do not load SciPy.
     """
-    return _scipy_j0()(x)
+    return _scipy_j0()(x, out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -199,12 +203,54 @@ def _radial_rule(apertured: AperturedBeam, n_nodes: int) -> tuple[float, np.ndar
     return 2.0 * math.pi / apertured.beam.wavelength, r, weights
 
 
-def _amplitude(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
-    """Far-field amplitude at ``angles`` (1-D), in blocks of ``_BLOCK_ROWS`` kernel rows."""
+def _lanes(blocks: int) -> int:
+    """Threads for ``blocks`` kernel blocks: the cores this process may use, at most one per block."""
+    if blocks <= 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, blocks)
+
+
+def _block(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
+    """``j0(k * outer(angles, r)) @ weights``, the same floats, in one buffer that dies on return."""
     k, r, weights = rule
+    m = np.outer(angles, r)
+    m *= k
+    j0(m, out=m)
+    return m @ weights
+
+
+def _amplitude(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
+    """Far-field amplitude at ``angles`` (1-D), in blocks of ``_BLOCK_ROWS`` kernel rows.
+
+    The calling thread is one lane; with more than one lane the others run
+    in a pool that lives for this call only.  Every lane pulls block starts
+    from one shared iterator, and ``j0`` and the matrix-vector product
+    release the GIL, so the blocks overlap.  The result is bit for bit the
+    one-lane result.  An exception in any lane re-raises here.
+    """
     out = np.empty(angles.size)
-    for i in range(0, angles.size, _BLOCK_ROWS):
-        out[i:i + _BLOCK_ROWS] = j0(k * np.outer(angles[i:i + _BLOCK_ROWS], r)) @ weights
+    starts = iter(range(0, angles.size, _BLOCK_ROWS))
+
+    def lane() -> None:
+        for i in starts:
+            out[i:i + _BLOCK_ROWS] = _block(rule, angles[i:i + _BLOCK_ROWS])
+
+    lanes = _lanes(-(-angles.size // _BLOCK_ROWS))
+    if lanes == 1:
+        lane()
+        return out
+    # Imported here: SciPy has loaded most of it by now, and ``import beamdiv`` stays lean.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        others = [pool.submit(lane) for _ in range(lanes - 1)]
+        lane()
+    for other in others:
+        other.result()
     return out
 
 

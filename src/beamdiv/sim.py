@@ -139,7 +139,8 @@ def pass_profile(geometry: PassGeometry) -> np.ndarray:
     # Cross-track central angle fixes the peak elevation.
     psi_peak = _central_angle_for_elevation(geometry.max_elevation_deg, geometry)
     psi_end = _central_angle_for_elevation(geometry.min_elevation_deg, geometry)
-    if geometry.max_range_m is not None:
+    # A range clip at or beyond the elevation clip's range (even past the horizon) is never reached.
+    if geometry.max_range_m is not None and geometry.max_range_m < slant_range(geometry.min_elevation_deg, geometry):
         psi_range = _central_angle_for_elevation(elevation_for_range_deg(geometry.max_range_m, geometry), geometry)
         psi_end = min(psi_end, psi_range)
     if psi_end < psi_peak:
@@ -154,7 +155,8 @@ def pass_profile(geometry: PassGeometry) -> np.ndarray:
     t = np.linspace(-t_end, t_end, 2 * n_half + 1)
     cos_psi = math.cos(psi_peak) * np.cos(omega * t)
     rng = np.sqrt(re**2 + r**2 - 2.0 * re * r * cos_psi)
-    steps = np.full(len(t), math.nan, STEP_DTYPE)
+    steps = np.empty(len(t), STEP_DTYPE)
+    steps.view(np.float64).fill(math.nan)  # every field is a float64: one flat fill
     steps["t_s"] = t
     steps["slant_range_m"] = rng
     # At a 90 deg peak the sine can round past 1; clip so culmination is 90, not NaN.

@@ -1,5 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -221,6 +226,91 @@ def test_blocked_profile_equals_unblocked(block_rows, n_angles):
         blocked = farfield_intensity(DESIGN, angles)
     assert blocked.shape == angles.shape
     assert np.max(np.abs(blocked - _unblocked_profile(DESIGN, angles))) <= 1e-15
+
+
+def _design_profile(n_angles, n_nodes=256):
+    return farfield_intensity(DESIGN, np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, n_angles), n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("lanes", ["host", "more than cores"])
+@pytest.mark.parametrize("n_nodes", [64, 256])
+@pytest.mark.parametrize("block_rows", [4, 256])
+@pytest.mark.parametrize("n_angles", [1, 255, 256, 257, 700, 2000])
+def test_lanes_give_the_one_lane_bytes(lanes, n_nodes, block_rows, n_angles):
+    # "host" runs on the cores this process may use.  "more than cores" forces
+    # threads on any host and switches between them as often as the interpreter
+    # allows: a block lost or taken twice from the shared iterator changes the bytes.
+    with mock.patch.object(beam_optics, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(beam_optics, "_lanes", lambda blocks: 1):
+            expected = _design_profile(n_angles, n_nodes)
+        if lanes == "host":
+            got = _design_profile(n_angles, n_nodes)
+        else:
+            forced = 4 * (os.cpu_count() or 1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with mock.patch.object(beam_optics, "_lanes", lambda blocks: min(forced, blocks)):
+                    got = _design_profile(n_angles, n_nodes)
+            finally:
+                sys.setswitchinterval(interval)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API on this platform")
+def test_a_process_pinned_to_one_cpu_gives_the_same_bytes():
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        "import numpy as np",
+        "from beamdiv import beam_optics as bo",
+        "assert bo._lanes(8) == 1",
+        "ab = bo.AperturedBeam(bo.GaussianBeam(0.0178, 1.55e-6), 0.02)",
+        "sys.stdout.write(bo.farfield_intensity(ab, np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, 2000)).tobytes().hex())",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beam_optics.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert bytes.fromhex(proc.stdout) == _design_profile(2000).tobytes()
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_lane", ["calling", "worker"])
+def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(failing_lane):
+    caller = threading.get_ident()
+    started = threading.Event()
+
+    def failing_j0(x, out=None):
+        if (threading.get_ident() == caller) == (failing_lane == "calling"):
+            started.set()
+            raise _BlockFailed
+        # The other lane computes only once the failing lane has taken a block.
+        assert started.wait(timeout=60)
+        return j0(x, out=out)
+
+    before = threading.active_count()
+    with mock.patch.object(beam_optics, "_lanes", lambda blocks: min(2, blocks)):
+        with mock.patch.object(beam_optics, "j0", failing_j0):
+            with pytest.raises(_BlockFailed):
+                _design_profile(2000)
+    assert threading.active_count() == before
+
+
+def test_profile_memory_is_one_block_buffer_per_lane():
+    fine_block_bytes = beam_optics._BLOCK_ROWS * 2 * 256 * 8  # float64 rows over the 2n-node rule, n = 256
+    lanes = beam_optics._lanes(-(-2000 // beam_optics._BLOCK_ROWS))
+    _design_profile(2000)  # SciPy, the quadrature nodes and the pool machinery are loaded
+    tracemalloc.start()
+    try:
+        _design_profile(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= lanes * fine_block_bytes + 0.5e6
 
 
 class TestTruncatedFwhm:

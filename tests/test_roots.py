@@ -98,14 +98,19 @@ def test_import_leaves_scipy_optimize_unloaded():
     # A fresh interpreter: importing beamdiv loads no SciPy special functions
     # until the far field needs j0.  Then every solver beamdiv uses is called
     # once, and SciPy's optimize subpackage (with linalg behind it) must still
-    # not be loaded.
+    # not be loaded.  No thread is left running after the import or after a
+    # far-field solve and a multi-block profile: the kernel keeps no pool.
     code = "\n".join([
-        "import sys",
+        "import sys, threading",
         "import beamdiv, beamdiv.cli",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy.special'))",
         "assert not loaded, loaded",
+        "assert threading.active_count() == 1, threading.enumerate()",
         "from beamdiv.actuator import DivergenceMap, ThermalModel, temperature_corrected_position",
-        "beamdiv.truncated_fwhm(beamdiv.AperturedBeam(beamdiv.GaussianBeam(0.0178, 1.55e-6), 0.02))",
+        "design = beamdiv.AperturedBeam(beamdiv.GaussianBeam(0.0178, 1.55e-6), 0.02)",
+        "beamdiv.truncated_fwhm(design)",
+        "beamdiv.farfield_intensity(design, [i * 1e-7 for i in range(2000)])",
+        "assert threading.active_count() == 1, threading.enumerate()",
         "temperature_corrected_position(90e-6, -30.0, ThermalModel(), DivergenceMap())",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy.optimize'))",
         "assert not loaded, loaded",

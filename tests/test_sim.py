@@ -155,6 +155,7 @@ class TestPassProfile:
     @pytest.mark.parametrize("min_elevation_deg,max_range_m,first", [
         (30.0, 2000e3, "elevation"),  # 2000 km lies at 9.04 deg
         (20.0, 1200e3, "range"),  # 1200 km lies at 25.4 deg
+        (30.0, 3000e3, "elevation"),  # 3000 km lies beyond the 2829 km horizon range
     ])
     def test_both_clips_end_at_the_first_reached(self, min_elevation_deg, max_range_m, first):
         geom = PassGeometry(altitude_m=600e3, min_elevation_deg=min_elevation_deg, max_range_m=max_range_m, dt_s=5.0)
