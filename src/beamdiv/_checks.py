@@ -9,11 +9,13 @@ and bounds, lower (``gt``, ``ge``) and upper (``lt``, ``le``), through
 :func:`rejected` for their indices: ``run_pass`` names the tick of a bad
 jitter value, and marks as outages the ticks whose rate is not finite and
 positive.  A count, such as a quadrature's node number, goes through
-:func:`integer`.
+:func:`integer`, and a choice, such as a policy's strategy, through
+:func:`member`.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import numbers
 
@@ -60,3 +62,10 @@ def integer(name: str, value, *, ge: int):
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= ge:
         return value
     raise ValueError(f"{name} must be a finite integer >= {ge}, got {value!r}")
+
+
+def member(name: str, value, kind: type[enum.Enum]):
+    """Return ``value`` if it is a member of ``kind``, not a member's value; else raise ``ValueError`` naming the choices."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{name} must be one of {[k.value for k in kind]}, got {value!r}")

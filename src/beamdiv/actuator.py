@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, member
 
 __all__ = [
     "Branch",
@@ -367,6 +367,7 @@ class ActuatorState:
         Runs at construction; ``sim.run_pass`` runs it again before its first
         tick, since fields may be assigned in between.
         """
+        member("branch", self.branch, Branch)
         finite("motor_speed", self.motor_speed, gt=0)
         finite("step_size", self.step_size, ge=0)
         stroke = self.dmap.max_travel
@@ -517,20 +518,25 @@ def snapshot(state: ActuatorState, command: str = "") -> dict:
     }
 
 
+# The emulator-script commands and their arguments; a bracketed one is optional.
+_SCRIPT_USAGE = {
+    "set-divergence": "THETA_RAD [diverging|converging]",
+    "set-temperature": "DEG_C",
+    "set-wavelength": "METERS",
+    "steer": "TIP_RAD TILT_RAD",
+    "step": "DT_S",
+    "query": "",
+}
+
+
 def run_script(lines: Iterable[str], state: Optional[ActuatorState] = None) -> list[dict]:
     """Execute a newline-delimited command stream against the emulator.
 
-    Commands (whitespace separated, ``#`` starts a comment)::
-
-        set-divergence THETA_RAD [diverging|converging]
-        set-temperature DEG_C
-        set-wavelength METERS
-        steer TIP_RAD TILT_RAD
-        step DT_S
-        query
-
-    Returns one snapshot per executed command, preceded by the initial
-    state, so an empty script yields a single row.
+    Each line is a command of ``_SCRIPT_USAGE`` and its arguments,
+    whitespace separated; ``#`` starts a comment.  A line with too few or
+    too many arguments fails with its command's usage.  Returns one
+    snapshot per executed command, preceded by the initial state, so an
+    empty script yields a single row.
     """
     st = state if state is not None else ActuatorState()
     trace = [snapshot(st, "initial")]
@@ -541,9 +547,13 @@ def run_script(lines: Iterable[str], state: Optional[ActuatorState] = None) -> l
         parts = text.split()
         cmd, args = parts[0].lower(), parts[1:]
         try:
+            if cmd not in _SCRIPT_USAGE:
+                raise ValueError(f"unknown command {cmd!r}")
+            usage = _SCRIPT_USAGE[cmd].split()
+            required = sum(not arg.startswith("[") for arg in usage)
+            if len(args) not in range(required, len(usage) + 1):
+                raise ValueError(" ".join(["usage:", cmd, *usage]))
             if cmd == "set-divergence":
-                if len(args) not in (1, 2):
-                    raise ValueError("usage: set-divergence THETA_RAD [diverging|converging]")
                 branch = Branch(args[1].lower()) if len(args) == 2 else None
                 command_divergence(st, float(args[0]), branch)
             elif cmd == "set-temperature":
@@ -554,11 +564,7 @@ def run_script(lines: Iterable[str], state: Optional[ActuatorState] = None) -> l
                 steer(st, float(args[0]), float(args[1]))
             elif cmd == "step":
                 step(st, float(args[0]))
-            elif cmd == "query":
-                pass
-            else:
-                raise ValueError(f"unknown command {cmd!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"script line {lineno}: {exc}") from exc
         trace.append(snapshot(st, text))
     return trace

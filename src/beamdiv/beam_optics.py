@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer
+from ._checks import finite, integer, member
 from ._roots import brentq
 
 __all__ = [
@@ -72,8 +72,7 @@ class DivergenceAngle:
 
     def __post_init__(self) -> None:
         finite("divergence angle", self.value, gt=0)
-        if not isinstance(self.convention, Convention):
-            raise ValueError(f"unknown divergence convention: {self.convention!r}")
+        member("divergence convention", self.convention, Convention)
 
     def to(self, target: Convention) -> "DivergenceAngle":
         return convert_divergence(self, target)
@@ -81,12 +80,12 @@ class DivergenceAngle:
     @property
     def fwhm(self) -> float:
         """Value expressed as FWHM, radians."""
-        return self.to(Convention.FWHM).value
+        return self.value if self.convention is Convention.FWHM else self.value * FWHM_PER_FULL_1E2
 
     @property
     def full_1e2(self) -> float:
         """Value expressed as full 1/e^2 angle, radians."""
-        return self.to(Convention.FULL_1E2).value
+        return self.value if self.convention is Convention.FULL_1E2 else self.value / FWHM_PER_FULL_1E2
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,7 @@ def convert_divergence(angle: DivergenceAngle, target: Convention) -> Divergence
     """
     if angle.convention is target:
         return angle
-    if target is Convention.FWHM:
-        return DivergenceAngle(angle.value * FWHM_PER_FULL_1E2, Convention.FWHM)
-    return DivergenceAngle(angle.value / FWHM_PER_FULL_1E2, Convention.FULL_1E2)
+    return DivergenceAngle(angle.fwhm if target is Convention.FWHM else angle.full_1e2, target)
 
 
 def untruncated_divergence(beam: GaussianBeam) -> DivergenceAngle:

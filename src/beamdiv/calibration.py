@@ -317,8 +317,8 @@ def build_thermal_model(observations) -> ThermalFit:
     if len(settings) != 2:
         raise ValueError(f"need observations at exactly 2 anchor settings, got {len(settings)}")
     t_cold, t_hot = float(np.min(temp)), float(np.max(temp))
-    if not (t_cold < reference_temperature_c < t_hot):
-        raise ValueError("observations must straddle the reference temperature")
+    # The sweep must straddle the reference: its coldest and hottest temperatures bound it.
+    finite("reference_temperature_c", reference_temperature_c, gt=t_cold, lt=t_hot)
 
     deviation = rows["theta_meas_rad"] - setting
     sides = (

@@ -187,7 +187,7 @@ def _read_sections(path: str) -> dict:
             with open(path) as fh:
                 data = json.load(fh)
             if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
-                raise ConfigError("JSON config must be an object of section objects")
+                raise ConfigError(f"JSON config {path} must be an object of section objects")
             return data
         cp = configparser.ConfigParser()
         if not cp.read(path):

@@ -18,8 +18,10 @@ operating points of a quadratic-path-loss link mutually consistent.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -109,12 +111,25 @@ class LinkConfig:
         return replace(self, tx_divergence=tx_divergence)
 
 
+# The budget's seven signed dB addends, in the order they are summed:
+# (BudgetReport field, table label, unit).  The fields are declared in this order.
+_TERMS = (
+    ("tx_power_dbm", "tx power", "dBm"),
+    ("tx_gain_db", "tx gain", "dB"),
+    ("pointing_db", "pointing loss", "dB"),
+    ("path_db", "free-space path", "dB"),
+    ("rx_gain_db", "rx gain", "dB"),
+    ("insertion_db", "insertion loss", "dB"),
+    ("misc_db", "misc losses", "dB"),
+)
+
+
 @dataclass(frozen=True)
 class BudgetReport:
     """Signed per-term dB breakdown of one budget evaluation.
 
-    ``received_power_dbm`` is computed as the sum of the seven term fields,
-    so the self-consistency invariant holds by construction.
+    ``received_power_dbm`` is the sum of the seven term fields, added in
+    ``_TERMS`` order, so the self-consistency invariant holds by construction.
     """
 
     distance_m: float
@@ -131,16 +146,8 @@ class BudgetReport:
     margin_db: Optional[float] = None
 
     def terms(self) -> dict:
-        """The signed dB addends that sum to received_power_dbm."""
-        return {
-            "tx_power_dbm": self.tx_power_dbm,
-            "tx_gain_db": self.tx_gain_db,
-            "pointing_db": self.pointing_db,
-            "path_db": self.path_db,
-            "rx_gain_db": self.rx_gain_db,
-            "insertion_db": self.insertion_db,
-            "misc_db": self.misc_db,
-        }
+        """The signed dB addends that sum to received_power_dbm, in sum order."""
+        return {name: getattr(self, name) for name, _, _ in _TERMS}
 
     def to_dict(self) -> dict:
         out = {"distance_m": self.distance_m}
@@ -157,17 +164,9 @@ class BudgetReport:
 
     def table(self) -> str:
         """Aligned human-readable breakdown."""
-        rows = [
-            ("distance", f"{self.distance_m / 1e3:.1f} km"),
-            ("tx power", f"{self.tx_power_dbm:+9.3f} dBm"),
-            ("tx gain", f"{self.tx_gain_db:+9.3f} dB"),
-            ("pointing loss", f"{self.pointing_db:+9.3f} dB"),
-            ("free-space path", f"{self.path_db:+9.3f} dB"),
-            ("rx gain", f"{self.rx_gain_db:+9.3f} dB"),
-            ("insertion loss", f"{self.insertion_db:+9.3f} dB"),
-            ("misc losses", f"{self.misc_db:+9.3f} dB"),
-            ("received power", f"{self.received_power_dbm:+9.3f} dBm"),
-        ]
+        rows = [("distance", f"{self.distance_m / 1e3:.1f} km")]
+        rows += [(label, f"{getattr(self, name):+9.3f} {unit}") for name, label, unit in _TERMS]
+        rows.append(("received power", f"{self.received_power_dbm:+9.3f} dBm"))
         if self.rate_bps is not None:
             rows.append(("data rate", f"{self.rate_bps / 1e9:9.3f} Gbit/s"))
             rows.append(("sensitivity", f"{self.sensitivity_dbm:+9.3f} dBm"))
@@ -216,27 +215,9 @@ def received_power_dbm(
     """
     finite("distance", distance, gt=0)
     finite("pointing_loss_db", pointing_loss_db, ge=0)
-    tx_power = watts_to_dbm(config.tx_power_w)
-    tx_gain = transmit_gain_db(config.tx_divergence)
-    path = -free_space_loss_db(distance, config.wavelength)
-    rx_gain = receive_gain_db(config.rx_aperture_diameter, config.wavelength)
-    received = _received(config, tx_power, tx_gain, pointing_loss_db, path, rx_gain)
-    return BudgetReport(
-        distance_m=distance,
-        tx_power_dbm=tx_power,
-        tx_gain_db=tx_gain,
-        pointing_db=-pointing_loss_db,
-        path_db=path,
-        rx_gain_db=rx_gain,
-        insertion_db=-config.insertion_loss_db,
-        misc_db=-config.misc_loss_db,
-        received_power_dbm=received,
-    )
-
-
-def _received(config: LinkConfig, tx_power, tx_gain, pointing_loss_db, path, rx_gain):
-    # The budget sum, term by term in a fixed order; floats or columns.
-    return tx_power + tx_gain - pointing_loss_db + path + rx_gain - config.insertion_loss_db - config.misc_loss_db
+    terms = _terms(config, transmit_gain_db(config.tx_divergence), pointing_loss_db,
+                   -free_space_loss_db(distance, config.wavelength))
+    return BudgetReport(distance, *terms, _sum(terms))
 
 
 def received_power_column(
@@ -250,21 +231,25 @@ def received_power_column(
     same floats.
 
     The log terms are the numpy kernels that ``received_power_dbm`` calls on
-    its floats, and sums and products round like Python's, so the two
-    forms agree bit for bit.  The distances are checked once, as a column;
-    NaN angles give NaN.
+    its floats, and both add the addends of ``_terms`` in one order, so the
+    two forms agree bit for bit.  The distances are checked once, as a
+    column; NaN angles give NaN.
     """
     finite("distance", distance, gt=0)
-    tx_gain = _tx_gain_kernel(divergence_fwhm / FWHM_PER_FULL_1E2)
-    path = -_path_loss_kernel(distance, config.wavelength)
-    return _received(
-        config,
-        watts_to_dbm(config.tx_power_w),
-        tx_gain,
-        pointing_loss_db,
-        path,
-        receive_gain_db(config.rx_aperture_diameter, config.wavelength),
-    )
+    return _sum(_terms(config, _tx_gain_kernel(divergence_fwhm / FWHM_PER_FULL_1E2), pointing_loss_db,
+                       -_path_loss_kernel(distance, config.wavelength)))
+
+
+def _terms(config: LinkConfig, tx_gain, pointing_loss_db, path) -> tuple:
+    """The seven signed dB addends in ``_TERMS`` order, floats or columns; ``pointing_loss_db`` is a magnitude."""
+    return (watts_to_dbm(config.tx_power_w), tx_gain, -pointing_loss_db, path,
+            receive_gain_db(config.rx_aperture_diameter, config.wavelength),
+            -config.insertion_loss_db, -config.misc_loss_db)
+
+
+def _sum(terms: tuple):
+    # Left to right from the first addend: starting from 0.0 would turn a -0.0 into +0.0.
+    return functools.reduce(operator.add, terms)
 
 
 def link_margin_db(

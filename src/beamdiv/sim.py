@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import actuator
-from ._checks import finite, rejected
+from ._checks import finite, member, rejected
 from ._columns import csv_text
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
@@ -189,6 +189,8 @@ class ControlPolicy:
     rate_ladder_bps: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
+        member("strategy", self.strategy, Strategy)
+        member("convention", self.convention, GainConvention)
         finite("margin_floor_db", self.margin_floor_db, ge=0)
         if self.strategy is Strategy.FIXED and self.fixed_divergence_rad is None:
             raise ValueError("FIXED strategy needs fixed_divergence_rad")

@@ -512,6 +512,23 @@ class TestCommandScript:
         with pytest.raises(ValueError, match="line 2"):
             run_script(["step 0.1", "warp 9"])
 
+    @pytest.mark.parametrize("line,usage", [
+        ("step", "step DT_S"),
+        ("step 0.1 0.2", "step DT_S"),
+        ("steer 1e-5", "steer TIP_RAD TILT_RAD"),
+        ("steer 1e-5 1e-5 1e-5", "steer TIP_RAD TILT_RAD"),
+        ("set-temperature", "set-temperature DEG_C"),
+        ("set-wavelength", "set-wavelength METERS"),
+        ("set-wavelength 1.55e-6 1.56e-6", "set-wavelength METERS"),
+        ("query now", "query"),
+        ("set-divergence", "set-divergence THETA_RAD [diverging|converging]"),
+        ("set-divergence 1e-3 diverging 2", "set-divergence THETA_RAD [diverging|converging]"),
+    ])
+    def test_wrong_argument_count_names_the_usage(self, line, usage):
+        # Nothing is dropped or indexed past the end: the line fails as a whole.
+        with pytest.raises(ValueError, match=f"^script line 2: usage: {re.escape(usage)}$"):
+            run_script(["query", line])
+
     def test_trace_is_json_serializable(self):
         trace = run_script(["set-divergence 2e-3", "step 0.5", "steer 5e-6 -5e-6", "query"])
         json.dumps(trace)

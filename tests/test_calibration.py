@@ -214,6 +214,15 @@ class TestThermalFit:
         with pytest.raises(ValueError):
             build_thermal_model(rows)
 
+    @pytest.mark.parametrize("temps,bounds", [
+        ((25.0, 30.0, 40.0, 60.0), "> 25.0 and < 60.0"),
+        ((-30.0, -20.0, 0.0, 20.0), "> -30.0 and < 20.0"),
+    ], ids=["above", "up_to_reference"])
+    def test_sweep_must_straddle_the_reference(self, temps, bounds):
+        rows = thermal_sweep_rows(ThermalModel(), temps)
+        with pytest.raises(ValueError, match=rf"^reference_temperature_c must be finite and {bounds}, got 20\.0$"):
+            build_thermal_model(rows)
+
 
 def chromatic_sweep_rows(model):
     return [

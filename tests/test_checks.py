@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamdiv._checks import finite, rejected
+from beamdiv._checks import finite, member, rejected
 from beamdiv.actuator import (
     ActuatorState,
     Branch,
@@ -21,7 +21,8 @@ from beamdiv.actuator import (
     steer,
 )
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam, footprint
-from beamdiv.sim import PassGeometry, elevation_for_range_deg, slant_range
+from beamdiv.config import load_config
+from beamdiv.sim import ControlPolicy, PassGeometry, elevation_for_range_deg, run_pass, slant_range
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "beamdiv"
 MODULES = [path for path in sorted(SRC.glob("*.py")) if path.name != "_checks.py"]
@@ -106,11 +107,7 @@ def test_isfinite_only_in_the_helper_module():
 
 def test_interval_bounds_only_in_the_helper_module():
     sites = [site for path in MODULES for site in _sites(path, _interval_raise)]
-    # What is left checks a data set as a whole; no one number has a bound
-    # to state.
-    assert sites == [
-        ("calibration.py", "build_thermal_model"),  # the sweep's temperatures straddle the reference
-    ]
+    assert sites == []
 
 
 def test_every_bound_given_is_named():
@@ -145,3 +142,29 @@ def test_every_bound_given_is_named():
 def test_interval_bound_rejected_through_the_helper(make):
     with pytest.raises(ValueError, match="must be finite and .*, got"):
         make()
+
+
+def test_a_member_is_returned_and_its_value_is_rejected_naming_the_choices():
+    assert member("branch", Branch.CONVERGING, Branch) is Branch.CONVERGING
+    with pytest.raises(ValueError, match=r"^branch must be one of \['diverging', 'converging'\], got 'converging'$"):
+        member("branch", "converging", Branch)
+
+
+@pytest.mark.parametrize("make,named", [
+    (lambda: ControlPolicy(strategy="rule_5_sigma"), "strategy"),
+    (lambda: ControlPolicy(convention="linear"), "convention"),
+    (lambda: ActuatorState(branch="diverging"), "branch"),
+    (lambda: DivergenceAngle(90e-6, "fwhm"), "divergence convention"),
+], ids=["policy_strategy", "policy_convention", "actuator_branch", "angle_convention"])
+def test_an_enum_field_given_its_value_is_rejected_naming_it(make, named):
+    # An ``is`` test of each member would send the string down the last branch.
+    with pytest.raises(ValueError, match=rf"^{named} must be one of \[.*\], got '"):
+        make()
+
+
+def test_a_branch_assigned_after_construction_is_rejected_before_the_first_tick():
+    state = ActuatorState()
+    state.branch = "diverging"
+    cfg = load_config(None)
+    with pytest.raises(ValueError, match=r"^branch must be one of"):
+        run_pass(PassGeometry(dt_s=10.0), cfg.policy, cfg.link, state=state)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from beamdiv.actuator import DivergenceMap, ThermalModel, apply_temperature
+from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_temperature, apply_wavelength
 from beamdiv.calibration import sample_position_map
 from beamdiv.cli import build_parser, main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
@@ -223,6 +223,10 @@ class TestSchemaTable:
         ("sigma_nan.ini", "[policy]\nsigma_p_rad = nan\n", "sigma_p_rad"),
         ("sigma_inf.ini", "[policy]\nsigma_p_rad = inf\n", "sigma_p_rad"),
         ("sigma_negative.ini", "[policy]\nsigma_p_rad = -1e-6\n", "sigma_p_rad"),
+        ("strategy.ini", "[policy]\nstrategy = best\n",
+         "'strategy' in section [policy]: must be one of ['rule_5_sigma', 'exact_opt', 'fixed'], got 'best'"),
+        ("top_level_list.json", "[1, 2]", "top_level_list.json must be an object of section objects"),
+        ("sensitivity_without_ref.ini", "[sensitivity]\nref_rate_bps = 10e9\n", "missing key(s): ['ref_sensitivity_dbm']"),
     ])
     def test_model_errors_are_config_errors(self, name, text, named, tmp_path, capsys):
         path = tmp_path / name
@@ -231,6 +235,14 @@ class TestSchemaTable:
             load_config(str(path))
         assert main(["budget", "--config", str(path), "--distance", "600e3", "--rate", "10e9"]) == 2
         assert named in json.loads(capsys.readouterr().err)["error"]
+
+
+    def test_missing_ini_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "absent.ini"
+        with pytest.raises(ConfigError, match=f"config file not found or unreadable: {re.escape(str(path))}$"):
+            load_config(str(path))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert str(path) in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestBudgetCommand:
@@ -276,6 +288,24 @@ class TestOptimizeCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["exact_optimum_rad"] == 90e-6
         assert "warning" in data
+
+    def test_table_with_reference(self, capsys):
+        assert main(["optimize", "--sigma", "1e-4", "--reference-divergence", "1e-3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "pointing sigma     100.00 urad",
+            "rule of thumb (5s) 500.00 urad",
+            "exact optimum      429.19 urad  [quadratic gain]",
+            "gain vs reference  +7.35 dB (reference 1.0000 mrad)",
+        ]
+
+    def test_table_zero_sigma_warns(self, capsys):
+        assert main(["optimize", "--sigma", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "pointing sigma     0.00 urad",
+            "rule of thumb (5s) 90.00 urad",
+            "exact optimum      90.00 urad  [quadratic gain]",
+            "warning: sigma <= 0: no finite optimum, clamped to the hardware minimum",
+        ]
 
     def test_missing_sigma_exits_2(self, capsys):
         assert main(["optimize"]) == 2
@@ -343,6 +373,24 @@ class TestEmulateCommand:
         script.write_text("warp 9\n")
         assert main(["emulate", "--script", str(script)]) == 3
 
+    def test_wrong_argument_count_exits_3_with_the_usage(self, tmp_path, capsys):
+        script = tmp_path / "cmds.txt"
+        script.write_text("query\nsteer 1e-5\n")
+        assert main(["emulate", "--script", str(script)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "script line 2: usage: steer TIP_RAD TILT_RAD",
+                                            "command": "emulate"}
+
+    def test_set_wavelength(self, tmp_path, capsys):
+        script = tmp_path / "cmds.txt"
+        script.write_text("set-wavelength 1.53e-6\n")
+        assert main(["emulate", "--script", str(script), "--format", "json"]) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert trace[-1]["command"] == "set-wavelength 1.53e-6"
+        assert trace[-1]["wavelength_m"] == 1.53e-6
+        assert trace[-1]["actual_divergence_rad"] == apply_wavelength(90e-6, 1.53e-6, ChromaticModel())
+
 
 class TestCalibrateCommand:
     def write_positions(self, path, noise_rng=None):
@@ -408,6 +456,17 @@ class TestCalibrateCommand:
 
     def test_no_inputs_exits_2(self, capsys):
         assert main(["calibrate"]) == 2
+
+
+    def test_sweep_that_does_not_straddle_the_reference_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "thermal.csv"
+        model = ThermalModel()
+        rows = [(theta, t, apply_temperature(theta, t, model))
+                for theta in model.anchor_settings for t in (25.0, 30.0, 40.0, 60.0)]
+        path.write_text("theta_set_rad,temp_c,theta_meas_rad\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        assert main(["calibrate", "--thermal", str(path)]) == 3
+        assert "reference_temperature_c must be finite and > 25.0 and < 60.0, got 20.0" in json.loads(
+            capsys.readouterr().err)["error"]
 
 
 class TestSimulateCommand:
@@ -581,3 +640,32 @@ class TestHelp:
             main(["--help"])
         text = capsys.readouterr().out
         assert "FWHM" in text or "1/e^2" in text
+
+
+PROFILER_CSV = "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\n"
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["budget", "--distance", "600e3", "--rate", "10e9"], {}),
+    (["budget", "--distance", "600e3", "--rate", "10e9", "--format", "json"], {}),
+    (["optimize", "--sigma", "1e-4", "--reference-divergence", "1e-3"], {}),
+    (["optimize", "--sigma", "0", "--format", "json"], {}),
+    (["emulate", "--script", "{script}"], {"script": "set-divergence 1e-3\nstep 0.1\n"}),
+    (["emulate", "--script", "{script}", "--format", "json"], {"script": "set-divergence 1e-3\nstep 0.1\n"}),
+    (["calibrate", "--profiler", "{csv}"], {"csv": PROFILER_CSV}),
+], ids=["budget_table", "budget_json", "optimize_table", "optimize_json", "emulate_csv", "emulate_json",
+        "calibrate"])
+def test_out_writes_the_stdout_text(argv, files, tmp_path, capsys):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = out.read_bytes().decode()
+    assert written == shown
+    assert written.endswith("\n") and not written.endswith("\n\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -8,6 +9,8 @@ from hypothesis import strategies as hs
 
 from beamdiv.beam_optics import Convention, DivergenceAngle
 from beamdiv.link_budget import (
+    _TERMS,
+    BudgetReport,
     INSERTION_LOSS_DIVERGENCE_ONLY_DB,
     INSERTION_LOSS_WITH_STEERING_DB,
     LinkClosedError,
@@ -64,6 +67,19 @@ class TestBudgetReport:
         report = received_power_dbm(calibrated_config(misc_loss_db=3.0), distance, pointing_loss_db)
         # Added left to right, in the order the budget adds them: the same float.
         assert functools.reduce(operator.add, report.terms().values()) == report.received_power_dbm
+
+    def test_term_fields_are_declared_in_sum_order(self):
+        # received_power_dbm passes the addends positionally, so a reordered
+        # field would swap two terms without an error.
+        names = [f.name for f in dataclasses.fields(BudgetReport)]
+        terms = names[names.index("distance_m") + 1:names.index("received_power_dbm")]
+        assert terms == [name for name, _, _ in _TERMS]
+
+    def test_table_lists_the_terms_in_sum_order(self):
+        report = budget_report(calibrated_config(), 600e3, 10e9, 1.0)
+        lines = report.table().splitlines()
+        assert [line.split("  ")[0].rstrip() for line in lines[1:8]] == [label for _, label, _ in _TERMS]
+        assert lines[3].split() == ["pointing", "loss", "-1.000", "dB"]
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
