@@ -484,17 +484,20 @@ def _read_csv_columns(path, dtype: np.dtype) -> np.ndarray:
     Each column is converted and checked as a whole; columns outside the
     dtype's fields are not read.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last column
-        for col in dtype.names:
-            if col not in index:
-                raise ConfigError(f"missing column '{col}' in {path}")
-        rows, lines = [], []
-        for cells in reader:
-            if cells:  # not a blank line
-                rows.append(cells)
-                lines.append(reader.line_num)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            index = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last column
+            for col in dtype.names:
+                if col not in index:
+                    raise ConfigError(f"missing column '{col}' in {path}")
+            rows, lines = [], []
+            for cells in reader:
+                if cells:  # not a blank line
+                    rows.append(cells)
+                    lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"measurement file {path} is not UTF-8 text: {exc}") from None
     if not rows:
         raise ConfigError(f"no data rows in {path}")
     columns = [(col, index[col]) for col in dtype.names]

@@ -5,6 +5,28 @@ same structure as JSON (chosen by file extension).  Every key is validated
 against the schema and unknown keys are rejected by name, so a typo fails
 loudly instead of silently falling back to a default.
 
+Files are UTF-8.  An INI file is read line by line in this grammar, which
+``configparser`` reads to the same sections:
+
+- ``[section]`` starts a section; each section appears once;
+- ``key = value`` or ``key: value`` splits at the first ``=`` or ``:``; the
+  key is stripped and lowercased, the value stripped; each key appears once
+  in its section;
+- a line whose first non-blank character is ``#`` or ``;`` is a comment,
+  and a blank line is skipped;
+- an indented line continues the value of the key above it, joined with a
+  newline (so a rate ladder may span lines); blank lines inside it are kept,
+  trailing ones dropped.
+
+Anything else is a :class:`ConfigError` naming the file and the line: a key
+line before the first header, a line with no delimiter, an empty key, a
+repeated section or key, and an indented line with no key above it.  So are
+four things ``configparser`` would read: a ``[DEFAULT]`` section (it shares
+its keys with every section), a ``%`` outside a comment (it interpolates
+``%(key)s`` and ``%%``, and every value here is a number or an enum name),
+text after a header's ``]`` (it drops it), and an indented first key under
+a header.
+
 Defaults live in one place: a key a file leaves out keeps the value of the
 design point, which is the model dataclasses' own defaults plus the design
 ``LinkConfig``, ``ControlPolicy`` and sensitivity anchor defined below.
@@ -17,7 +39,6 @@ bit/s; dB values say so in their key names.
 
 from __future__ import annotations
 
-import configparser
 import enum
 import json
 from contextlib import contextmanager
@@ -182,19 +203,74 @@ class RunConfig:
 
 
 def _read_sections(path: str) -> dict:
+    """The file's ``{section: {key: raw value}}``: JSON by extension, else INI; input errors are ConfigErrors naming the file."""
     try:
-        if str(path).endswith(".json"):
-            with open(path) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
-                raise ConfigError(f"JSON config {path} must be an object of section objects")
-            return data
-        cp = configparser.ConfigParser()
-        if not cp.read(path):
-            raise ConfigError(f"config file not found or unreadable: {path}")
-        return {section: dict(cp.items(section)) for section in cp.sections()}
-    except (json.JSONDecodeError, configparser.Error) as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    except OSError:
+        raise ConfigError(f"config file not found or unreadable: {path}") from None
+    if not str(path).endswith(".json"):
+        return _parse_ini(text, path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
+        raise ConfigError(f"JSON config {path} must be an object of section objects")
+    return data
+
+
+def _parse_ini(text: str, path: str) -> dict:
+    """The sections of an INI text, in the grammar of the module docstring."""
+    sections: dict = {}
+    entries = parts = None  # the current section's keys, and the current key's value lines
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped:
+            if parts is not None:
+                parts.append("")  # kept only if a continuation line follows, as ConfigParser does
+            continue
+        if stripped[0] in "#;":
+            continue
+        if "%" in stripped:
+            problem = "'%' is not allowed: values are not interpolated"
+        elif line[0].isspace():
+            if parts is not None:
+                parts.append(stripped)
+                continue
+            problem = "indented line continues no key"
+        elif stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name:
+                problem = "a section header is '[name]' with nothing after the ']'"
+            elif name == "DEFAULT":
+                problem = "unknown config section [DEFAULT]: no section's keys are shared"
+            elif name in sections:
+                problem = f"section [{name}] repeated"
+            else:
+                entries = sections[name] = {}
+                parts = None
+                continue
+        elif entries is None:
+            problem = "key line before the first [section] header"
+        else:
+            eq, colon = stripped.find("="), stripped.find(":")
+            cut = eq if colon < 0 or 0 <= eq < colon else colon  # the first delimiter, or -1
+            key = stripped[:cut].rstrip().lower()
+            if cut < 0:
+                problem = "expected 'key = value' or 'key: value'"
+            elif not key:
+                problem = "empty key"
+            elif key in entries:
+                problem = f"key '{key}' repeated in section [{name}]"
+            else:
+                entries[key] = parts = [stripped[cut + 1:].lstrip()]
+                continue
+        raise ConfigError(f"malformed config file {path}, line {lineno}: {problem}")
+    return {section: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+            for section, keys in sections.items()}
 
 
 def _validate(sections: dict) -> dict:
@@ -249,9 +325,21 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     Each model starts from the design point and takes only the keys the file
     sets, so ``load_config(None)`` is the design point itself.  Unless a
     [sensitivity] section pins the sensitivity, it is calibrated at the
-    [anchor] operating point, which defaults to ``DESIGN_ANCHOR``.
+    [anchor] operating point, which defaults to ``DESIGN_ANCHOR``.  Every
+    error is a :class:`ConfigError` that names the file, and the line for a
+    malformed INI file.
     """
-    sections = {} if path is None else _validate(_read_sections(path))
+    if path is None:
+        return _run_config({})
+    sections = _read_sections(path)
+    try:
+        return _run_config(_validate(sections))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _run_config(sections: dict) -> RunConfig:
+    """The design point with each validated section's keys applied."""
 
     def model(section: str, base):
         if section not in sections:

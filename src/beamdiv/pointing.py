@@ -62,6 +62,11 @@ def pointing_loss_db(sigma, theta_d):
     """
     finite("theta_d", theta_d, gt=0)
     finite("sigma", sigma, ge=0)
+    return _pointing_loss_kernel(sigma, theta_d)
+
+
+def _pointing_loss_kernel(sigma, theta_d):
+    """:func:`pointing_loss_db` without its checks, for a caller whose columns already passed them."""
     with np.errstate(over="ignore"):
         beta = 2.0 * sigma / theta_d
         return -20.0 * (beta * beta)

@@ -37,7 +37,8 @@ from ._columns import csv_text
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
 from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
-from .pointing import GainConvention, optimal_divergence, pointing_loss_db, rule_of_thumb_divergence
+from .pointing import GainConvention, _pointing_loss_kernel, optimal_divergence, rule_of_thumb_divergence
+from .pointing import pointing_loss_db  # noqa: F401  (perfbench traces it through this module)
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -289,7 +290,9 @@ def run_pass(
     theta_act = steps["theta_actual_rad"]
     theta_act[:] = actuator.achieved_divergence(st, _track_column(st, theta_cmd, geometry.dt_s))
     lp_db = steps["pointing_loss_db"]
-    lp_db[:] = pointing_loss_db(sigma, theta_act)  # <= 0, FWHM convention
+    # sigma passed the check above, and theta_act is folded to at least the
+    # collimated minimum, so neither needs pointing_loss_db's checks again.
+    lp_db[:] = _pointing_loss_kernel(sigma, theta_act)  # <= 0, FWHM convention
     received = received_power_column(config, slant_range_m, -lp_db, theta_act)
     rate = max_rate_column(config, received, policy.margin_floor_db)
     outage = rejected(rate, gt=0)  # rate 0.0, where max_rate raises LinkClosedError

@@ -578,6 +578,21 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     assert runs[1].out == runs[2].out and runs[1].err == runs[2].err
 
 
+@pytest.mark.parametrize("name,argv,data", [
+    ("run.ini", ["simulate", "--config"], b"[link]\ntx_power_w = 2.0\xff\n"),
+    ("run.json", ["simulate", "--config"], b'{"link": {"tx_power_w": "2.0\xff"}}'),
+    ("positions.csv", ["calibrate", "--positions"], b"position_m,divergence_rad\n0.0,9e-05\xff\n"),
+], ids=["ini", "json", "csv"])
+def test_input_file_that_is_not_utf8_exits_2_naming_it(name, argv, data, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert f"{path} is not UTF-8 text" in error and "0xff" in error
+
+
 @pytest.mark.parametrize("argv,files,code,named", [
     (["budget", "--distance", "nan", "--rate", "10e9", "--format", "json"], {}, 3, "distance"),
     (["budget", "--distance", "inf", "--rate", "10e9", "--format", "json"], {}, 3, "distance"),
