@@ -191,8 +191,10 @@ class ThermalModel:
     hot_outputs: tuple[float, float] = (423e-6, 5.5e-3)
 
     def __post_init__(self) -> None:
-        for name in ("cold_temperature_c", "hot_temperature_c", "anchor_settings", "cold_outputs", "hot_outputs"):
+        for name in ("cold_temperature_c", "hot_temperature_c"):
             finite(name, getattr(self, name))
+        for name in ("anchor_settings", "cold_outputs", "hot_outputs"):
+            finite(name, _entries(name, getattr(self, name), 2))
         finite("reference_temperature_c", self.reference_temperature_c,
                gt=self.cold_temperature_c, lt=self.hot_temperature_c)
         a0, a1 = self.anchor_settings
@@ -247,10 +249,8 @@ class ChromaticModel:
     offsets_high: tuple[float, float, float] = (171e-6, 0.0, 130e-6)
 
     def __post_init__(self) -> None:
-        if not (len(self.wavelengths) == len(self.offsets_low) == len(self.offsets_high) == 3):
-            raise ValueError("wavelengths, offsets_low and offsets_high need exactly 3 entries")
-        for name in ("wavelengths", "anchor_settings", "offsets_low", "offsets_high"):
-            finite(name, getattr(self, name))
+        for name, count in (("wavelengths", 3), ("anchor_settings", 2), ("offsets_low", 3), ("offsets_high", 3)):
+            finite(name, _entries(name, getattr(self, name), count))
         w0, w1, w2 = self.wavelengths
         finite("wavelengths[2]", w2, gt=finite("wavelengths[1]", w1, gt=w0))
         a0, a1 = self.anchor_settings
@@ -270,6 +270,13 @@ class ChromaticModel:
         off0 = _quadratic_through(self.wavelengths, self.offsets_low, wavelength)
         off1 = _quadratic_through(self.wavelengths, self.offsets_high, wavelength)
         return _between_anchors(self.anchor_settings, off0, off1, theta_set)
+
+
+def _entries(name: str, values, count: int):
+    """Return ``values`` if it holds exactly ``count`` entries; else raise ``ValueError`` naming it."""
+    if len(values) != count:
+        raise ValueError(f"{name} needs exactly {count} entries, got {len(values)}")
+    return values
 
 
 def _between_anchors(anchors: tuple[float, float], low: float, high: float, theta_set):

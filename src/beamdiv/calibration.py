@@ -29,7 +29,7 @@ import numpy as np
 from ._checks import finite, integer
 from .actuator import ChromaticModel, DivergenceMap, ThermalModel
 from .beam_optics import GaussianBeam
-from .config import ConfigError
+from .config import ConfigError, _model_dict
 
 __all__ = [
     "PROFILER_RESOLUTION_M",
@@ -166,10 +166,7 @@ class PositionMapFit:
 
     def to_dict(self) -> dict:
         return {
-            "collimated_divergence_rad": self.map.collimated_divergence,
-            "diverging_slope_rad_per_m": self.map.diverging_slope,
-            "converging_slope_rad_per_m": self.map.converging_slope,
-            "max_travel_m": self.map.max_travel,
+            **_model_dict("map", self.map),
             "diverging_fit": self.diverging.to_dict(),
             "converging_fit": self.converging.to_dict(),
             "r_squared_gate": self.r_squared_gate,
@@ -289,12 +286,7 @@ class ThermalFit:
 
     def to_dict(self) -> dict:
         return {
-            "reference_temperature_c": self.model.reference_temperature_c,
-            "cold_temperature_c": self.model.cold_temperature_c,
-            "hot_temperature_c": self.model.hot_temperature_c,
-            "anchor_settings_rad": list(self.model.anchor_settings),
-            "cold_outputs_rad": list(self.model.cold_outputs),
-            "hot_outputs_rad": list(self.model.hot_outputs),
+            **_model_dict("thermal", self.model),
             "slopes_rad_per_c": {k: v for k, v in self.slopes.items()},
             "residual_rms_rad": {k: v for k, v in self.residual_rms.items()},
         }
@@ -368,10 +360,7 @@ class ChromaticFit:
 
     def to_dict(self) -> dict:
         return {
-            "wavelengths_m": list(self.model.wavelengths),
-            "anchor_settings_rad": list(self.model.anchor_settings),
-            "offsets_low_rad": list(self.model.offsets_low),
-            "offsets_high_rad": list(self.model.offsets_high),
+            **_model_dict("chromatic", self.model),
             "reference_wavelength_m": self.reference_wavelength_m,
             "raw_offsets_rad": {k: v for k, v in self.raw_offsets.items()},
         }

@@ -109,8 +109,11 @@ def cmd_emulate(args) -> int:
     state = load_config(args.config).make_actuator_state()
     lines = []
     if args.script:
-        with open(args.script) as fh:
-            lines = fh.readlines()
+        try:
+            with open(args.script, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"emulator script {args.script} is not UTF-8 text: {exc}") from None
     trace = run_script(lines, state)
     if args.format == "json":
         _emit(json.dumps(trace, indent=2), args.out)

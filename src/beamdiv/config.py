@@ -35,6 +35,19 @@ no keys.
 
 All angles in files are radians, all distances meters, powers watts, rates
 bit/s; dB values say so in their key names.
+
+The device-model sections use the keys under which ``beamdiv calibrate``
+writes its fitted models, so a table's model keys load as they are; a list
+value is written ``a, b`` in INI and as a list in JSON:
+
+- ``[map]``: ``collimated_divergence_rad``, ``diverging_slope_rad_per_m``,
+  ``converging_slope_rad_per_m``, ``max_travel_m``;
+- ``[thermal]``: ``reference_temperature_c``, ``cold_temperature_c``,
+  ``hot_temperature_c``, and the lists ``anchor_settings_rad``,
+  ``cold_outputs_rad`` and ``hot_outputs_rad`` (2 entries each);
+- ``[chromatic]``: the lists ``wavelengths_m`` (3 entries),
+  ``anchor_settings_rad`` (2), ``offsets_low_rad`` and ``offsets_high_rad``
+  (3 each).
 """
 
 from __future__ import annotations
@@ -108,10 +121,11 @@ def _parse_enum(kind: type[enum.Enum]):
 
 
 # section -> key -> (parser, field, slot).  ``field`` is the attribute the key
-# sets on the section's model; ``slot`` is the tuple index, or attribute of a
-# nested model, that it sets inside that field.  [anchor] fields are the
-# arguments of calibrate_sensitivity.  [policy] and [run] apply to RunConfig
-# itself: the policy keys set attributes of its ``policy``.
+# sets on the section's model; ``slot`` is the attribute of a nested model that
+# it sets inside that field.  [anchor] fields are the arguments of
+# calibrate_sensitivity.  [policy] and [run] apply to RunConfig itself: the
+# policy keys set attributes of its ``policy``.  The [map], [thermal] and
+# [chromatic] keys are also the calibrate table's model keys (_model_dict).
 _SCHEMA = {
     "link": {
         "tx_power_w": (_parse_float, "tx_power_w", None),
@@ -141,17 +155,13 @@ _SCHEMA = {
         "reference_temperature_c": (_parse_float, "reference_temperature_c", None),
         "cold_temperature_c": (_parse_float, "cold_temperature_c", None),
         "hot_temperature_c": (_parse_float, "hot_temperature_c", None),
-        "anchor_low_rad": (_parse_float, "anchor_settings", 0),
-        "anchor_high_rad": (_parse_float, "anchor_settings", 1),
-        "cold_output_low_rad": (_parse_float, "cold_outputs", 0),
-        "cold_output_high_rad": (_parse_float, "cold_outputs", 1),
-        "hot_output_low_rad": (_parse_float, "hot_outputs", 0),
-        "hot_output_high_rad": (_parse_float, "hot_outputs", 1),
+        "anchor_settings_rad": (_parse_float_list, "anchor_settings", None),
+        "cold_outputs_rad": (_parse_float_list, "cold_outputs", None),
+        "hot_outputs_rad": (_parse_float_list, "hot_outputs", None),
     },
     "chromatic": {
         "wavelengths_m": (_parse_float_list, "wavelengths", None),
-        "anchor_low_rad": (_parse_float, "anchor_settings", 0),
-        "anchor_high_rad": (_parse_float, "anchor_settings", 1),
+        "anchor_settings_rad": (_parse_float_list, "anchor_settings", None),
         "offsets_low_rad": (_parse_float_list, "offsets_low", None),
         "offsets_high_rad": (_parse_float_list, "offsets_high", None),
     },
@@ -301,7 +311,7 @@ def _invalid(section: str):
 
 
 def _fields(section: str, entries: dict, base) -> dict:
-    """Model fields set by a section's keys; slotted keys merge into ``base``'s value."""
+    """Model fields set by a section's keys; slotted keys merge into ``base``'s nested model."""
     fields: dict = {}
     slots: dict = {}
     for key, value in entries.items():
@@ -311,12 +321,14 @@ def _fields(section: str, entries: dict, base) -> dict:
         else:
             slots.setdefault(name, {})[slot] = value
     for name, values in slots.items():
-        current = getattr(base, name)
-        if isinstance(current, tuple):
-            fields[name] = tuple(values.get(i, v) for i, v in enumerate(current))
-        else:
-            fields[name] = replace(current, **values)
+        fields[name] = replace(getattr(base, name), **values)
     return fields
+
+
+def _model_dict(section: str, model) -> dict:
+    """``model``'s fields under ``section``'s keys, in schema order, tuples as lists: the section as JSON holds it."""
+    fields = {key: getattr(model, name) for key, (_, name, _) in _SCHEMA[section].items()}
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in fields.items()}
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:

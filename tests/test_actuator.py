@@ -236,6 +236,19 @@ class TestThermalModel:
         with pytest.raises(ValueError):
             apply_temperature(90e-6, 61.0, THERMAL)
 
+    # A third entry used to be ignored, and a wrong-length anchor pair failed on unpacking.
+    @pytest.mark.parametrize("field,values", [
+        ("anchor_settings", (90e-6,)),
+        ("anchor_settings", (90e-6, 5e-3, 6e-3)),
+        ("cold_outputs", (675e-6,)),
+        ("cold_outputs", (675e-6, 4.2e-3, 99.0)),
+        ("hot_outputs", (423e-6,)),
+        ("hot_outputs", (423e-6, 5.5e-3, 6e-3)),
+    ])
+    def test_needs_exactly_two_entries(self, field, values):
+        with pytest.raises(ValueError, match=rf"^{field} needs exactly 2 entries, got {len(values)}$"):
+            ThermalModel(**{field: values})
+
 
 class TestChromaticModel:
     @pytest.mark.parametrize("theta,wl,expected", [
@@ -269,8 +282,13 @@ class TestChromaticModel:
         ("offsets_high", (171e-6, 0.0, 130e-6, 150e-6)),
     ])
     def test_needs_exactly_three_samples(self, field, values):
-        with pytest.raises(ValueError, match="exactly 3"):
+        with pytest.raises(ValueError, match=rf"^{field} needs exactly 3 entries, got {len(values)}$"):
             ChromaticModel(**{field: values})
+
+    @pytest.mark.parametrize("values", [(90e-6,), (90e-6, 5e-3, 6e-3)])
+    def test_needs_exactly_two_anchors(self, values):
+        with pytest.raises(ValueError, match=rf"^anchor_settings needs exactly 2 entries, got {len(values)}$"):
+            ChromaticModel(anchor_settings=values)
 
     def test_zero_offsets_must_share_a_wavelength(self):
         # Each anchor has a zero, but at different wavelengths: no wavelength

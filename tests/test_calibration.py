@@ -7,7 +7,7 @@ import pytest
 from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_temperature, apply_wavelength
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam
 from beamdiv.cli import main
-from beamdiv.config import ConfigError
+from beamdiv.config import _SCHEMA, ConfigError, load_config
 from beamdiv.calibration import (
     CHROMATIC_DTYPE,
     DESIGN_EFFECTIVE_FOCAL_LENGTH_M,
@@ -245,6 +245,40 @@ class TestChromaticFit:
         rows += [(5e-3, wl, 5e-3) for wl in (1.53e-6, 1.55e-6)]
         with pytest.raises(ValueError):
             build_chromatic_model(rows)
+
+
+def fitted_models(seed):
+    """The three fits of a seeded synthetic campaign: the design models, each reading off by about 0.1 %."""
+    rng = np.random.default_rng(seed)
+
+    def measured(rows):
+        return [(*row[:-1], row[-1] * (1.0 + rng.normal(0.0, 1e-3))) for row in rows]
+
+    return (build_position_map(measured(sample_position_map(MAP).tolist())),
+            build_thermal_model(measured(thermal_sweep_rows(ThermalModel()))),
+            build_chromatic_model(measured(chromatic_sweep_rows(ChromaticModel()))))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("suffix", [".json", ".ini"])
+def test_fitted_models_load_back_from_a_config_bit_for_bit(seed, suffix, tmp_path):
+    position, thermal, chromatic = fitted_models(seed)
+    fitted = (position.map, thermal.model, chromatic.model)
+    assert fitted != (MAP, ThermalModel(), ChromaticModel())
+    # The table's model keys are the config's keys: the diagnostics beside them are left out.
+    sections = {section: {key: value for key, value in fit.to_dict().items() if key in _SCHEMA[section]}
+                for section, fit in (("map", position), ("thermal", thermal), ("chromatic", chromatic))}
+    assert all(list(keys) == list(_SCHEMA[section]) for section, keys in sections.items())
+    path = tmp_path / f"fitted{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps(sections))
+    else:
+        path.write_text("".join(f"[{section}]\n" + "".join(
+            f"{key} = {', '.join(map(repr, value)) if isinstance(value, list) else repr(value)}\n"
+            for key, value in keys.items()) for section, keys in sections.items()))
+    cfg = load_config(str(path))
+    loaded = (cfg.dmap, cfg.thermal, cfg.chromatic)
+    assert loaded == fitted and repr(loaded) == repr(fitted)
 
 
 class TestCsvInterfaces:

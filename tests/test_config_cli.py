@@ -1,8 +1,11 @@
+import ast
 import csv
 import dataclasses
+import functools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,15 +129,11 @@ KEY_PROBES = {
     ("thermal", "reference_temperature_c"): ("25.0", "thermal.reference_temperature_c"),
     ("thermal", "cold_temperature_c"): ("-40.0", "thermal.cold_temperature_c"),
     ("thermal", "hot_temperature_c"): ("70.0", "thermal.hot_temperature_c"),
-    ("thermal", "anchor_low_rad"): ("100e-6", "thermal.anchor_settings.0"),
-    ("thermal", "anchor_high_rad"): ("6e-3", "thermal.anchor_settings.1"),
-    ("thermal", "cold_output_low_rad"): ("600e-6", "thermal.cold_outputs.0"),
-    ("thermal", "cold_output_high_rad"): ("4e-3", "thermal.cold_outputs.1"),
-    ("thermal", "hot_output_low_rad"): ("400e-6", "thermal.hot_outputs.0"),
-    ("thermal", "hot_output_high_rad"): ("5.6e-3", "thermal.hot_outputs.1"),
+    ("thermal", "anchor_settings_rad"): ("100e-6, 6e-3", "thermal.anchor_settings"),
+    ("thermal", "cold_outputs_rad"): ("600e-6, 4e-3", "thermal.cold_outputs"),
+    ("thermal", "hot_outputs_rad"): ("400e-6, 5.6e-3", "thermal.hot_outputs"),
     ("chromatic", "wavelengths_m"): ("1.52e-6, 1.55e-6, 1.57e-6", "chromatic.wavelengths"),
-    ("chromatic", "anchor_low_rad"): ("100e-6", "chromatic.anchor_settings.0"),
-    ("chromatic", "anchor_high_rad"): ("6e-3", "chromatic.anchor_settings.1"),
+    ("chromatic", "anchor_settings_rad"): ("100e-6, 6e-3", "chromatic.anchor_settings"),
     ("chromatic", "offsets_low_rad"): ("11e-6, 0.0, 3e-6", "chromatic.offsets_low"),
     ("chromatic", "offsets_high_rad"): ("170e-6, 0.0, 130e-6", "chromatic.offsets_high"),
     ("geometry", "altitude_m"): ("650e3", "geometry.altitude_m"),
@@ -149,6 +148,19 @@ KEY_PROBES = {
     ("policy", "rate_ladder_bps"): ("1e9, 2e9", "policy.rate_ladder_bps"),
     ("policy", "sigma_p_rad"): ("1e-5", "sigma_p_rad"),
     ("run", "seed"): ("7", "seed"),
+}
+
+# Each entry of a two-entry model key, named low/high, with a distinct valid value for that entry alone: written
+# as the list key with the other entry at its design value, it must land on that one tuple slot.
+ENTRY_PROBES = {
+    ("thermal", "anchor_low_rad"): ("anchor_settings_rad", 0, "100e-6"),
+    ("thermal", "anchor_high_rad"): ("anchor_settings_rad", 1, "6e-3"),
+    ("thermal", "cold_output_low_rad"): ("cold_outputs_rad", 0, "600e-6"),
+    ("thermal", "cold_output_high_rad"): ("cold_outputs_rad", 1, "4e-3"),
+    ("thermal", "hot_output_low_rad"): ("hot_outputs_rad", 0, "400e-6"),
+    ("thermal", "hot_output_high_rad"): ("hot_outputs_rad", 1, "5.6e-3"),
+    ("chromatic", "anchor_low_rad"): ("anchor_settings_rad", 0, "100e-6"),
+    ("chromatic", "anchor_high_rad"): ("anchor_settings_rad", 1, "6e-3"),
 }
 
 
@@ -174,10 +186,17 @@ class TestSchemaTable:
     def test_every_key_is_probed(self):
         assert set(KEY_PROBES) == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
 
-    @pytest.mark.parametrize("section,key", sorted(KEY_PROBES))
+    @pytest.mark.parametrize("section,key", sorted(KEY_PROBES) + sorted(ENTRY_PROBES))
     def test_key_sets_only_its_field(self, section, key, tmp_path):
-        value, target = KEY_PROBES[section, key]
         design = load_config(None)
+        if (section, key) in ENTRY_PROBES:
+            key, index, entry = ENTRY_PROBES[section, key]
+            target = KEY_PROBES[section, key][1]
+            slots = [repr(v) for v in functools.reduce(getattr, target.split("."), design)]
+            slots[index] = entry
+            value, target = ", ".join(slots), f"{target}.{index}"
+        else:
+            value, target = KEY_PROBES[section, key]
         entries = {key: value}
         if section == "sensitivity":
             # The section is all-or-nothing; the other key keeps its design value.
@@ -192,6 +211,31 @@ class TestSchemaTable:
         # A [link] key may also move the sensitivity calibrated from that link.
         allowed = (target, "link.sensitivity") if section == "link" else (target,)
         assert all(any(_under(p, root) for root in allowed) for p in changed), sorted(changed)
+
+    def test_device_model_keys_are_spelled_only_in_the_schema(self):
+        """No module but config.py holds a [map], [thermal] or [chromatic] key, so the calibrate table writes its
+        models under the config's keys.  A key that is also its field's attribute name (the three temperatures)
+        is the model's own spelling as well, which validation messages use, so it is not counted."""
+        keys = {key for section in ("map", "thermal", "chromatic")
+                for key, (_, name, _) in _SCHEMA[section].items() if key != name}
+        assert {"anchor_settings_rad", "cold_outputs_rad", "offsets_high_rad", "diverging_slope_rad_per_m"} <= keys
+        src = Path(__file__).resolve().parent.parent / "src" / "beamdiv"
+        spelled = {(path.name, node.value) for path in sorted(src.glob("*.py")) if path.name != "config.py"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and node.value in keys}
+        assert spelled == set()
+
+    @pytest.mark.parametrize("section,key", [
+        ("thermal", "anchor_low_rad"), ("thermal", "anchor_high_rad"),
+        ("thermal", "cold_output_low_rad"), ("thermal", "cold_output_high_rad"),
+        ("thermal", "hot_output_low_rad"), ("thermal", "hot_output_high_rad"),
+        ("chromatic", "anchor_low_rad"), ("chromatic", "anchor_high_rad"),
+    ])
+    def test_a_per_entry_model_key_is_unknown(self, section, key, tmp_path, capsys):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[{section}]\n{key} = 1e-4\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == f"{path}: unknown key '{key}' in section [{section}]"
 
     def test_none_is_an_empty_file(self, tmp_path):
         (tmp_path / "empty.ini").write_text("")
@@ -214,6 +258,15 @@ class TestSchemaTable:
         ("divergence.ini", "[link]\ntx_divergence_rad = -1e-6\n", "[link]"),
         ("sensitivity.ini", "[sensitivity]\nref_rate_bps = -1\nref_sensitivity_dbm = -30\n", "[sensitivity]"),
         ("chromatic.ini", "[chromatic]\nwavelengths_m = 1.52e-6, 1.53e-6, 1.55e-6, 1.57e-6\n", "[chromatic]"),
+        # A model list of the wrong length: a third entry used to be ignored.
+        ("thermal_anchors.ini", "[thermal]\nanchor_settings_rad = 90e-6, 5e-3, 6e-3\n",
+         "invalid [thermal] section: anchor_settings needs exactly 2 entries, got 3"),
+        ("thermal_cold.ini", "[thermal]\ncold_outputs_rad = 675e-6, 4.2e-3, 99.0\n",
+         "invalid [thermal] section: cold_outputs needs exactly 2 entries, got 3"),
+        ("thermal_hot.ini", "[thermal]\nhot_outputs_rad = 423e-6\n",
+         "invalid [thermal] section: hot_outputs needs exactly 2 entries, got 1"),
+        ("chromatic_anchors.ini", "[chromatic]\nanchor_settings_rad = 90e-6\n",
+         "invalid [chromatic] section: anchor_settings needs exactly 2 entries, got 1"),
         ("headerless.ini", "tx_power_w = 2.0\n", "headerless.ini"),
         ("broken.json", "{", "broken.json"),
         # float() and int() would take these as 3, 1.0 and (1e9, 1.0).
@@ -520,10 +573,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("section,text", [
         ("[map]", "[map]\ncollimated_divergence_rad = nan\n"),
         ("[map]", "[map]\nmax_travel_m = inf\n"),
-        ("[thermal]", "[thermal]\ncold_output_low_rad = nan\n"),
+        ("[thermal]", "[thermal]\ncold_outputs_rad = nan, 4e-3\n"),
         ("[chromatic]", "[chromatic]\noffsets_low_rad = nan, 0.0, 3e-6\n"),
         # Equal anchors used to divide by zero inside the pass.
-        ("[chromatic]", "[chromatic]\nanchor_low_rad = 5e-3\n"),
+        ("[chromatic]", "[chromatic]\nanchor_settings_rad = 5e-3, 5e-3\n"),
     ])
     def test_non_finite_actuator_model_exits_2(self, section, text, tmp_path, capsys):
         path = tmp_path / "model.ini"
@@ -582,7 +635,8 @@ def test_one_parser_serves_every_call(design_ini, capsys):
     ("run.ini", ["simulate", "--config"], b"[link]\ntx_power_w = 2.0\xff\n"),
     ("run.json", ["simulate", "--config"], b'{"link": {"tx_power_w": "2.0\xff"}}'),
     ("positions.csv", ["calibrate", "--positions"], b"position_m,divergence_rad\n0.0,9e-05\xff\n"),
-], ids=["ini", "json", "csv"])
+    ("script.txt", ["emulate", "--script"], b"query\xff\n"),
+], ids=["ini", "json", "csv", "script"])
 def test_input_file_that_is_not_utf8_exits_2_naming_it(name, argv, data, tmp_path, capsys):
     path = tmp_path / name
     path.write_bytes(data)
