@@ -526,21 +526,28 @@ def snapshot(state: ActuatorState, command: str = "") -> dict:
     }
 
 
-# The emulator-script commands and their arguments; a bracketed one is optional.
-_SCRIPT_USAGE = {
-    "set-divergence": "THETA_RAD [diverging|converging]",
-    "set-temperature": "DEG_C",
-    "set-wavelength": "METERS",
-    "steer": "TIP_RAD TILT_RAD",
-    "step": "DT_S",
-    "query": "",
+def _branch(name: str) -> Branch:
+    """The branch a script line names, in any case; any other name fails with ``member``'s list of choices."""
+    return member("branch", {branch.value: branch for branch in Branch}.get(name.lower(), name), Branch)
+
+
+# Each emulator-script command's arguments (a bracketed one is optional) and
+# its action on the state, given those arguments as strings.
+_SCRIPT = {
+    "set-divergence": ("THETA_RAD [diverging|converging]", lambda st, theta, branch=None: command_divergence(
+        st, float(theta), branch and _branch(branch))),
+    "set-temperature": ("DEG_C", lambda st, deg_c: set_temperature(st, float(deg_c))),
+    "set-wavelength": ("METERS", lambda st, meters: set_wavelength(st, float(meters))),
+    "steer": ("TIP_RAD TILT_RAD", lambda st, tip, tilt: steer(st, float(tip), float(tilt))),
+    "step": ("DT_S", lambda st, dt: step(st, float(dt))),
+    "query": ("", lambda st: None),
 }
 
 
 def run_script(lines: Iterable[str], state: Optional[ActuatorState] = None) -> list[dict]:
     """Execute a newline-delimited command stream against the emulator.
 
-    Each line is a command of ``_SCRIPT_USAGE`` and its arguments,
+    Each line is a command of ``_SCRIPT`` and its arguments,
     whitespace separated; ``#`` starts a comment.  A line with too few or
     too many arguments fails with its command's usage.  Returns one
     snapshot per executed command, preceded by the initial state, so an
@@ -555,23 +562,13 @@ def run_script(lines: Iterable[str], state: Optional[ActuatorState] = None) -> l
         parts = text.split()
         cmd, args = parts[0].lower(), parts[1:]
         try:
-            if cmd not in _SCRIPT_USAGE:
+            if cmd not in _SCRIPT:
                 raise ValueError(f"unknown command {cmd!r}")
-            usage = _SCRIPT_USAGE[cmd].split()
-            required = sum(not arg.startswith("[") for arg in usage)
-            if len(args) not in range(required, len(usage) + 1):
-                raise ValueError(" ".join(["usage:", cmd, *usage]))
-            if cmd == "set-divergence":
-                branch = Branch(args[1].lower()) if len(args) == 2 else None
-                command_divergence(st, float(args[0]), branch)
-            elif cmd == "set-temperature":
-                set_temperature(st, float(args[0]))
-            elif cmd == "set-wavelength":
-                set_wavelength(st, float(args[0]))
-            elif cmd == "steer":
-                steer(st, float(args[0]), float(args[1]))
-            elif cmd == "step":
-                step(st, float(args[0]))
+            usage, action = _SCRIPT[cmd]
+            most = len(usage.split())
+            if len(args) not in range(most - usage.count("["), most + 1):
+                raise ValueError(f"usage: {cmd} {usage}".rstrip())
+            action(st, *args)
         except ValueError as exc:
             raise ValueError(f"script line {lineno}: {exc}") from exc
         trace.append(snapshot(st, text))

@@ -40,6 +40,15 @@ def _emit(text: str, out_path) -> None:
         print(text)
 
 
+def _config_and_actuator(path):
+    """The config at ``path`` and a fresh actuator for it; a link wavelength outside the chromatic band names the file."""
+    cfg = load_config(path)
+    try:
+        return cfg, cfg.make_actuator_state()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _angle_human(rad: float) -> str:
     if rad < 1e-3:
         return f"{rad * 1e6:.2f} urad"
@@ -63,8 +72,7 @@ def cmd_optimize(args) -> int:
         sigma = math.radians(args.sigma_deg)
     else:
         raise ConfigError("provide --sigma (radians) or --sigma-deg")
-    cfg = load_config(args.config)
-    state = cfg.make_actuator_state()
+    cfg, state = _config_and_actuator(args.config)
     convention = cfg.policy.convention
     # The closed loop's own law: zero jitter commands the collimated minimum, and
     # every pick is clamped to the limits of the actuator's branch.
@@ -106,7 +114,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_emulate(args) -> int:
-    state = load_config(args.config).make_actuator_state()
+    _, state = _config_and_actuator(args.config)
     lines = []
     if args.script:
         try:
@@ -168,7 +176,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg, state = _config_and_actuator(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     result = run_pass(
         cfg.geometry,
@@ -176,7 +184,7 @@ def cmd_simulate(args) -> int:
         cfg.link,
         jitter=cfg.sigma_p_rad,
         seed=seed,
-        state=cfg.make_actuator_state(),
+        state=state,
     )
     csv_text = steps_to_csv(result.steps)
     if args.out:

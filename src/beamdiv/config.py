@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import enum
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -283,46 +282,38 @@ def _parse_ini(text: str, path: str) -> dict:
             for section, keys in sections.items()}
 
 
-def _validate(sections: dict) -> dict:
-    parsed: dict = {}
-    for section, entries in sections.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        schema = _SCHEMA[section]
-        out = {}
-        for key, raw in entries.items():
-            if key not in schema:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            try:
-                out[key] = schema[key][0](raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid value for '{key}' in section [{section}]: {exc}") from exc
-        parsed[section] = out
-    return parsed
+def _apply(section: str, entries: Optional[dict], base):
+    """``base`` with a section's raw ``entries`` applied, or with ``base`` None the parsed fields alone.
 
-
-@contextmanager
-def _invalid(section: str):
-    """Re-raise a model's validation error as a ConfigError naming the section."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"invalid [{section}] section: {exc}") from exc
-
-
-def _fields(section: str, entries: dict, base) -> dict:
-    """Model fields set by a section's keys; slotted keys merge into ``base``'s nested model."""
-    fields: dict = {}
-    slots: dict = {}
-    for key, value in entries.items():
-        _, name, slot = _SCHEMA[section][key]
+    Each key is checked against the schema, parsed, and set on its field, or
+    merged into the slot of ``base``'s nested model.  An absent or empty
+    section returns ``base`` itself, not a re-validated copy.  The model's own
+    ValueError is re-raised as a ConfigError naming the section.
+    """
+    if not entries:
+        return {} if base is None else base
+    schema = _SCHEMA[section]
+    fields, slots = {}, {}
+    for key, raw in entries.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key '{key}' in section [{section}]")
+        parse, name, slot = schema[key]
+        try:
+            value = parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid value for '{key}' in section [{section}]: {exc}") from exc
         if slot is None:
             fields[name] = value
         else:
             slots.setdefault(name, {})[slot] = value
-    for name, values in slots.items():
-        fields[name] = replace(getattr(base, name), **values)
-    return fields
+    if base is None:
+        return fields
+    try:
+        for name, values in slots.items():
+            fields[name] = replace(getattr(base, name), **values)
+        return replace(base, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{section}] section: {exc}") from exc
 
 
 def _model_dict(section: str, model) -> dict:
@@ -339,44 +330,45 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     [sensitivity] section pins the sensitivity, it is calibrated at the
     [anchor] operating point, which defaults to ``DESIGN_ANCHOR``.  Every
     error is a :class:`ConfigError` that names the file, and the line for a
-    malformed INI file.
+    malformed INI file.  A file with several errors reports one: an unknown
+    section first, then the first bad key or model in model order ([link],
+    [anchor], [sensitivity], [map], [thermal], [chromatic], [geometry],
+    [policy], [run]), which need not be the first in the file.
     """
     if path is None:
         return _run_config({})
     sections = _read_sections(path)
     try:
-        return _run_config(_validate(sections))
+        return _run_config(sections)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _run_config(sections: dict) -> RunConfig:
-    """The design point with each validated section's keys applied."""
-
-    def model(section: str, base):
-        if section not in sections:
-            return base
-        with _invalid(section):
-            return replace(base, **_fields(section, sections[section], base))
-
-    link = model("link", DESIGN_LINK)
-    if "sensitivity" in sections:
+    """The design point with each raw section's keys applied."""
+    for section in sections:
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+    link = _apply("link", sections.get("link"), DESIGN_LINK)
+    # [anchor] is parsed and checked even when [sensitivity] pins the model.
+    anchor = dict(zip(("distance", "rate", "margin_db"), DESIGN_ANCHOR))
+    anchor.update(_apply("anchor", sections.get("anchor"), None))
+    pinned = "sensitivity" in sections
+    if pinned:
+        fields = _apply("sensitivity", sections["sensitivity"], None)
         missing = set(_SCHEMA["sensitivity"]) - set(sections["sensitivity"])
         if missing:
             raise ConfigError(f"[sensitivity] missing key(s): {sorted(missing)}")
-        with _invalid("sensitivity"):
-            sensitivity = SensitivityModel(**_fields("sensitivity", sections["sensitivity"], None))
-    else:
-        anchor = dict(zip(("distance", "rate", "margin_db"), DESIGN_ANCHOR))
-        anchor.update(_fields("anchor", sections.get("anchor", {}), None))
-        with _invalid("anchor"):
-            sensitivity = calibrate_sensitivity(link, **anchor)
+    try:
+        sensitivity = SensitivityModel(**fields) if pinned else calibrate_sensitivity(link, **anchor)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{'sensitivity' if pinned else 'anchor'}] section: {exc}") from exc
     run = RunConfig(
         link=link.with_sensitivity(sensitivity),
-        dmap=model("map", _DESIGN_MAP),
-        thermal=model("thermal", _DESIGN_THERMAL),
-        chromatic=model("chromatic", _DESIGN_CHROMATIC),
-        geometry=model("geometry", _DESIGN_GEOMETRY),
+        dmap=_apply("map", sections.get("map"), _DESIGN_MAP),
+        thermal=_apply("thermal", sections.get("thermal"), _DESIGN_THERMAL),
+        chromatic=_apply("chromatic", sections.get("chromatic"), _DESIGN_CHROMATIC),
+        geometry=_apply("geometry", sections.get("geometry"), _DESIGN_GEOMETRY),
         policy=DESIGN_POLICY,
     )
-    return model("run", model("policy", run))
+    return _apply("run", sections.get("run"), _apply("policy", sections.get("policy"), run))

@@ -547,6 +547,12 @@ class TestCommandScript:
         with pytest.raises(ValueError, match=f"^script line 2: usage: {re.escape(usage)}$"):
             run_script(["query", line])
 
+    def test_a_branch_argument_names_the_choices(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "script line 1: branch must be one of ['diverging', 'converging'], got 'sideways'") + "$"):
+            run_script(["set-divergence 1e-3 sideways"])
+        assert run_script(["set-divergence 1e-3 Converging"])[-1]["branch"] == "converging"
+
     def test_trace_is_json_serializable(self):
         trace = run_script(["set-divergence 2e-3", "step 0.5", "steer 5e-6 -5e-6", "query"])
         json.dumps(trace)

@@ -14,6 +14,7 @@ from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_
 from beamdiv.calibration import sample_position_map
 from beamdiv.cli import build_parser, main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
+from beamdiv.link_budget import calibrate_sensitivity
 from beamdiv.sim import Strategy, adaptive_policy
 
 DESIGN_INI = """\
@@ -236,6 +237,49 @@ class TestSchemaTable:
         path.write_text(f"[{section}]\n{key} = 1e-4\n")
         assert main(["simulate", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == f"{path}: unknown key '{key}' in section [{section}]"
+
+    @pytest.mark.parametrize("suffix", [".ini", ".json"])
+    def test_every_key_at_once_lands_on_its_target(self, suffix, tmp_path):
+        """All keys in one file, [anchor] in place of [sensitivity]: both [link] slots and the five [policy] slots
+        merge into one model each, and every value lands where its key alone puts it."""
+        probes = {sk: probe for sk, probe in KEY_PROBES.items() if sk[0] != "sensitivity"}
+        sections = {}
+        for (section, key), (value, _) in probes.items():
+            sections.setdefault(section, {})[key] = value
+        path = tmp_path / f"all{suffix}"
+        if suffix == ".json":
+            def native(raw):
+                try:
+                    items = json.loads(f"[{raw}]")
+                except json.JSONDecodeError:
+                    return raw
+                return items if "," in raw else items[0]
+
+            path.write_text(json.dumps({section: {key: native(value) for key, value in keys.items()}
+                                        for section, keys in sections.items()}))
+        else:
+            path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                    for section, keys in sections.items()))
+        cfg = load_config(str(path))
+        assert cfg.link.sensitivity == calibrate_sensitivity(cfg.link, 700e3, 5e9, 4.0)
+        for (section, key), (value, target) in probes.items():
+            if section == "anchor":
+                continue
+            alone = tmp_path / "alone.ini"
+            alone.write_text(f"[{section}]\n{key} = {value}\n")
+            get = functools.partial(functools.reduce, getattr, target.split("."))
+            assert get(cfg) == get(load_config(str(alone))), (section, key)
+
+    @pytest.mark.parametrize("line,error", [
+        ("rate_bps = abc", "invalid value for 'rate_bps' in section [anchor]: could not convert string to float: 'abc'"),
+        ("rate = 10e9", "unknown key 'rate' in section [anchor]"),
+    ], ids=["malformed", "unknown"])
+    def test_anchor_keys_are_checked_when_sensitivity_pins_the_model(self, line, error, tmp_path):
+        path = tmp_path / "pinned.ini"
+        path.write_text(f"[sensitivity]\nref_rate_bps = 10e9\nref_sensitivity_dbm = -30\n\n[anchor]\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == f"{path}: {error}"
 
     def test_none_is_an_empty_file(self, tmp_path):
         (tmp_path / "empty.ini").write_text("")
@@ -612,7 +656,8 @@ def test_link_wavelength_outside_the_chromatic_band(argv, code, tmp_path, capsys
     path.write_text("[link]\nwavelength_m = 1.6e-6\n")
     assert main([*argv, "--config", str(path)]) == code
     if code:
-        assert "[link] wavelength_m" in json.loads(capsys.readouterr().err)["error"]
+        # Like every other load error, it starts with the config path.
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: [link] wavelength_m: ")
 
 
 def test_one_parser_serves_every_call(design_ini, capsys):
