@@ -91,6 +91,13 @@ class Branch(enum.Enum):
     CONVERGING = "converging"
 
 
+# Module-level names for the members: the scalar laws below test a branch on
+# every call, and on Python 3.11 ``Branch.DIVERGING`` costs several times a
+# global name lookup (``EnumType`` resolves it).
+_DIVERGING = Branch.DIVERGING
+_CONVERGING = Branch.CONVERGING
+
+
 class TravelRangeError(ValueError):
     """Requested position or correction exceeds the lens travel range."""
 
@@ -119,10 +126,10 @@ class DivergenceMap:
         return self.collimated_divergence + self.converging_slope * self.max_travel
 
     def slope(self, branch: Branch) -> float:
-        return self.diverging_slope if branch is Branch.DIVERGING else self.converging_slope
+        return self.diverging_slope if branch is _DIVERGING else self.converging_slope
 
     def branch_max(self, branch: Branch) -> float:
-        return self.diverging_max if branch is Branch.DIVERGING else self.converging_max
+        return self.diverging_max if branch is _DIVERGING else self.converging_max
 
 
 def _check_travel(what: str, x, lo: float, hi: float) -> None:
@@ -135,7 +142,7 @@ def _check_travel(what: str, x, lo: float, hi: float) -> None:
 
 def divergence_from_position(x: float, dmap: DivergenceMap) -> float:
     """Nominal divergence at lens position ``x`` (signed, meters): the setting on ``x``'s own side."""
-    return setting_on_branch(x, Branch.DIVERGING if x >= 0.0 else Branch.CONVERGING, dmap)
+    return setting_on_branch(x, _DIVERGING if x >= 0.0 else _CONVERGING, dmap)
 
 
 def position_from_divergence(
@@ -153,7 +160,7 @@ def position_from_divergence(
     travel = (theta - dmap.collimated_divergence) / dmap.slope(branch)
     # The branch maximum can map one ulp past the stroke end; clamp it back.
     travel = np.minimum(travel, dmap.max_travel) if np.ndim(travel) else min(travel, dmap.max_travel)
-    return travel if branch is Branch.DIVERGING else -travel
+    return travel if branch is _DIVERGING else -travel
 
 
 def setting_on_branch(x: Union[float, np.ndarray], branch: Branch, dmap: DivergenceMap) -> Union[float, np.ndarray]:
@@ -167,7 +174,7 @@ def setting_on_branch(x: Union[float, np.ndarray], branch: Branch, dmap: Diverge
     :class:`TravelRangeError` naming the first.
     """
     _check_travel("lens position", x, -dmap.max_travel, dmap.max_travel)
-    if member("branch", branch, Branch) is Branch.DIVERGING:
+    if member("branch", branch, Branch) is _DIVERGING:
         return dmap.collimated_divergence + dmap.diverging_slope * x
     return dmap.collimated_divergence + dmap.converging_slope * -x
 

@@ -156,9 +156,9 @@ CHECK_TOL = 1e-9
 # Rows of the far-field kernel evaluated at a time.  A multiple of 4, so that
 # every full block meets the matrix-vector product's row unrolling the same way.
 # Blocks are independent and run on every core the process may use, each lane
-# holding one block buffer at a time; a block's floats do not depend on which
-# lane computes it.
-_BLOCK_ROWS = 256
+# holding one block buffer at a time (256 KB at the default 2n = 512 nodes);
+# a block's floats do not depend on which lane computes it.
+_BLOCK_ROWS = 64
 
 _ON_AXIS = np.zeros(1)
 
@@ -179,10 +179,24 @@ def j0(x, out=None):
     return _scipy_j0()(x, out=out)
 
 
+# The default rule and its doubling check (n_nodes = 256 and 512), stored as
+# ``leggauss`` computes them: row 0 the nodes, row 1 the weights, the 256-node
+# rule first.  ``leggauss`` solves a dense n x n eigenproblem, O(n^3) time and
+# O(n^2) memory, and its bits come from the host's LAPACK.  The file is written
+# by ``tools/write_leggauss_table.py`` and read on first use.
+_STORED_RULES = {256: slice(0, 256), 512: slice(256, 768)}
+_STORED_RULES_FILE = os.path.join(os.path.dirname(__file__), "leggauss_256_512.npy")
+
+
 @functools.lru_cache(maxsize=16)
 def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # Node generation is O(n^2); cache it, the rule is reused constantly.
-    return np.polynomial.legendre.leggauss(n_nodes)
+    """Gauss-Legendre nodes and weights, read-only: every later solve shares them."""
+    if n_nodes in _STORED_RULES:
+        x, wt = np.load(_STORED_RULES_FILE)[:, _STORED_RULES[n_nodes]]
+    else:
+        x, wt = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
 
 
 def _radial_rule(apertured: AperturedBeam, n_nodes: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -253,7 +267,7 @@ def _amplitude(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -
 
 def _intensity(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -> np.ndarray:
     """Intensity at ``angles`` normalized by the rule's own on-axis amplitude."""
-    return (_amplitude(rule, angles) / _amplitude(rule, _ON_AXIS)[0]) ** 2
+    return (_amplitude(rule, angles) / _block(rule, _ON_AXIS)[0]) ** 2
 
 
 def _check_converged(coarse: np.ndarray, fine: np.ndarray, n_nodes: int) -> None:
@@ -315,12 +329,12 @@ def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAn
     """
     integer("n_nodes", n_nodes, ge=1)
     fine_rule = _radial_rule(apertured, 2 * n_nodes)
-    u0 = _amplitude(fine_rule, _ON_AXIS)[0]
+    u0 = _block(fine_rule, _ON_AXIS)[0]
     visited: list[float] = []
     fine: list[float] = []
 
     def half_excess(theta: float) -> float:
-        value = float(((_amplitude(fine_rule, np.array([theta])) / u0) ** 2)[0])
+        value = float(((_block(fine_rule, np.array([theta])) / u0) ** 2)[0])
         visited.append(theta)
         fine.append(value)
         return value - 0.5

@@ -1,3 +1,4 @@
+import fnmatch
 import functools
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -218,7 +220,7 @@ def _unblocked_profile(apertured, angles, n_nodes=256):
     return fine
 
 
-@pytest.mark.parametrize("block_rows", [4, 8, 256])
+@pytest.mark.parametrize("block_rows", [4, 8, 64, 256])
 @pytest.mark.parametrize("n_angles", [1, 3, 4, 5, 9, 255, 256, 257, 700])
 def test_blocked_profile_equals_unblocked(block_rows, n_angles):
     angles = np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, n_angles)
@@ -311,6 +313,62 @@ def test_profile_memory_is_one_block_buffer_per_lane():
     finally:
         tracemalloc.stop()
     assert peak <= lanes * fine_block_bytes + 0.5e6
+
+
+@pytest.mark.parametrize("n_nodes", sorted(beam_optics._STORED_RULES))
+def test_each_stored_rule_is_leggauss_bit_for_bit(n_nodes):
+    # A stale or misplaced table fails here; tools/write_leggauss_table.py rewrites it.
+    beam_optics._leggauss.cache_clear()
+    stored = beam_optics._leggauss(n_nodes)
+    computed = np.polynomial.legendre.leggauss(n_nodes)
+    assert [a.tobytes() for a in stored] == [a.tobytes() for a in computed]
+
+
+class _Eigenproblem(Exception):
+    pass
+
+
+def test_the_default_rules_are_read_not_computed():
+    angles = np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, 9)
+    fwhm, profile = truncated_fwhm(DESIGN).value, farfield_intensity(DESIGN, angles)
+    beam_optics._leggauss.cache_clear()
+    try:
+        with mock.patch.object(np.polynomial.legendre, "leggauss", side_effect=_Eigenproblem) as leggauss:
+            assert truncated_fwhm(DESIGN).value == fwhm
+            assert farfield_intensity(DESIGN, angles).tobytes() == profile.tobytes()
+            leggauss.assert_not_called()
+            with pytest.raises(_Eigenproblem):
+                farfield_intensity(DESIGN, angles, n_nodes=64)
+            leggauss.assert_called_once_with(128)
+    finally:
+        beam_optics._leggauss.cache_clear()
+
+
+def test_a_first_fwhm_solve_stays_small():
+    truncated_fwhm(DESIGN)  # SciPy's j0 is loaded
+    beam_optics._leggauss.cache_clear()
+    tracemalloc.start()
+    try:
+        truncated_fwhm(DESIGN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+@pytest.mark.parametrize("n_nodes", [64, 256, 512])
+def test_the_cached_rules_are_read_only(n_nodes):
+    for array in beam_optics._leggauss(n_nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_the_stored_rules_ship_with_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["tool"]["setuptools"]["package-data"]["beamdiv"]
+    assert os.path.dirname(beam_optics._STORED_RULES_FILE) == os.path.dirname(beam_optics.__file__)
+    assert any(fnmatch.fnmatch(os.path.basename(beam_optics._STORED_RULES_FILE), p) for p in declared)
 
 
 class TestTruncatedFwhm:

@@ -96,7 +96,7 @@ def test_endpoint_root_returns_the_endpoint(root):
 
 def test_import_leaves_scipy_optimize_unloaded():
     # A fresh interpreter: importing beamdiv loads no SciPy special functions
-    # until the far field needs j0, and no configparser at all.  Then every solver beamdiv uses is called
+    # until the far field needs j0, loads no quadrature rule, and no configparser at all.  Then every solver beamdiv uses is called
     # once, and SciPy's optimize subpackage (with linalg behind it) must still
     # not be loaded.  No thread is left running after the import or after a
     # far-field solve and a multi-block profile: the kernel keeps no pool.
@@ -106,6 +106,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy.special'))",
         "assert not loaded, loaded",
         "assert 'configparser' not in sys.modules",
+        "assert beamdiv.beam_optics._leggauss.cache_info().currsize == 0",
         "assert threading.active_count() == 1, threading.enumerate()",
         "from beamdiv.actuator import DivergenceMap, ThermalModel, temperature_corrected_position",
         "design = beamdiv.AperturedBeam(beamdiv.GaussianBeam(0.0178, 1.55e-6), 0.02)",
