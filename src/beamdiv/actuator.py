@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -384,8 +385,10 @@ class ActuatorState:
         """
         member("branch", self.branch, Branch)
         finite("motor_speed", self.motor_speed, gt=0)
-        finite("step_size", self.step_size, ge=0)
         stroke = self.dmap.max_travel
+        if finite("step_size", self.step_size, ge=0) > 0.0:
+            # The rule divides a lens position by the step; at this bound the quotient stays finite.
+            finite("a positive step_size", self.step_size, ge=stroke / (sys.float_info.max / 2.0))
         _check_travel("lens position", self.lens_position, -stroke, stroke)
         _check_travel("target position", self.target_position, -stroke, stroke)
         self.thermal.check_temperature(self.temperature_c)
@@ -408,34 +411,204 @@ def command_divergence(
     state.target_position = target_x
 
 
-def track(state: ActuatorState, targets: Iterable[float], dt: float) -> list[float]:
+def track(state: ActuatorState, targets, dt: float) -> np.ndarray:
     """Command each target position in turn and advance the lens one tick of ``dt``.
 
     The motion rule: the lens moves toward the target at constant speed and
     the position is quantized to the step grid; it never overshoots the
     target by more than one quantization step, and a target within one
     tick's travel is reached exactly.  The stroke ends are hard stops: a
-    quantized position past +-``max_travel`` lands on the end.  Returns the
-    lens position after each tick and leaves ``state`` as after the last one.
+    quantized position past +-``max_travel`` lands on the end.  A tick whose
+    target equals the lens position leaves the lens as it is, the sign of a
+    zero included.  Returns the float64 column of lens positions after each
+    tick and leaves ``state`` as after the last one; an empty column leaves
+    it untouched.  A target off the stroke raises :class:`TravelRangeError`.
+
+    Since an arrival puts the lens on its target exactly, a tick that
+    follows an arrival arrives too unless its target is more than one
+    tick's travel from the last one.  So the output starts as the targets,
+    and only the stretches that start at such a tick run the rule
+    (:func:`_slew`).
     """
     travel = state.motor_speed * finite("dt", dt, gt=0)
-    quantum, stroke = state.step_size, state.dmap.max_travel
-    lens, time_s = state.lens_position, state.time_s
-    positions = []
-    for target in targets:
-        time_s += dt
-        remaining = target - lens
-        if remaining != 0.0:
-            if abs(remaining) <= travel:
-                lens = target
-            else:
-                lens += math.copysign(travel, remaining)
-                if quantum > 0.0:
-                    lens = min(max(round(lens / quantum) * quantum, -stroke), stroke)
-        positions.append(lens)
-    if positions:
-        state.lens_position, state.target_position, state.time_s = lens, target, time_s
-    return positions
+    targets = np.asarray(targets, dtype=float)
+    n = len(targets)
+    if not n:
+        return targets.copy()
+    stroke = state.dmap.max_travel
+    _check_travel("target position", targets, -stroke, stroke)
+    # One scratch column: first each tick's step from the lens an arrival leaves, then the clock.
+    scratch = np.empty(n)
+    scratch[0] = state.lens_position
+    scratch[1:] = targets[:-1]
+    starts = np.flatnonzero(np.abs(np.subtract(targets, scratch, out=scratch), out=scratch) > travel)
+    lens = targets.copy()
+    if starts.size:
+        origins = targets[starts - 1]
+        if starts[0] == 0:
+            origins[0] = state.lens_position
+        _slew(lens, targets, starts, origins, travel, state.step_size, stroke)
+    _hold_zero_signs(lens, targets, state.lens_position)
+    # The clock adds dt once per tick, in tick order, as a running total would.
+    scratch.fill(dt)
+    scratch[0] = state.time_s + dt
+    state.time_s = float(np.add.accumulate(scratch, out=scratch)[-1])
+    state.lens_position, state.target_position = float(lens[-1]), float(targets[-1])
+    return lens
+
+
+# The running head's width starts at 1 and doubles with every lockstep step;
+# from this width on, each step also runs the head ahead in a block that many
+# ticks wide, and a block whose guess misses starts the width over.  Each
+# block's guess is refined this many times before it is checked.
+_HEAD_BLOCK = 8
+_SWEEPS = 2
+
+
+def _slew(lens: np.ndarray, targets: np.ndarray, starts: np.ndarray, origins: np.ndarray,
+          travel: float, quantum: float, stroke: float) -> None:
+    """Write into ``lens`` the slewing positions of the stretches that start at ``starts``.
+
+    A stretch starts from ``origins`` (the lens before its first tick, more
+    than one tick's travel from its target) and runs the rule until it
+    arrives or the column ends.  The stretches that count form a chain: the
+    first, then the first to start after the last kept one arrived (a start
+    inside a kept stretch does not follow an arrival).
+
+    Every running stretch advances at once, one numpy step per tick, so
+    most of the chain is known by the time its running head arrives.  The
+    stretches inside the head are dropped as the head reaches them, and a
+    head that keeps slewing also runs ahead in doubling blocks
+    (:func:`_run_head`): a lens that slews for most of a long column costs a
+    few steps per doubling, not one per tick.
+    """
+    n, count = len(targets), len(starts)
+    # Each stretch's successor, the first to start after it arrives (count: none), or -1
+    # while it runs; the extra slot at index count stays -1 and ends the walk.
+    successors = np.full(count + 1, -1)
+    # The running stretches not inside the head, ascending: which, their next tick, the lens before it.
+    ids, ticks, pos = np.arange(count), starts, origins
+    moves, kept, head, width = [], [], 0, 1
+    while True:
+        following = successors.item(head)
+        while following >= 0:
+            kept.append(head)
+            head, width = following, 1
+            following = successors.item(head)
+        if head == count:
+            break
+        # Put the head first and drop the starts inside it.  The copies are fresh, so writing
+        # the head's row below leaves the arrays already in ``moves`` as they are.
+        first = np.searchsorted(ids, head)
+        after = np.searchsorted(ids, np.searchsorted(starts, ticks[first], side="right"))
+        ids, ticks, pos = (np.concatenate((column[first:first + 1], column[after:])) for column in (ids, ticks, pos))
+        if width >= _HEAD_BLOCK:
+            slewed, arrived, moved = _run_head(ticks.item(0), pos.item(0), width, targets, travel, quantum, stroke)
+            moves.append((np.arange(ticks[0], ticks[0] + slewed), np.full(slewed, head), moved))
+            ticks[0] += slewed
+            if slewed:
+                pos[0] = moved[-1]
+            if arrived or ticks[0] == n:
+                successors[head] = np.searchsorted(starts, ticks[0], side="right")
+                ids, ticks, pos = ids[1:], ticks[1:], pos[1:]
+            width = 2 * width if slewed == width else 1
+        else:
+            width *= 2
+        # One step of the rule for every running stretch.
+        remaining = targets[ticks] - pos
+        arrived = np.abs(remaining) <= travel
+        successors[ids[arrived]] = np.searchsorted(starts, ticks[arrived], side="right")
+        slewing = ~arrived
+        ids, ticks = ids[slewing], ticks[slewing]
+        pos = _move(pos[slewing], remaining[slewing], travel, quantum, stroke)
+        moves.append((ticks, ids, pos))
+        ticks = ticks + 1
+        ended = ticks == n  # the column ends before these arrive
+        if ended.any():
+            successors[ids[ended]] = count
+            ids, ticks, pos = ids[~ended], ticks[~ended], pos[~ended]
+    ticks, ids, values = (np.concatenate(column) for column in zip(*moves))
+    keep = np.zeros(count, dtype=bool)
+    keep[kept] = True
+    keep = keep[ids]
+    lens[ticks[keep]] = values[keep]
+
+
+def _run_head(first: int, start: float, width: int, targets, travel, quantum, stroke):
+    """Run the head stretch from tick ``first`` and lens ``start`` for up to ``width`` ticks at once.
+
+    Returns how many ticks it slewed, whether it arrives on the tick after
+    them, and its positions on the ticks it slewed.  The rule is
+    sequential, so the block guesses first: each tick moves toward its
+    target as seen from the guess before it, starting from the block's
+    first position and refined ``_SWEEPS`` times.  Then one step of the
+    rule from every guessed position checks every guess at once.  The
+    stretch keeps its ticks up to the first that arrives, leaves the column
+    or misses its guess; a missed tick still holds the rule's own position,
+    since the position before it was right.
+    """
+    target = targets[first:first + width]
+    # A guess may count past the largest float, and so may the rule's step from an
+    # arriving tick, which is not kept; neither reaches a kept position.
+    with np.errstate(over="ignore"):
+        before = start
+        for _ in range(_SWEEPS):
+            guess = np.copysign(travel, target - before)
+            guess[0] += start
+            if quantum > 0.0:  # counted in grid steps
+                np.rint(guess / quantum, out=guess)
+            np.add.accumulate(guess, out=guess)
+            if quantum > 0.0:
+                _on_grid(guess, quantum, stroke)
+            before = np.concatenate(([start], guess[:-1]))
+        remaining = target - before
+        arrives = np.abs(remaining) <= travel
+        moved = _move(before, remaining, travel, quantum, stroke)
+    stops = arrives | (moved != guess)
+    stop = int(np.argmax(stops)) if stops.any() else len(target)
+    arrived = stop < len(target) and bool(arrives[stop])
+    slewed = stop if arrived else min(stop + 1, len(target))
+    return slewed, arrived, moved[:slewed]
+
+
+def _move(start: np.ndarray, remaining: np.ndarray, travel: float, quantum: float, stroke: float) -> np.ndarray:
+    """The rule's slewing step: one tick's travel toward a target ``remaining`` away, onto the step grid."""
+    moved = start + np.copysign(travel, remaining)
+    if quantum > 0.0:
+        _on_grid(np.rint(moved / quantum, out=moved), quantum, stroke)
+    return moved
+
+
+def _on_grid(steps: np.ndarray, quantum: float, stroke: float) -> None:
+    """Turn whole grid steps into positions in place, clamped to the stroke.
+
+    ``np.rint`` gives -0.0 for a lens that rounds to zero from below, where
+    the rule's ``round`` gives the integer 0; adding 0.0 makes it +0.0.
+    """
+    steps += 0.0
+    steps *= quantum
+    np.clip(steps, -stroke, stroke, out=steps)
+
+
+def _hold_zero_signs(lens: np.ndarray, targets: np.ndarray, start: float) -> None:
+    """Give each tick whose target equals a zero lens before it that lens's zero, sign included.
+
+    Everywhere else ``lens`` is already the rule's output: -0.0 and +0.0
+    compare equal, so only the sign of a held zero can differ.
+    """
+    held = targets == 0.0
+    if not held.any():
+        return
+    held[0] &= start == 0.0
+    held[1:] &= lens[:-1] == 0.0
+    signs = np.signbit(lens)
+    flips = np.empty_like(signs)
+    flips[0] = signs[0] != np.signbit(start)
+    np.not_equal(signs[1:], signs[:-1], out=flips[1:])
+    if np.any(held & flips):
+        # A run of held ticks keeps the zero from before the run.
+        source = np.maximum.accumulate(np.where(held, 0, np.arange(1, len(lens) + 1)))
+        lens[held] = np.concatenate(([start], lens))[source[held]]
 
 
 def step(state: ActuatorState, dt: float) -> ActuatorState:

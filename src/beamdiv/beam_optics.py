@@ -59,6 +59,13 @@ class Convention(enum.Enum):
     FULL_1E2 = "full_1e2"
 
 
+# Module-level names for the members: the properties and the conversion below
+# test a convention on every call, and on Python 3.11 ``Convention.FWHM``
+# costs several times a global name lookup (``EnumType`` resolves it).
+_FWHM = Convention.FWHM
+_FULL_1E2 = Convention.FULL_1E2
+
+
 class QuadratureError(RuntimeError):
     """Far-field quadrature or root bracketing failed its self-check."""
 
@@ -80,12 +87,12 @@ class DivergenceAngle:
     @property
     def fwhm(self) -> float:
         """Value expressed as FWHM, radians."""
-        return self.value if self.convention is Convention.FWHM else self.value * FWHM_PER_FULL_1E2
+        return self.value if self.convention is _FWHM else self.value * FWHM_PER_FULL_1E2
 
     @property
     def full_1e2(self) -> float:
         """Value expressed as full 1/e^2 angle, radians."""
-        return self.value if self.convention is Convention.FULL_1E2 else self.value / FWHM_PER_FULL_1E2
+        return self.value if self.convention is _FULL_1E2 else self.value / FWHM_PER_FULL_1E2
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,13 @@ def convert_divergence(angle: DivergenceAngle, target: Convention) -> Divergence
     """
     if angle.convention is target:
         return angle
-    return DivergenceAngle(angle.fwhm if target is Convention.FWHM else angle.full_1e2, target)
+    return DivergenceAngle(angle.fwhm if target is _FWHM else angle.full_1e2, target)
 
 
 def untruncated_divergence(beam: GaussianBeam) -> DivergenceAngle:
     """Far-field full 1/e^2 divergence of the untruncated Gaussian, 4*lambda/(pi*D)."""
     theta = 4.0 * beam.wavelength / (math.pi * beam.waist_diameter_1e2)
-    return DivergenceAngle(theta, Convention.FULL_1E2)
+    return DivergenceAngle(theta, _FULL_1E2)
 
 
 # Shared self-check bound: the most that doubling the radial rule may move an intensity.
@@ -356,7 +363,7 @@ def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAn
         # An unconverged rule outranks whatever the search made of its values.
         coarse = _intensity(_radial_rule(apertured, n_nodes), np.array(visited))
         _check_converged(coarse, np.array(fine), n_nodes)
-    return DivergenceAngle(2.0 * half_angle, Convention.FWHM)
+    return DivergenceAngle(2.0 * half_angle, _FWHM)
 
 
 def transmit_gain(theta: DivergenceAngle) -> float:

@@ -13,11 +13,12 @@ A pass is one structured array, ``STEP_DTYPE``, with a column per CSV field:
 ``pass_profile`` sets its geometry, and ``run_pass`` fills the rest as
 columns: the jitter, the divergence the policy picks, the lens target it
 implies, the achieved divergence, pointing loss, link margin and data rate.
-Only the lens tracker, whose position at one tick depends on the last, runs
-as a loop of scalar steps.  The columns hold the same floats as stepping the
-per-tick APIs tick by tick.  A tick whose link cannot close is recorded as an
-outage (rate 0, margin -inf), so a pass that starts runs to its end.
-Everything is deterministic for fixed inputs.
+The lens tracker, whose position at one tick depends on the last, is a column
+too: ``actuator.track`` steps the motion rule only along the stretches where
+the lens slews, all of them at once.  The columns hold the same floats as
+stepping the per-tick APIs tick by tick.  A tick whose link cannot close is
+recorded as an outage (rate 0, margin -inf), so a pass that starts runs to
+its end.  Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -259,8 +260,9 @@ def run_pass(
     *achieved* divergence and pointing loss and records the data rate that
     holds the margin floor.  A tick that supports no rate, or no rung of the
     rate ladder, is an outage: rate 0 and margin -inf, recorded rather than
-    raised.  All but the motion run as columns over the pass; the results
-    and the final ``state`` equal those of running ``adaptive_policy``,
+    raised.  Every step runs as a column over the pass, the lens motion
+    included (``actuator.track``).  The results and the final ``state``
+    equal those of running ``adaptive_policy``,
     ``actuator.command_divergence``, ``actuator.step``,
     ``actuator.actual_divergence``, ``pointing_loss_db`` and ``max_rate``
     tick by tick, with an outage where ``max_rate`` raises
@@ -288,7 +290,8 @@ def run_pass(
     theta_cmd = steps["theta_commanded_rad"]
     theta_cmd[:] = adaptive_policy(policy, sigma, st)
     theta_act = steps["theta_actual_rad"]
-    theta_act[:] = actuator.achieved_divergence(st, _track_column(st, theta_cmd, geometry.dt_s))
+    theta_act[:] = actuator.achieved_divergence(
+        st, actuator.track(st, actuator.position_from_divergence(theta_cmd, st.branch, st.dmap), geometry.dt_s))
     lp_db = steps["pointing_loss_db"]
     # sigma passed the check above, and theta_act is folded to at least the
     # collimated minimum, so neither needs pointing_loss_db's checks again.
@@ -335,12 +338,6 @@ def run_pass(
 
 # The helpers below hold per-tick temporaries that die when they return, so
 # run_pass keeps no more than its STEP_DTYPE array and a few columns alive.
-
-def _track_column(state: ActuatorState, theta_cmd: np.ndarray, dt: float) -> np.ndarray:
-    """Lens position after each tick of tracking the commanded divergences (see ``actuator.track``)."""
-    targets = actuator.position_from_divergence(theta_cmd, state.branch, state.dmap)
-    return np.array(actuator.track(state, targets.tolist(), dt))
-
 
 # Rows per CSV block: the text and the kernel's arrays of one block are alive at a time.
 _CSV_BLOCK_ROWS = 512

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
+from beamdiv import actuator
 from beamdiv.actuator import (
     MOTOR_SPEED_M_PER_S,
     STEERING_RANGE_RAD,
@@ -34,7 +36,9 @@ from beamdiv.actuator import (
     steering_residual,
     step,
     temperature_corrected_position,
+    track,
 )
+from scalar_motion import scalar_track
 
 MAP = DivergenceMap()
 THERMAL = ThermalModel()
@@ -185,6 +189,126 @@ class TestMotion:
 
     def test_motor_speed_constant(self):
         assert MOTOR_SPEED_M_PER_S == pytest.approx(7e-3 / 0.9, rel=1e-15)
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``: equal bits, not just equal values (-0.0 differs from 0.0)."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_track_is_the_scalar_rule(state, targets, dt):
+    """``track`` over the column gives the scalar rule's positions and final state, bit for bit."""
+    column, looped = ActuatorState(**state), ActuatorState(**state)
+    got = track(column, np.array(targets, dtype=float), dt)
+    want = scalar_track(looped, list(targets), dt)
+    assert got.dtype == np.float64 and got.shape == (len(want),)
+    assert _bits(got) == _bits(want)
+    final = [(st.lens_position, st.target_position, st.time_s) for st in (column, looped)]
+    assert _bits(final[0]) == _bits(final[1])
+
+
+STROKE = MAP.max_travel
+# Stroke ends, signed zeros and a half-step grid point among any positions on the stroke.
+LENS_POSITIONS = hs.sampled_from([-STROKE, STROKE, 0.0, -0.0, 1e-6, -0.5e-6]) | hs.floats(-STROKE, STROKE)
+
+
+@hs.composite
+def target_columns(draw):
+    form = draw(hs.sampled_from(["points", "holds", "wander"]))
+    if form == "points":
+        return draw(hs.lists(LENS_POSITIONS, max_size=40))
+    if form == "holds":  # a few targets, each held for many ticks: long slews for a slow lens
+        holds = draw(hs.lists(hs.tuples(LENS_POSITIONS, hs.integers(1, 400)), min_size=1, max_size=6))
+        return [x for x, ticks in holds for _ in range(ticks)]
+    # A wandering target: any tick may start a slew, and a slew may turn back.
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    centre, spread = draw(LENS_POSITIONS), draw(hs.sampled_from([1e-6, 1e-4, 1e-3]))
+    return np.clip(centre + spread * rng.standard_normal(draw(hs.integers(1, 600))), -STROKE, STROKE).tolist()
+
+
+@given(
+    lens=LENS_POSITIONS,
+    target=LENS_POSITIONS,
+    speed=hs.sampled_from([MOTOR_SPEED_M_PER_S, 1e-4]) | hs.floats(1e-6, 1.0),
+    quantum=hs.sampled_from([0.0, 1e-7, 1e-6, 3.3e-6, 3.6e-3]),  # 3.6 mm: one step is longer than the stroke
+    dt=hs.sampled_from([5e-5, 0.01, 1.0]) | hs.floats(1e-5, 10.0),
+    time_s=hs.sampled_from([0.0, 12.5]) | hs.floats(0.0, 1e5),
+    targets=target_columns(),
+)
+def test_track_is_the_scalar_rule_bit_for_bit(lens, target, speed, quantum, dt, time_s, targets):
+    state = dict(lens_position=lens, target_position=target, motor_speed=speed, step_size=quantum, time_s=time_s)
+    _assert_track_is_the_scalar_rule(state, targets, dt)
+
+
+@pytest.mark.parametrize("speed, quantum, dt", [
+    (1e-5, 1e-6, 0.01),  # 0.1 um a tick rounds back: the lens cannot leave its grid point
+    (1e-3, 0.0, 0.01),  # a slow lens off the grid
+    (1e-3, 1e-6, 0.01),
+    (MOTOR_SPEED_M_PER_S, 1e-6, 1e-4),  # fine ticks: a stroke-long slew takes thousands
+], ids=["stuck", "slow_unquantized", "slow", "fine_ticks"])
+def test_track_runs_long_slews_ahead_as_the_scalar_rule(speed, quantum, dt):
+    rng = np.random.default_rng(7)
+    columns = {
+        "wander": np.clip(np.cumsum(rng.normal(0.0, 2e-4, 2000)), -STROKE, STROKE),
+        "jumps": np.repeat(rng.uniform(-STROKE, STROKE, 8), 250),
+        "noise": rng.uniform(-STROKE, STROKE, 2000),
+    }
+    widths, run_head = set(), actuator._run_head
+
+    def recorded(first, start, width, *args):
+        widths.add(width)
+        return run_head(first, start, width, *args)
+
+    with mock.patch.object(actuator, "_run_head", recorded):
+        for targets in columns.values():
+            _assert_track_is_the_scalar_rule(dict(motor_speed=speed, step_size=quantum), targets.tolist(), dt)
+    # The long slews ran ahead in blocks that doubled while their guesses held.
+    assert {8, 16} <= widths and max(widths) >= 64
+
+
+def test_a_lens_rounding_to_zero_from_below_lands_on_positive_zero():
+    # -0.2 steps rounds to the integer 0 in the rule, where np.rint gives -0.0.
+    state = dict(lens_position=0.5e-6, motor_speed=0.7e-6, step_size=1e-6)
+    assert _bits(track(ActuatorState(**state), [-1e-3, -1e-3], 1.0)) == _bits([0.0, -1e-6])
+    _assert_track_is_the_scalar_rule(state, [-1e-3, -1e-3], 1.0)
+
+
+@pytest.mark.parametrize("lens, targets, want", [
+    (0.0, [-0.0, -0.0, 1e-3, -0.0], [0.0, 0.0, 1e-3, -0.0]),
+    (-0.0, [0.0, 0.0], [-0.0, -0.0]),
+])
+def test_a_target_equal_to_the_lens_leaves_its_zero_as_it_is(lens, targets, want):
+    st = ActuatorState(lens_position=lens, target_position=lens, step_size=0.0, motor_speed=1.0)
+    assert _bits(track(st, targets, 0.01)) == _bits(want)
+
+
+def test_an_empty_column_leaves_the_state_untouched():
+    st = ActuatorState(lens_position=1e-3, target_position=-1e-3, time_s=3.0)
+    got = track(st, [], 0.01)
+    assert got.dtype == np.float64 and got.shape == (0,)
+    assert (st.lens_position, st.target_position, st.time_s) == (1e-3, -1e-3, 3.0)
+
+
+def test_track_leaves_its_targets_as_they_are_and_rejects_one_off_the_stroke():
+    targets = np.array([1e-3, -2e-3, 3e-3])
+    track(ActuatorState(), targets, 0.01)
+    assert targets.tolist() == [1e-3, -2e-3, 3e-3]
+    st = ActuatorState()
+    with pytest.raises(TravelRangeError, match=r"^target position must be finite and >= -0\.0035 and <= 0\.0035"):
+        track(st, [1e-3, 4e-3], 0.01)
+    assert st.time_s == 0.0
+
+
+def test_a_step_too_fine_for_the_stroke_is_rejected_naming_the_bound():
+    # The rule divides a lens position by the step: at 1e-320 the quotient overflows.
+    with pytest.raises(ValueError, match=r"^a positive step_size must be finite and >= 3\.89\d*e-311, got 1e-320$"):
+        ActuatorState(step_size=1e-320)
+    st = ActuatorState()
+    st.step_size = 1e-320
+    with pytest.raises(ValueError, match="step_size"):
+        st.validate()
+    assert ActuatorState(step_size=4e-311).step_size == 4e-311
+    assert ActuatorState(step_size=0.0).step_size == 0.0
 
 
 class TestThermalModel:
@@ -408,13 +532,8 @@ class TestActualDivergence:
             assert actual_divergence(st) >= MAP.collimated_divergence
 
 
-STROKE = MAP.max_travel
 # Positions on the stroke, its ends and both zeros included.
 POSITIONS = hs.lists(hs.sampled_from([0.0, -0.0, STROKE, -STROKE]) | hs.floats(-STROKE, STROKE), min_size=1, max_size=20)
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 @given(hs.sampled_from([THERMAL.cold_temperature_c, THERMAL.reference_temperature_c, THERMAL.hot_temperature_c])

@@ -63,6 +63,7 @@ from beamdiv.sim import (
     steps_to_csv,
     write_steps_csv,
 )
+from scalar_motion import scalar_step
 
 GEOM = PassGeometry(altitude_m=600e3, max_range_m=1200e3, dt_s=1.0)
 
@@ -463,6 +464,7 @@ def test_non_finite_input_rejected_at_the_boundary(make):
         ("motor_speed", -1e-3, ValueError),
         ("step_size", -1e-6, ValueError),
         ("step_size", math.inf, ValueError),
+        ("step_size", 1e-320, ValueError),
         ("lens_position", 1.0, TravelRangeError),
         ("lens_position", math.nan, TravelRangeError),
         ("target_position", -math.inf, TravelRangeError),
@@ -485,6 +487,9 @@ def test_actuator_state_rejected_before_any_tick(field, value, error):
 def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
     """The per-tick closed loop: policy -> command -> step -> achieved divergence -> budget, tick by tick.
 
+    The step is the scalar motion rule in ``scalar_motion``, not ``actuator.step``,
+    so that the oracle does not share the tracker's column kernel.
+
     A tick where ``max_rate`` raises is an outage: rate 0, and margin -inf.
     ``run_pass`` computes the same pass as columns; this is its oracle.
     """
@@ -499,7 +504,7 @@ def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
     ):
         theta_cmd = float(adaptive_policy(policy, sig, st))
         actuator.command_divergence(st, theta_cmd)
-        actuator.step(st, geometry.dt_s)
+        scalar_step(st, geometry.dt_s)
         theta_act = actuator.actual_divergence(st)
         lp_db = pointing_loss_db(sig, theta_act)
         live = config.with_divergence(DivergenceAngle(theta_act, Convention.FWHM))

@@ -1,0 +1,121 @@
+"""Print SHA-256 digests of beamdiv's seeded outputs, to show that a change leaves them byte for byte.
+
+Run from the root of a source checkout, once for each tree, and compare::
+
+    python3 tools/output_digests.py > after.json
+    python3 tools/output_digests.py --checkout ../parent > before.json
+    diff before.json after.json
+
+The code under test is ``<checkout>/src`` (default: this checkout).  The
+inputs come from this tree's ``perfbench/inputs.py``, so both trees get the
+same ones.  The outputs are:
+
+- ``simulate`` with no config and with each ``demos/configs`` file: the CSV and the summary;
+- ``simulate --out`` on the 96 ``pass_batch`` configs of seed 3: each CSV and summary;
+- the ``pass_fine`` pass of seeds 1-3 through ``run_pass`` and ``write_steps_csv``:
+  the CSV and the summary;
+- ``emulate`` on a script of commands and steps, as CSV and as JSON;
+- the standard output of every demo, each run in a fresh interpreter.
+
+The result is one JSON object, output name to hex digest, on standard output.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+# Slews, an arrival on the collimated point from the converging side (target
+# -0.0), a step too short to leave the grid point, and the thermal and
+# chromatic commands between steps.
+EMULATOR_SCRIPT = """\
+set-divergence 1.45e-3
+step 0.01
+step 0.01
+step 0.01
+step 0.05
+set-divergence 90e-6 converging
+step 0.5
+step 0.01
+set-divergence 2.3e-3 converging
+step 5e-5
+step 0.02
+set-temperature -30
+set-divergence 6.14e-3 diverging
+step 0.3
+query
+set-wavelength 1.53e-6
+steer 1e-5 -2e-5
+step 0.9
+"""
+
+
+def sha256(text) -> str:
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=HERE, help="source checkout whose src/ runs")
+    checkout = parser.parse_args().checkout.resolve()
+    sys.path[:0] = [str(checkout / "src"), str(HERE / "perfbench")]
+    import beamdiv.cli
+    import inputs
+    import workloads
+    from beamdiv import sim
+
+    digests = {}
+
+    def cli(name, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = beamdiv.cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"beamdiv {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+        digests[name] = sha256(out.getvalue())
+        if err.getvalue():  # simulate without --out writes its summary here
+            digests[f"{name} stderr"] = sha256(err.getvalue())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cli("simulate", ["simulate"])
+        for config in sorted((checkout / "demos" / "configs").iterdir()):
+            cli(f"simulate {config.name}", ["simulate", "--config", str(config)])
+
+        for cfg in inputs.pass_batch(3, tmp):
+            name = os.path.basename(cfg.path)
+            cli(f"pass_batch {name} summary", ["simulate", "--config", cfg.path, "--out", cfg.path + ".csv"])
+            digests[f"pass_batch {name} csv"] = sha256(Path(cfg.path + ".csv").read_bytes())
+
+        link = workloads.design_link()
+        for seed in (1, 2, 3):
+            fine = workloads.PassFine(seed, tmp, on_op=None)
+            result = sim.run_pass(fine.geometry, fine.policy, link, jitter=fine.inp.jitter, seed=seed,
+                                  state=fine._state())
+            sim.write_steps_csv(result.steps, fine.csv_path)
+            digests[f"pass_fine {seed} csv"] = sha256(Path(fine.csv_path).read_bytes())
+            digests[f"pass_fine {seed} summary"] = sha256(json.dumps(result.summary))
+
+        script = Path(tmp) / "emulator.txt"
+        script.write_text(EMULATOR_SCRIPT)
+        for fmt in ("csv", "json"):
+            cli(f"emulate {fmt}", ["emulate", "--script", str(script), "--format", fmt])
+
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+        for demo in sorted((checkout / "demos").glob("*.py")):
+            run = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env, capture_output=True, check=True)
+            digests[f"demo {demo.name}"] = sha256(run.stdout)
+
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    print()
+
+
+if __name__ == "__main__":
+    main()
