@@ -414,21 +414,17 @@ def command_divergence(
 def track(state: ActuatorState, targets, dt: float) -> np.ndarray:
     """Command each target position in turn and advance the lens one tick of ``dt``.
 
-    The motion rule: the lens moves toward the target at constant speed and
-    the position is quantized to the step grid; it never overshoots the
-    target by more than one quantization step, and a target within one
-    tick's travel is reached exactly.  The stroke ends are hard stops: a
-    quantized position past +-``max_travel`` lands on the end.  A tick whose
-    target equals the lens position leaves the lens as it is, the sign of a
-    zero included.  Returns the float64 column of lens positions after each
-    tick and leaves ``state`` as after the last one; an empty column leaves
-    it untouched.  A target off the stroke raises :class:`TravelRangeError`.
+    Each tick runs the motion rule (:func:`_advance`).  Returns the float64
+    column of lens positions after each tick and leaves ``state`` as after
+    the last one; an empty column leaves it untouched.  A target off the
+    stroke raises :class:`TravelRangeError`.
 
-    Since an arrival puts the lens on its target exactly, a tick that
-    follows an arrival arrives too unless its target is more than one
-    tick's travel from the last one.  So the output starts as the targets,
-    and only the stretches that start at such a tick run the rule
-    (:func:`_slew`).
+    Since an arrival puts the lens on its target, a tick that follows an
+    arrival arrives too unless its target is more than one tick's travel
+    from the last one.  So the output starts as the targets, one numpy test
+    finds the ticks that start a slew, and the rule runs only along the
+    stretches that slew: from the first start after the last arrival, tick
+    by tick, until the lens arrives.
     """
     travel = state.motor_speed * finite("dt", dt, gt=0)
     targets = np.asarray(targets, dtype=float)
@@ -443,11 +439,17 @@ def track(state: ActuatorState, targets, dt: float) -> np.ndarray:
     scratch[1:] = targets[:-1]
     starts = np.flatnonzero(np.abs(np.subtract(targets, scratch, out=scratch), out=scratch) > travel)
     lens = targets.copy()
-    if starts.size:
-        origins = targets[starts - 1]
-        if starts[0] == 0:
-            origins[0] = state.lens_position
-        _slew(lens, targets, starts, origins, travel, state.step_size, stroke)
+    quantum, end = state.step_size, 0  # end: the tick after the last one walked
+    for start in starts.tolist():
+        if start < end:  # inside the last slew, so it does not follow an arrival
+            continue
+        here = lens.item(start - 1) if start else state.lens_position
+        for end in range(start, n):
+            target = targets.item(end)
+            here = lens[end] = _advance(here, target, travel, quantum, stroke)
+            if here == target:  # on its target: each tick up to the next start arrives
+                break
+        end += 1
     _hold_zero_signs(lens, targets, state.lens_position)
     # The clock adds dt once per tick, in tick order, as a running total would.
     scratch.fill(dt)
@@ -457,137 +459,29 @@ def track(state: ActuatorState, targets, dt: float) -> np.ndarray:
     return lens
 
 
-# The running head's width starts at 1 and doubles with every lockstep step;
-# from this width on, each step also runs the head ahead in a block that many
-# ticks wide, and a block whose guess misses starts the width over.  Each
-# block's guess is refined this many times before it is checked.
-_HEAD_BLOCK = 8
-_SWEEPS = 2
+def _advance(lens: float, target: float, travel: float, quantum: float, stroke: float) -> float:
+    """The motion rule: the lens position after one tick toward ``target``, in Python floats.
 
-
-def _slew(lens: np.ndarray, targets: np.ndarray, starts: np.ndarray, origins: np.ndarray,
-          travel: float, quantum: float, stroke: float) -> None:
-    """Write into ``lens`` the slewing positions of the stretches that start at ``starts``.
-
-    A stretch starts from ``origins`` (the lens before its first tick, more
-    than one tick's travel from its target) and runs the rule until it
-    arrives or the column ends.  The stretches that count form a chain: the
-    first, then the first to start after the last kept one arrived (a start
-    inside a kept stretch does not follow an arrival).
-
-    Every running stretch advances at once, one numpy step per tick, so
-    most of the chain is known by the time its running head arrives.  The
-    stretches inside the head are dropped as the head reaches them, and a
-    head that keeps slewing also runs ahead in doubling blocks
-    (:func:`_run_head`): a lens that slews for most of a long column costs a
-    few steps per doubling, not one per tick.
+    The lens moves toward the target at constant speed, ``travel`` a tick,
+    and its position is quantized to the step grid of ``quantum`` (none if
+    0); it never overshoots the target by more than one quantization step,
+    and a target within one tick's travel is reached exactly.  The stroke
+    ends are hard stops: a quantized position past +-``stroke`` lands on the
+    end.  A lens already on its target stays as it is, the sign of a zero
+    included.
     """
-    n, count = len(targets), len(starts)
-    # Each stretch's successor, the first to start after it arrives (count: none), or -1
-    # while it runs; the extra slot at index count stays -1 and ends the walk.
-    successors = np.full(count + 1, -1)
-    # The running stretches not inside the head, ascending: which, their next tick, the lens before it.
-    ids, ticks, pos = np.arange(count), starts, origins
-    moves, kept, head, width = [], [], 0, 1
-    while True:
-        following = successors.item(head)
-        while following >= 0:
-            kept.append(head)
-            head, width = following, 1
-            following = successors.item(head)
-        if head == count:
-            break
-        # Put the head first and drop the starts inside it.  The copies are fresh, so writing
-        # the head's row below leaves the arrays already in ``moves`` as they are.
-        first = np.searchsorted(ids, head)
-        after = np.searchsorted(ids, np.searchsorted(starts, ticks[first], side="right"))
-        ids, ticks, pos = (np.concatenate((column[first:first + 1], column[after:])) for column in (ids, ticks, pos))
-        if width >= _HEAD_BLOCK:
-            slewed, arrived, moved = _run_head(ticks.item(0), pos.item(0), width, targets, travel, quantum, stroke)
-            moves.append((np.arange(ticks[0], ticks[0] + slewed), np.full(slewed, head), moved))
-            ticks[0] += slewed
-            if slewed:
-                pos[0] = moved[-1]
-            if arrived or ticks[0] == n:
-                successors[head] = np.searchsorted(starts, ticks[0], side="right")
-                ids, ticks, pos = ids[1:], ticks[1:], pos[1:]
-            width = 2 * width if slewed == width else 1
-        else:
-            width *= 2
-        # One step of the rule for every running stretch.
-        remaining = targets[ticks] - pos
-        arrived = np.abs(remaining) <= travel
-        successors[ids[arrived]] = np.searchsorted(starts, ticks[arrived], side="right")
-        slewing = ~arrived
-        ids, ticks = ids[slewing], ticks[slewing]
-        pos = _move(pos[slewing], remaining[slewing], travel, quantum, stroke)
-        moves.append((ticks, ids, pos))
-        ticks = ticks + 1
-        ended = ticks == n  # the column ends before these arrive
-        if ended.any():
-            successors[ids[ended]] = count
-            ids, ticks, pos = ids[~ended], ticks[~ended], pos[~ended]
-    ticks, ids, values = (np.concatenate(column) for column in zip(*moves))
-    keep = np.zeros(count, dtype=bool)
-    keep[kept] = True
-    keep = keep[ids]
-    lens[ticks[keep]] = values[keep]
-
-
-def _run_head(first: int, start: float, width: int, targets, travel, quantum, stroke):
-    """Run the head stretch from tick ``first`` and lens ``start`` for up to ``width`` ticks at once.
-
-    Returns how many ticks it slewed, whether it arrives on the tick after
-    them, and its positions on the ticks it slewed.  The rule is
-    sequential, so the block guesses first: each tick moves toward its
-    target as seen from the guess before it, starting from the block's
-    first position and refined ``_SWEEPS`` times.  Then one step of the
-    rule from every guessed position checks every guess at once.  The
-    stretch keeps its ticks up to the first that arrives, leaves the column
-    or misses its guess; a missed tick still holds the rule's own position,
-    since the position before it was right.
-    """
-    target = targets[first:first + width]
-    # A guess may count past the largest float, and so may the rule's step from an
-    # arriving tick, which is not kept; neither reaches a kept position.
-    with np.errstate(over="ignore"):
-        before = start
-        for _ in range(_SWEEPS):
-            guess = np.copysign(travel, target - before)
-            guess[0] += start
-            if quantum > 0.0:  # counted in grid steps
-                np.rint(guess / quantum, out=guess)
-            np.add.accumulate(guess, out=guess)
-            if quantum > 0.0:
-                _on_grid(guess, quantum, stroke)
-            before = np.concatenate(([start], guess[:-1]))
-        remaining = target - before
-        arrives = np.abs(remaining) <= travel
-        moved = _move(before, remaining, travel, quantum, stroke)
-    stops = arrives | (moved != guess)
-    stop = int(np.argmax(stops)) if stops.any() else len(target)
-    arrived = stop < len(target) and bool(arrives[stop])
-    slewed = stop if arrived else min(stop + 1, len(target))
-    return slewed, arrived, moved[:slewed]
-
-
-def _move(start: np.ndarray, remaining: np.ndarray, travel: float, quantum: float, stroke: float) -> np.ndarray:
-    """The rule's slewing step: one tick's travel toward a target ``remaining`` away, onto the step grid."""
-    moved = start + np.copysign(travel, remaining)
+    remaining = target - lens
+    if remaining == 0.0:
+        return lens
+    if abs(remaining) <= travel:
+        return target
+    lens += math.copysign(travel, remaining)
     if quantum > 0.0:
-        _on_grid(np.rint(moved / quantum, out=moved), quantum, stroke)
-    return moved
-
-
-def _on_grid(steps: np.ndarray, quantum: float, stroke: float) -> None:
-    """Turn whole grid steps into positions in place, clamped to the stroke.
-
-    ``np.rint`` gives -0.0 for a lens that rounds to zero from below, where
-    the rule's ``round`` gives the integer 0; adding 0.0 makes it +0.0.
-    """
-    steps += 0.0
-    steps *= quantum
-    np.clip(steps, -stroke, stroke, out=steps)
+        # ``round`` gives an integer, so a lens rounding to zero from below lands on +0.0.
+        lens = round(lens / quantum) * quantum
+        if abs(lens) > stroke:
+            lens = math.copysign(stroke, lens)
+    return lens
 
 
 def _hold_zero_signs(lens: np.ndarray, targets: np.ndarray, start: float) -> None:
@@ -612,8 +506,17 @@ def _hold_zero_signs(lens: np.ndarray, targets: np.ndarray, start: float) -> Non
 
 
 def step(state: ActuatorState, dt: float) -> ActuatorState:
-    """Advance the motion toward the current target by one tick of ``dt`` seconds (see :func:`track`)."""
-    track(state, (state.target_position,), dt)
+    """Advance the lens one tick of ``dt`` seconds toward the current target, by the motion rule (:func:`_advance`).
+
+    A ``dt`` that is not finite and > 0 raises ``ValueError``, and a target
+    off the stroke :class:`TravelRangeError`; either leaves ``state`` as it was.
+    """
+    travel = state.motor_speed * finite("dt", dt, gt=0)
+    stroke = state.dmap.max_travel
+    target = float(state.target_position)  # the state holds Python floats, whatever type was assigned
+    _check_travel("target position", target, -stroke, stroke)
+    state.lens_position = _advance(float(state.lens_position), target, travel, state.step_size, stroke)
+    state.target_position, state.time_s = target, float(state.time_s + dt)
     return state
 
 

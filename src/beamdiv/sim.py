@@ -13,10 +13,11 @@ A pass is one structured array, ``STEP_DTYPE``, with a column per CSV field:
 ``pass_profile`` sets its geometry, and ``run_pass`` fills the rest as
 columns: the jitter, the divergence the policy picks, the lens target it
 implies, the achieved divergence, pointing loss, link margin and data rate.
-The lens tracker, whose position at one tick depends on the last, is a column
-too: ``actuator.track`` steps the motion rule only along the stretches where
-the lens slews, all of them at once.  The columns hold the same floats as
-stepping the per-tick APIs tick by tick.  A tick whose link cannot close is
+The lens tracker, whose position at one tick depends on the last, takes the
+target column and returns the lens column: ``actuator.track`` finds the
+ticks that start a slew as a column and walks the motion rule, tick by tick,
+only along the stretches where the lens slews.  The columns hold the same
+floats as stepping the per-tick APIs tick by tick.  A tick whose link cannot close is
 recorded as an outage (rate 0, margin -inf), so a pass that starts runs to
 its end.  Everything is deterministic for fixed inputs.
 """
@@ -260,9 +261,10 @@ def run_pass(
     *achieved* divergence and pointing loss and records the data rate that
     holds the margin floor.  A tick that supports no rate, or no rung of the
     rate ladder, is an outage: rate 0 and margin -inf, recorded rather than
-    raised.  Every step runs as a column over the pass, the lens motion
-    included (``actuator.track``).  The results and the final ``state``
-    equal those of running ``adaptive_policy``,
+    raised.  Every step runs as a column over the pass, except that the
+    lens motion (``actuator.track``) walks the motion rule tick by tick
+    along the stretches where the lens slews.  The results and the final
+    ``state`` equal those of running ``adaptive_policy``,
     ``actuator.command_divergence``, ``actuator.step``,
     ``actuator.actual_divergence``, ``pointing_loss_db`` and ``max_rate``
     tick by tick, with an outage where ``max_rate`` raises

@@ -1,8 +1,9 @@
-"""The lens motion rule as a per-tick scalar loop: the oracle for ``actuator.track``.
+"""The lens motion rule as a per-tick scalar loop: the oracle for ``actuator.track`` and ``actuator.step``.
 
-``track`` computes the same positions as a column; these functions step the
-rule one tick at a time, in Python floats, so that tests compare the column
-kernel against an independent statement of the rule.
+``track`` walks the rule only along the stretches where the lens slews;
+these functions step it every tick, in a loop written apart from the
+package's, so that tests compare both against an independent statement of
+the rule.
 """
 
 import math

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
-from beamdiv import actuator
 from beamdiv.actuator import (
     MOTOR_SPEED_M_PER_S,
     STEERING_RANGE_RAD,
@@ -38,7 +36,7 @@ from beamdiv.actuator import (
     temperature_corrected_position,
     track,
 )
-from scalar_motion import scalar_track
+from scalar_motion import scalar_step, scalar_track
 
 MAP = DivergenceMap()
 THERMAL = ThermalModel()
@@ -210,6 +208,10 @@ def _assert_track_is_the_scalar_rule(state, targets, dt):
 STROKE = MAP.max_travel
 # Stroke ends, signed zeros and a half-step grid point among any positions on the stroke.
 LENS_POSITIONS = hs.sampled_from([-STROKE, STROKE, 0.0, -0.0, 1e-6, -0.5e-6]) | hs.floats(-STROKE, STROKE)
+SPEEDS = hs.sampled_from([MOTOR_SPEED_M_PER_S, 1e-4]) | hs.floats(1e-6, 1.0)
+QUANTA = hs.sampled_from([0.0, 1e-7, 1e-6, 3.3e-6, 3.6e-3])  # 3.6 mm: one step is longer than the stroke
+DTS = hs.sampled_from([5e-5, 0.01, 1.0]) | hs.floats(1e-5, 10.0)
+TIMES = hs.sampled_from([0.0, 12.5]) | hs.floats(0.0, 1e5)
 
 
 @hs.composite
@@ -226,18 +228,43 @@ def target_columns(draw):
     return np.clip(centre + spread * rng.standard_normal(draw(hs.integers(1, 600))), -STROKE, STROKE).tolist()
 
 
-@given(
-    lens=LENS_POSITIONS,
-    target=LENS_POSITIONS,
-    speed=hs.sampled_from([MOTOR_SPEED_M_PER_S, 1e-4]) | hs.floats(1e-6, 1.0),
-    quantum=hs.sampled_from([0.0, 1e-7, 1e-6, 3.3e-6, 3.6e-3]),  # 3.6 mm: one step is longer than the stroke
-    dt=hs.sampled_from([5e-5, 0.01, 1.0]) | hs.floats(1e-5, 10.0),
-    time_s=hs.sampled_from([0.0, 12.5]) | hs.floats(0.0, 1e5),
-    targets=target_columns(),
-)
+@given(lens=LENS_POSITIONS, target=LENS_POSITIONS, speed=SPEEDS, quantum=QUANTA, dt=DTS, time_s=TIMES,
+       targets=target_columns())
 def test_track_is_the_scalar_rule_bit_for_bit(lens, target, speed, quantum, dt, time_s, targets):
     state = dict(lens_position=lens, target_position=target, motor_speed=speed, step_size=quantum, time_s=time_s)
     _assert_track_is_the_scalar_rule(state, targets, dt)
+
+
+# What a caller does between steps: a run of ticks of one dt, a commanded
+# divergence (a fraction of its branch's range), or a target assigned directly.
+MOTION_COMMANDS = (
+    hs.tuples(hs.just("step"), DTS, hs.integers(1, 40))
+    | hs.tuples(hs.just("command"), hs.sampled_from(list(Branch)), hs.floats(0.0, 1.0))
+    | hs.tuples(hs.just("target"), LENS_POSITIONS)
+)
+
+
+@given(lens=LENS_POSITIONS, target=LENS_POSITIONS, speed=SPEEDS, quantum=QUANTA, time_s=TIMES,
+       commands=hs.lists(MOTION_COMMANDS, max_size=30))
+def test_step_is_the_scalar_rule_bit_for_bit(lens, target, speed, quantum, time_s, commands):
+    state = dict(lens_position=lens, target_position=target, motor_speed=speed, step_size=quantum, time_s=time_s)
+    stepped, looped = ActuatorState(**state), ActuatorState(**state)
+    for kind, *args in commands:
+        if kind == "step":
+            dt, ticks = args
+            for _ in range(ticks):
+                step(stepped, dt)
+                scalar_step(looped, dt)
+                final = [(st.lens_position, st.target_position, st.time_s) for st in (stepped, looped)]
+                assert _bits(final[0]) == _bits(final[1])
+        elif kind == "command":
+            branch, fraction = args
+            top = MAP.branch_max(branch)
+            theta = min(MAP.collimated_divergence + fraction * (top - MAP.collimated_divergence), top)
+            command_divergence(stepped, theta, branch)
+            command_divergence(looped, theta, branch)
+        else:
+            stepped.target_position = looped.target_position = args[0]
 
 
 @pytest.mark.parametrize("speed, quantum, dt", [
@@ -253,17 +280,8 @@ def test_track_runs_long_slews_ahead_as_the_scalar_rule(speed, quantum, dt):
         "jumps": np.repeat(rng.uniform(-STROKE, STROKE, 8), 250),
         "noise": rng.uniform(-STROKE, STROKE, 2000),
     }
-    widths, run_head = set(), actuator._run_head
-
-    def recorded(first, start, width, *args):
-        widths.add(width)
-        return run_head(first, start, width, *args)
-
-    with mock.patch.object(actuator, "_run_head", recorded):
-        for targets in columns.values():
-            _assert_track_is_the_scalar_rule(dict(motor_speed=speed, step_size=quantum), targets.tolist(), dt)
-    # The long slews ran ahead in blocks that doubled while their guesses held.
-    assert {8, 16} <= widths and max(widths) >= 64
+    for targets in columns.values():
+        _assert_track_is_the_scalar_rule(dict(motor_speed=speed, step_size=quantum), targets.tolist(), dt)
 
 
 def test_a_lens_rounding_to_zero_from_below_lands_on_positive_zero():
@@ -297,6 +315,23 @@ def test_track_leaves_its_targets_as_they_are_and_rejects_one_off_the_stroke():
     with pytest.raises(TravelRangeError, match=r"^target position must be finite and >= -0\.0035 and <= 0\.0035"):
         track(st, [1e-3, 4e-3], 0.01)
     assert st.time_s == 0.0
+
+
+@pytest.mark.parametrize("dt", [math.nan, 0.0, -0.0, -0.01, math.inf])
+def test_step_rejects_a_dt_that_is_not_positive_naming_it(dt):
+    st = ActuatorState(target_position=1e-3)
+    with pytest.raises(ValueError, match=r"^dt must be finite and > 0, got "):
+        step(st, dt)
+    assert (st.lens_position, st.time_s) == (0.0, 0.0)
+
+
+def test_step_rejects_a_target_assigned_off_the_stroke():
+    st = ActuatorState()
+    st.target_position = 4e-3
+    with pytest.raises(TravelRangeError,
+                       match=r"^target position must be finite and >= -0\.0035 and <= 0\.0035, got 0\.004$"):
+        step(st, 0.01)
+    assert (st.lens_position, st.target_position, st.time_s) == (0.0, 4e-3, 0.0)
 
 
 def test_a_step_too_fine_for_the_stroke_is_rejected_naming_the_bound():

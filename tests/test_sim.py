@@ -488,7 +488,7 @@ def _reference_pass(geometry, policy, config, jitter=0.0, seed=0, state=None):
     """The per-tick closed loop: policy -> command -> step -> achieved divergence -> budget, tick by tick.
 
     The step is the scalar motion rule in ``scalar_motion``, not ``actuator.step``,
-    so that the oracle does not share the tracker's column kernel.
+    so that the oracle does not share the package's motion rule.
 
     A tick where ``max_rate`` raises is an outage: rate 0, and margin -inf.
     ``run_pass`` computes the same pass as columns; this is its oracle.
