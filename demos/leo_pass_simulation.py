@@ -8,19 +8,15 @@ the adaptive policy absorbs by widening the beam.
 
 import math
 
-from beamdiv.beam_optics import Convention, DivergenceAngle
-from beamdiv.link_budget import LinkConfig, calibrate_sensitivity
-from beamdiv.sim import ControlPolicy, PassGeometry, Strategy, pass_profile, run_pass, write_steps_csv
+from beamdiv.config import DESIGN_ANCHOR, DESIGN_LINK, DESIGN_POLICY
+from beamdiv.link_budget import calibrate_sensitivity
+from beamdiv.sim import PassGeometry, pass_profile, run_pass, write_steps_csv
 
-link = LinkConfig(
-    tx_power_w=2.0,
-    wavelength=1.55e-6,
-    tx_divergence=DivergenceAngle(90e-6, Convention.FWHM),
-    rx_aperture_diameter=0.35,
-)
-link = link.with_sensitivity(calibrate_sensitivity(link, 600e3, 10e9, 5.0))
+# The design link, calibrated at its 600 km / 10 Gbit/s / 5 dB anchor, and
+# the exact-optimum policy holding that margin.
+link = DESIGN_LINK.with_sensitivity(calibrate_sensitivity(DESIGN_LINK, *DESIGN_ANCHOR))
 geometry = PassGeometry(altitude_m=600e3, max_range_m=1200e3, dt_s=1.0)
-policy = ControlPolicy(strategy=Strategy.EXACT_OPT, margin_floor_db=5.0)
+policy = DESIGN_POLICY
 
 print("=== Ideal pointing (sigma = 0): the design case in the loop ===")
 ideal = run_pass(geometry, policy, link, jitter=0.0, seed=0)

@@ -420,11 +420,11 @@ def track(state: ActuatorState, targets, dt: float) -> np.ndarray:
     stroke raises :class:`TravelRangeError`.
 
     Since an arrival puts the lens on its target, a tick that follows an
-    arrival arrives too unless its target is more than one tick's travel
-    from the last one.  So the output starts as the targets, one numpy test
-    finds the ticks that start a slew, and the rule runs only along the
-    stretches that slew: from the first start after the last arrival, tick
-    by tick, until the lens arrives.
+    arrival arrives too, on its target bit for bit, unless that target is
+    more than one tick's travel from the last one.  So the output starts as
+    the targets, one numpy test finds the ticks that start a slew, and the
+    rule runs only along the stretches that slew: from the first start
+    after the last arrival, tick by tick, until the lens arrives.
     """
     travel = state.motor_speed * finite("dt", dt, gt=0)
     targets = np.asarray(targets, dtype=float)
@@ -450,7 +450,6 @@ def track(state: ActuatorState, targets, dt: float) -> np.ndarray:
             if here == target:  # on its target: each tick up to the next start arrives
                 break
         end += 1
-    _hold_zero_signs(lens, targets, state.lens_position)
     # The clock adds dt once per tick, in tick order, as a running total would.
     scratch.fill(dt)
     scratch[0] = state.time_s + dt
@@ -465,14 +464,11 @@ def _advance(lens: float, target: float, travel: float, quantum: float, stroke: 
     The lens moves toward the target at constant speed, ``travel`` a tick,
     and its position is quantized to the step grid of ``quantum`` (none if
     0); it never overshoots the target by more than one quantization step,
-    and a target within one tick's travel is reached exactly.  The stroke
-    ends are hard stops: a quantized position past +-``stroke`` lands on the
-    end.  A lens already on its target stays as it is, the sign of a zero
-    included.
+    and a target within one tick's travel is taken bit for bit, the sign of
+    a zero included.  The stroke ends are hard stops: a quantized position
+    past +-``stroke`` lands on the end.
     """
     remaining = target - lens
-    if remaining == 0.0:
-        return lens
     if abs(remaining) <= travel:
         return target
     lens += math.copysign(travel, remaining)
@@ -482,27 +478,6 @@ def _advance(lens: float, target: float, travel: float, quantum: float, stroke: 
         if abs(lens) > stroke:
             lens = math.copysign(stroke, lens)
     return lens
-
-
-def _hold_zero_signs(lens: np.ndarray, targets: np.ndarray, start: float) -> None:
-    """Give each tick whose target equals a zero lens before it that lens's zero, sign included.
-
-    Everywhere else ``lens`` is already the rule's output: -0.0 and +0.0
-    compare equal, so only the sign of a held zero can differ.
-    """
-    held = targets == 0.0
-    if not held.any():
-        return
-    held[0] &= start == 0.0
-    held[1:] &= lens[:-1] == 0.0
-    signs = np.signbit(lens)
-    flips = np.empty_like(signs)
-    flips[0] = signs[0] != np.signbit(start)
-    np.not_equal(signs[1:], signs[:-1], out=flips[1:])
-    if np.any(held & flips):
-        # A run of held ticks keeps the zero from before the run.
-        source = np.maximum.accumulate(np.where(held, 0, np.arange(1, len(lens) + 1)))
-        lens[held] = np.concatenate(([start], lens))[source[held]]
 
 
 def step(state: ActuatorState, dt: float) -> ActuatorState:

@@ -27,7 +27,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from ._checks import finite, integer
-from .actuator import ChromaticModel, DivergenceMap, ThermalModel
+from .actuator import Branch, ChromaticModel, DivergenceMap, ThermalModel, setting_on_branch
 from .beam_optics import GaussianBeam
 from .config import ConfigError, _model_dict
 
@@ -462,8 +462,8 @@ def sample_position_map(dmap: DivergenceMap, points_per_branch: int = 8) -> np.n
     pairs[0] = (0.0, dmap.collimated_divergence)
     pairs["position_m"][1::2] = xs
     pairs["position_m"][2::2] = -xs
-    pairs["divergence_rad"][1::2] = dmap.collimated_divergence + dmap.diverging_slope * xs
-    pairs["divergence_rad"][2::2] = dmap.collimated_divergence + dmap.converging_slope * xs
+    pairs["divergence_rad"][1::2] = setting_on_branch(xs, Branch.DIVERGING, dmap)
+    pairs["divergence_rad"][2::2] = setting_on_branch(-xs, Branch.CONVERGING, dmap)
     return pairs
 
 

@@ -62,11 +62,6 @@ def pointing_loss_db(sigma, theta_d):
     """
     finite("theta_d", theta_d, gt=0)
     finite("sigma", sigma, ge=0)
-    return _pointing_loss_kernel(sigma, theta_d)
-
-
-def _pointing_loss_kernel(sigma, theta_d):
-    """:func:`pointing_loss_db` without its checks, for a caller whose columns already passed them."""
     with np.errstate(over="ignore"):
         beta = 2.0 * sigma / theta_d
         return -20.0 * (beta * beta)
@@ -78,7 +73,8 @@ def rule_of_thumb_divergence(sigma):
     Raises for ``sigma == 0``: there is no finite optimum without jitter and
     the caller must clamp to the hardware minimum instead.
     """
-    return 5.0 * finite("sigma", sigma, gt=0)
+    with np.errstate(over="ignore"):
+        return 5.0 * finite("sigma", sigma, gt=0)
 
 
 def optimal_divergence(sigma, convention: GainConvention):
@@ -90,9 +86,9 @@ def optimal_divergence(sigma, convention: GainConvention):
     differ by at most 2 ulps, since each side rounds twice.
     """
     finite("sigma", sigma, gt=0)
-    if member("convention", convention, GainConvention) is GainConvention.QUADRATIC:
-        return sigma * _OPT_FACTOR_QUADRATIC
-    return sigma * _OPT_FACTOR_LINEAR
+    quadratic = member("convention", convention, GainConvention) is GainConvention.QUADRATIC
+    with np.errstate(over="ignore"):
+        return sigma * (_OPT_FACTOR_QUADRATIC if quadratic else _OPT_FACTOR_LINEAR)
 
 
 def gain_improvement_db(theta_ref: float, theta_new: float, convention: GainConvention) -> float:

@@ -39,8 +39,7 @@ from ._columns import csv_text
 from .actuator import ActuatorState
 from .link_budget import LinkConfig, max_rate_column, received_power_column
 from .link_budget import max_rate, received_power_dbm  # noqa: F401  (perfbench traces them through this module)
-from .pointing import GainConvention, _pointing_loss_kernel, optimal_divergence, rule_of_thumb_divergence
-from .pointing import pointing_loss_db  # noqa: F401  (perfbench traces it through this module)
+from .pointing import GainConvention, optimal_divergence, pointing_loss_db, rule_of_thumb_divergence
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -259,13 +258,13 @@ def run_pass(
     Each tick chooses a divergence per the policy, commands the emulator and
     advances its motion by ``dt``, then evaluates the budget with the
     *achieved* divergence and pointing loss and records the data rate that
-    holds the margin floor.  A tick that supports no rate, or no rung of the
-    rate ladder, is an outage: rate 0 and margin -inf, recorded rather than
-    raised.  Every step runs as a column over the pass, except that the
-    lens motion (``actuator.track``) walks the motion rule tick by tick
-    along the stretches where the lens slews.  The results and the final
-    ``state`` equal those of running ``adaptive_policy``,
-    ``actuator.command_divergence``, ``actuator.step``,
+    holds the margin floor.  A tick that supports no finite rate (none, or
+    one past the float range), or no rung of the rate ladder, is an outage:
+    rate 0 and margin -inf, recorded rather than raised.  Every step runs as
+    a column over the pass, except that the lens motion (``actuator.track``)
+    walks the motion rule tick by tick along the stretches where the lens
+    slews.  The results and the final ``state`` equal those of running
+    ``adaptive_policy``, ``actuator.command_divergence``, ``actuator.step``,
     ``actuator.actual_divergence``, ``pointing_loss_db`` and ``max_rate``
     tick by tick, with an outage where ``max_rate`` raises
     :class:`~beamdiv.link_budget.LinkClosedError`.
@@ -295,12 +294,11 @@ def run_pass(
     theta_act[:] = actuator.achieved_divergence(
         st, actuator.track(st, actuator.position_from_divergence(theta_cmd, st.branch, st.dmap), geometry.dt_s))
     lp_db = steps["pointing_loss_db"]
-    # sigma passed the check above, and theta_act is folded to at least the
-    # collimated minimum, so neither needs pointing_loss_db's checks again.
-    lp_db[:] = _pointing_loss_kernel(sigma, theta_act)  # <= 0, FWHM convention
+    lp_db[:] = pointing_loss_db(sigma, theta_act)  # <= 0, FWHM convention
     received = received_power_column(config, slant_range_m, -lp_db, theta_act)
     rate = max_rate_column(config, received, policy.margin_floor_db)
-    outage = rejected(rate, gt=0)  # rate 0.0, where max_rate raises LinkClosedError
+    outage = rejected(rate, gt=0)  # where max_rate raises LinkClosedError
+    rate[outage] = 0.0
 
     margin = steps["margin_db"]
     if policy.rate_ladder_bps is None:

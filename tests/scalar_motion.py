@@ -21,13 +21,12 @@ def scalar_track(state, targets, dt):
     for target in targets:
         time_s += dt
         remaining = target - lens
-        if remaining != 0.0:
-            if abs(remaining) <= travel:
-                lens = target
-            else:
-                lens += math.copysign(travel, remaining)
-                if quantum > 0.0:
-                    lens = min(max(round(lens / quantum) * quantum, -stroke), stroke)
+        if abs(remaining) <= travel:
+            lens = target
+        else:
+            lens += math.copysign(travel, remaining)
+            if quantum > 0.0:
+                lens = min(max(round(lens / quantum) * quantum, -stroke), stroke)
         positions.append(lens)
     if positions:
         state.lens_position, state.target_position, state.time_s = lens, target, time_s

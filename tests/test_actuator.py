@@ -292,10 +292,10 @@ def test_a_lens_rounding_to_zero_from_below_lands_on_positive_zero():
 
 
 @pytest.mark.parametrize("lens, targets, want", [
-    (0.0, [-0.0, -0.0, 1e-3, -0.0], [0.0, 0.0, 1e-3, -0.0]),
-    (-0.0, [0.0, 0.0], [-0.0, -0.0]),
+    (0.0, [-0.0, -0.0, 1e-3, -0.0], [-0.0, -0.0, 1e-3, -0.0]),
+    (-0.0, [0.0, 0.0], [0.0, 0.0]),
 ])
-def test_a_target_equal_to_the_lens_leaves_its_zero_as_it_is(lens, targets, want):
+def test_a_target_equal_to_the_lens_is_taken_with_its_zero_sign(lens, targets, want):
     st = ActuatorState(lens_position=lens, target_position=lens, step_size=0.0, motor_speed=1.0)
     assert _bits(track(st, targets, 0.01)) == _bits(want)
 

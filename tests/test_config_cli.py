@@ -404,6 +404,14 @@ class TestOptimizeCommand:
             "warning: sigma <= 0: no finite optimum, clamped to the hardware minimum",
         ]
 
+    def test_huge_sigma_clamps_to_the_branch_maximum(self, capsys):
+        # 5 * 1e308 overflows; the pick clamps like any other, and nothing is warned.
+        assert main(["optimize", "--sigma", "1e308", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["rule_of_thumb_rad"] == data["exact_optimum_rad"] == data["hardware_max_rad"]
+        assert captured.err == ""
+
     def test_missing_sigma_exits_2(self, capsys):
         assert main(["optimize"]) == 2
 
@@ -591,28 +599,37 @@ class TestSimulateCommand:
         assert "sigma_p_rad" in json.loads(capsys.readouterr().err)["error"]
 
     def test_pass_that_never_closes_exits_0_with_outages(self, tmp_path, capsys):
-        # 0.1 rad of jitter leaves no rate on any tick: every row is an outage.
-        path = tmp_path / "spike.ini"
-        path.write_text("[policy]\nsigma_p_rad = 0.1\n")
-        out = tmp_path / "pass.csv"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["total_bits"] == 0.0
-        assert summary["fraction_at_margin_floor"] == 0.0
-        rows = out.read_text().splitlines()[1:]
-        assert rows and all(row.endswith(",-inf,0.0") for row in rows)
+        for text in (
+            # 0.1 rad of jitter leaves no rate on any tick: every row is an outage.
+            "[policy]\nsigma_p_rad = 0.1\n",
+            # A -4000 dBm sensitivity overflows every tick's rate: an outage too, not an infinite rate.
+            "[sensitivity]\nref_rate_bps = 1e10\nref_sensitivity_dbm = -4000\n",
+        ):
+            path = tmp_path / "spike.ini"
+            path.write_text(text)
+            out = tmp_path / "pass.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["total_bits"] == 0.0
+            assert summary["fraction_at_margin_floor"] == 0.0
+            rows = out.read_text().splitlines()[1:]
+            assert rows and all(row.endswith(",-inf,0.0") for row in rows)
 
     def test_jitter_past_the_square_range_exits_0_with_outages(self, tmp_path, capsys):
         # beta**2 overflows a float: the pointing loss saturates at -inf dB.
-        path = tmp_path / "huge.ini"
-        path.write_text("[policy]\nsigma_p_rad = 1e200\n")
-        out = tmp_path / "pass.csv"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["total_bits"] == 0.0
-        assert summary["fraction_at_margin_floor"] == 0.0
-        rows = out.read_text().splitlines()[1:]
-        assert rows and all(row.endswith(",-inf,-inf,0.0") for row in rows)
+        # At 1e308 the policy's pick overflows too, and clamps to the branch maximum.
+        for sigma in ("1e200", "1e308"):
+            path = tmp_path / "huge.ini"
+            path.write_text(f"[policy]\nsigma_p_rad = {sigma}\n")
+            out = tmp_path / "pass.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            summary = json.loads(captured.out)
+            assert summary["total_bits"] == 0.0
+            assert summary["fraction_at_margin_floor"] == 0.0
+            rows = out.read_text().splitlines()[1:]
+            assert rows and all(row.endswith(",-inf,-inf,0.0") for row in rows)
 
     @pytest.mark.parametrize("section,text", [
         ("[map]", "[map]\ncollimated_divergence_rad = nan\n"),

@@ -7,7 +7,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "beamdiv"
 # Imported only so that perfbench's tracer can wrap them in these modules' namespaces.
 TRACED_IMPORTS = {
     ("cli.py", "optimal_divergence"), ("cli.py", "rule_of_thumb_divergence"),
-    ("sim.py", "max_rate"), ("sim.py", "received_power_dbm"), ("sim.py", "pointing_loss_db"),
+    ("sim.py", "max_rate"), ("sim.py", "received_power_dbm"),
 }
 
 

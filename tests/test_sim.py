@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -30,6 +31,7 @@ from beamdiv.calibration import (
 from beamdiv.link_budget import (
     LinkClosedError,
     LinkConfig,
+    SensitivityModel,
     budget_report,
     calibrate_sensitivity,
     free_space_loss_db,
@@ -196,9 +198,14 @@ class TestAdaptivePolicy:
         assert adaptive_policy(DESIGN_POLICY, 0.0, st) == st.dmap.collimated_divergence
 
     def test_huge_sigma_clamps_to_branch_max(self):
+        # Past about 3e307 a pick overflows to inf, which clamps like any other.
         st = ActuatorState()
-        policy = ControlPolicy(strategy=Strategy.RULE_5_SIGMA, margin_floor_db=0.0)
-        assert adaptive_policy(policy, 0.1, st) == st.dmap.diverging_max
+        for strategy in (Strategy.RULE_5_SIGMA, Strategy.EXACT_OPT):
+            for convention in GainConvention:
+                policy = ControlPolicy(strategy=strategy, margin_floor_db=0.0, convention=convention)
+                for sigma in (0.1, 1e308, sys.float_info.max):
+                    assert adaptive_policy(policy, sigma, st) == st.dmap.diverging_max
+                    assert adaptive_policy(policy, np.array([sigma]), st).tolist() == [st.dmap.diverging_max]
 
     def test_fixed_strategy(self):
         st = ActuatorState()
@@ -615,12 +622,13 @@ def _passes(draw):
     return geometry, policy, jitter, state
 
 
-def _assert_pass_equals_reference(geometry, policy, jitter, state, seed=0) -> list[str]:
+def _assert_pass_equals_reference(geometry, policy, jitter, state, seed=0, config=None) -> list[str]:
     """Run both loops from equal states; returns labels of what the pass went through.
 
-    Neither loop may raise: a tick that cannot close is an outage in both.
+    The link is ``config``, by default the design link.  Neither loop may
+    raise: a tick that cannot close is an outage in both.
     """
-    config = design_link()
+    config = config or design_link()
     new, ref = ActuatorState(**state), ActuatorState(**state)
     got = run_pass(geometry, policy, config, jitter=jitter, seed=seed, state=new)
     steps, summary = _reference_pass(geometry, policy, config, jitter=jitter, seed=seed, state=ref)
@@ -677,6 +685,16 @@ def test_failing_tick_completes_as_the_per_tick_loop(geometry, jitter, state, ch
     result = run_pass(geometry, DESIGN_POLICY, design_link(), jitter=jitter, state=ActuatorState(**state))
     check(result.steps, state)
     _assert_pass_equals_reference(geometry, DESIGN_POLICY, jitter, state)
+
+
+@pytest.mark.parametrize("ladder", [None, (2.5e9, 10e9)], ids=["continuous", "ladder"])
+def test_an_overflowed_rate_is_an_outage_as_in_the_per_tick_loop(ladder):
+    # A -4000 dBm sensitivity puts every tick's rate past the float range.
+    config = design_link().with_sensitivity(SensitivityModel(ref_rate=1e10, ref_sensitivity_dbm=-4000.0))
+    policy = dataclasses.replace(DESIGN_POLICY, rate_ladder_bps=ladder)
+    assert _assert_pass_equals_reference(GEOM, policy, 0.0, {}, config=config) == ["settled", "outage"]
+    steps = run_pass(GEOM, policy, config).steps
+    assert np.all(steps["rate_bps"] == 0.0) and np.all(steps["margin_db"] == -math.inf)
 
 
 def test_noisy_pass_equals_the_per_tick_loop():

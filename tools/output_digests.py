@@ -15,9 +15,16 @@ same ones.  The outputs are:
 - the ``pass_fine`` pass of seeds 1-3 through ``run_pass`` and ``write_steps_csv``:
   the CSV and the summary;
 - ``emulate`` on a script of commands and steps, as CSV and as JSON;
-- the standard output of every demo, each run in a fresh interpreter.
+- the standard output of every demo, each run in a fresh interpreter with
+  matplotlib hidden, so that no demo plots and its text is the same whether
+  matplotlib is installed or not.
 
 The result is one JSON object, output name to hex digest, on standard output.
+``tests/golden/digests.json`` is this output for this tree, written with::
+
+    python3 tools/output_digests.py > tests/golden/digests.json
+
+and the tier-1 suite checks the demo and ``emulate`` digests against it.
 """
 
 import argparse
@@ -56,6 +63,11 @@ set-wavelength 1.53e-6
 steer 1e-5 -2e-5
 step 0.9
 """
+
+# Runs the script named by the first argument as __main__, with ``import matplotlib`` failing.
+RUN_WITHOUT_MATPLOTLIB = (
+    "import runpy, sys; sys.modules['matplotlib'] = None; runpy.run_path(sys.argv[1], run_name='__main__')"
+)
 
 
 def sha256(text) -> str:
@@ -110,7 +122,8 @@ def main() -> None:
 
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         for demo in sorted((checkout / "demos").glob("*.py")):
-            run = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env, capture_output=True, check=True)
+            run = subprocess.run([sys.executable, "-c", RUN_WITHOUT_MATPLOTLIB, str(demo)], cwd=tmp, env=env,
+                                 capture_output=True, check=True)
             digests[f"demo {demo.name}"] = sha256(run.stdout)
 
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
