@@ -10,10 +10,10 @@ from beamdiv.actuator import (
     Branch,
     actual_divergence,
     command_divergence,
+    corrected_position,
     run_script,
     set_temperature,
     step,
-    temperature_corrected_position,
 )
 
 state = ActuatorState()
@@ -43,12 +43,11 @@ for theta in (90e-6, 1e-3, 3e-3, 5e-3):
 print()
 print("=== Lookup-table correction (converging branch) ===")
 print(f"{'target':>10} {'T [C]':>6} {'lens pos':>10} {'achieved':>12} {'residual':>9}")
-state = ActuatorState()
+state = ActuatorState(branch=Branch.CONVERGING)
 for temp in (-30.0, 20.0, 60.0):
     set_temperature(state, temp)
     for theta in (90e-6, 1e-3, 5e-3):
-        x = temperature_corrected_position(theta, temp, state.thermal, state.dmap, Branch.CONVERGING)
-        state.branch = Branch.CONVERGING
+        x = corrected_position(state, theta)
         state.lens_position = state.target_position = x
         achieved = actual_divergence(state)
         print(f"{theta * 1e6:7.0f} ur {temp:6.0f} {x * 1e3:+8.3f} mm {achieved * 1e6:9.1f} ur "

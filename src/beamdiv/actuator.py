@@ -10,12 +10,15 @@ Temperature and wavelength shift the achieved divergence away from the
 nominal setting.  Both effects are modeled as deviations that are linear in
 the nominal setting between two measured anchors (the collimated beam and the
 5 mrad setting): temperature deviation is piecewise linear in T on each side
-of 20 C, wavelength deviation is quadratic through three sampled wavelengths.
+of the thermal model's reference (where a fresh :class:`ActuatorState`
+starts), wavelength deviation is quadratic through three sampled wavelengths.
 
-For lookup-table correction the lens may cross the nominal collimation point:
+The lookup-table correction, :func:`corrected_position`, cancels thermal and
+chromatic drift together by inverting the law :func:`achieved_divergence`
+folds.  The lens may then cross the nominal collimation point:
 positions are mapped to a *signed* setting on the commanded branch's line
 (settings below the collimated value are virtual, reachable only while a
-thermal defocus is active), and the achieved divergence folds back at the
+defocus is active), and the achieved divergence folds back at the
 collimated minimum.  This keeps the device fully correctable within its
 stroke, matching how a pure defocus error behaves.
 
@@ -53,7 +56,7 @@ __all__ = [
     "setting_on_branch",
     "apply_temperature",
     "apply_wavelength",
-    "temperature_corrected_position",
+    "corrected_position",
     "command_divergence",
     "track",
     "step",
@@ -314,43 +317,6 @@ def apply_wavelength(theta_set: float, wavelength: float, model: ChromaticModel)
     return finite("divergence angle", theta_set + model.offset(theta_set, wavelength), gt=0)
 
 
-def temperature_corrected_position(
-    theta_target: float,
-    temperature_c: float,
-    model: ThermalModel,
-    dmap: DivergenceMap,
-    branch: Branch = Branch.DIVERGING,
-) -> float:
-    """Lens position whose thermally shifted output equals ``theta_target``.
-
-    The output ``apply_temperature(setting_on_branch(x), T)`` is affine in
-    ``x``, so the position interpolates linearly between the outputs at the
-    two stroke ends.  The solution may sit past the nominal collimation
-    point (virtual setting); it always verifies against the thermal model.
-
-    Raises
-    ------
-    ValueError
-        If the target is not finite and > 0.
-    TravelRangeError
-        If no position within +-max_travel realizes the target.
-    """
-    target = finite("theta_target", theta_target, gt=0)
-
-    def predicted(x: float) -> float:
-        u = setting_on_branch(x, branch, dmap)
-        return u + model.deviation(u, temperature_c)
-
-    lo, hi = -dmap.max_travel, dmap.max_travel
-    p_lo, p_hi = predicted(lo), predicted(hi)
-    _check_travel(f"correction exceeds travel range: theta_target at {temperature_c} C",
-                  target, min(p_lo, p_hi), max(p_lo, p_hi))
-    if target == p_lo:  # also where the output does not depend on x at all
-        return lo
-    # The fraction lies in [0, 1] and an end gives that end exactly, so x stays on the stroke.
-    return lo + (target - p_lo) / (p_hi - p_lo) * (hi - lo)
-
-
 @dataclass
 class ActuatorState:
     """Mutable emulator state; single owner, deterministic transitions."""
@@ -363,13 +329,15 @@ class ActuatorState:
     branch: Branch = Branch.DIVERGING
     motor_speed: float = MOTOR_SPEED_M_PER_S
     step_size: float = 1e-6
-    temperature_c: float = 20.0
+    temperature_c: Optional[float] = None  # the thermal model's reference temperature
     wavelength: float = 1.55e-6
     tip: float = 0.0
     tilt: float = 0.0
     time_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.temperature_c is None:
+            self.temperature_c = self.thermal.reference_temperature_c
         self.validate()
 
     @property
@@ -506,10 +474,42 @@ def achieved_divergence(state: ActuatorState, positions: Union[float, np.ndarray
     position gives; any position off the stroke raises
     :class:`TravelRangeError`.
     """
-    u = setting_on_branch(positions, state.branch, state.dmap)
-    raw = u + state.thermal.deviation(u, state.temperature_c) + state.chromatic.offset(u, state.wavelength)
     floor = state.dmap.collimated_divergence
-    return floor + abs(raw - floor)
+    return floor + abs(_unfolded_divergence(state, positions) - floor)
+
+
+def _unfolded_divergence(state: ActuatorState, positions: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """The nominal setting on the state's branch plus its thermal and chromatic deviations, before the fold."""
+    u = setting_on_branch(positions, state.branch, state.dmap)
+    return u + state.thermal.deviation(u, state.temperature_c) + state.chromatic.offset(u, state.wavelength)
+
+
+def corrected_position(state: ActuatorState, theta_target: float) -> float:
+    """Lens position on the state's branch whose divergence, before the fold, equals ``theta_target``.
+
+    The lookup-table correction: it inverts, at the state's temperature and
+    wavelength, the law :func:`achieved_divergence` folds, so a target at or
+    above the collimated minimum is what the lens then achieves.  That law is
+    affine in the position, so the position interpolates linearly between
+    the outputs at the two stroke ends.  The solution may sit past the
+    nominal collimation point (a virtual setting).
+
+    Raises
+    ------
+    ValueError
+        If the target is not finite and > 0.
+    TravelRangeError
+        If no position within +-max_travel realizes the target.
+    """
+    target = finite("theta_target", theta_target, gt=0)
+    lo, hi = -state.dmap.max_travel, state.dmap.max_travel
+    p_lo, p_hi = _unfolded_divergence(state, lo), _unfolded_divergence(state, hi)
+    _check_travel(f"correction exceeds travel range: theta_target at {state.temperature_c} C "
+                  f"and {state.wavelength} m", target, min(p_lo, p_hi), max(p_lo, p_hi))
+    if target == p_lo:  # also where the output does not depend on x at all
+        return lo
+    # The fraction lies in [0, 1] and an end gives that end exactly, so x stays on the stroke.
+    return lo + (target - p_lo) / (p_hi - p_lo) * (hi - lo)
 
 
 def actual_divergence(state: ActuatorState) -> float:

@@ -19,10 +19,10 @@ from beamdiv.actuator import (
     apply_wavelength,
     axis_deviation,
     command_divergence,
+    corrected_position,
     divergence_from_position,
     setting_on_branch,
     step,
-    temperature_corrected_position,
 )
 from beamdiv.beam_optics import (
     AperturedBeam,
@@ -165,7 +165,8 @@ def test_thermal_and_chromatic_models():
     worst = 0.0
     for theta in np.linspace(90e-6, 5e-3, 10):
         for temp in np.linspace(-30.0, 60.0, 10):
-            x = temperature_corrected_position(theta, temp, thermal, dmap, Branch.CONVERGING)
+            x = corrected_position(ActuatorState(dmap=dmap, thermal=thermal, temperature_c=temp,
+                                                 branch=Branch.CONVERGING), theta)
             u = setting_on_branch(x, Branch.CONVERGING, dmap)
             achieved = u + thermal.deviation(u, temp)
             worst = max(worst, abs(achieved - theta) / theta)

@@ -23,6 +23,7 @@ from beamdiv.actuator import (
     apply_wavelength,
     axis_deviation,
     command_divergence,
+    corrected_position,
     divergence_from_position,
     position_from_divergence,
     run_script,
@@ -33,7 +34,6 @@ from beamdiv.actuator import (
     steer,
     steering_residual,
     step,
-    temperature_corrected_position,
     track,
 )
 from scalar_motion import scalar_step, scalar_track
@@ -467,13 +467,13 @@ class TestTemperatureCorrection:
     def test_ambient_matches_plain_inverse(self):
         for branch in Branch:
             for theta in (90e-6, 1e-3, 5e-3):
-                x_corr = temperature_corrected_position(theta, 20.0, THERMAL, MAP, branch)
+                x_corr = corrected_position(ActuatorState(branch=branch), theta)
                 x_plain = position_from_divergence(theta, branch, MAP)
                 assert x_corr == pytest.approx(x_plain, abs=1e-12)
 
     def test_collimated_at_minus_30(self):
         # The correction crosses the nominal collimation point.
-        x = temperature_corrected_position(90e-6, -30.0, THERMAL, MAP, Branch.DIVERGING)
+        x = corrected_position(ActuatorState(temperature_c=-30.0), 90e-6)
         assert x == pytest.approx(-4.7590169431349727e-4, rel=1e-9)
         u = setting_on_branch(x, Branch.DIVERGING, MAP)
         achieved = u + THERMAL.deviation(u, -30.0)
@@ -482,7 +482,7 @@ class TestTemperatureCorrection:
     def test_round_trip_grid_under_one_percent(self):
         for theta in np.linspace(90e-6, 5e-3, 8):
             for temp in np.linspace(-30.0, 60.0, 7):
-                x = temperature_corrected_position(theta, temp, THERMAL, MAP, Branch.CONVERGING)
+                x = corrected_position(ActuatorState(temperature_c=temp, branch=Branch.CONVERGING), theta)
                 u = setting_on_branch(x, Branch.CONVERGING, MAP)
                 achieved = u + THERMAL.deviation(u, temp)
                 assert abs(achieved - theta) / theta < 0.01
@@ -490,42 +490,47 @@ class TestTemperatureCorrection:
     def test_emulator_reports_corrected_output(self):
         st = ActuatorState()
         set_temperature(st, -30.0)
-        x = temperature_corrected_position(90e-6, -30.0, st.thermal, st.dmap, st.branch)
+        x = corrected_position(st, 90e-6)
         st.lens_position = st.target_position = x
         assert actual_divergence(st) == pytest.approx(90e-6, rel=1e-9)
 
     def test_correction_beyond_travel_raises(self):
         # 5 mrad at -30 C on the diverging branch needs ~3.52 mm of travel.
         with pytest.raises(TravelRangeError):
-            temperature_corrected_position(5e-3, -30.0, THERMAL, MAP, Branch.DIVERGING)
+            corrected_position(ActuatorState(temperature_c=-30.0), 5e-3)
 
     @pytest.mark.parametrize("target", [-1e-3, 0.0, math.nan, math.inf])
     def test_target_checked_at_entry(self, target):
         # -1 mrad lies inside the reachable outputs, which run below zero.
         with pytest.raises(ValueError, match="theta_target must be finite and > 0"):
-            temperature_corrected_position(target, 20.0, THERMAL, MAP, Branch.DIVERGING)
+            corrected_position(ActuatorState(), target)
 
 
 
-def _stroke_outputs(temperature_c, branch):
+def _unfolded_output(x, temperature_c, branch, wavelength):
+    """The setting at ``x`` plus its thermal and chromatic deviations: the law the lookup table inverts."""
+    u = setting_on_branch(x, branch, MAP)
+    return u + THERMAL.deviation(u, temperature_c) + CHROMA.offset(u, wavelength)
+
+
+def _stroke_outputs(temperature_c, branch, wavelength=CHROMA.wavelengths[1]):
     """Achieved divergence at the two stroke ends: the ends of the reachable range."""
-    ends = (-MAP.max_travel, MAP.max_travel)
-    return [u + THERMAL.deviation(u, temperature_c) for u in (setting_on_branch(x, branch, MAP) for x in ends)]
+    return [_unfolded_output(x, temperature_c, branch, wavelength) for x in (-MAP.max_travel, MAP.max_travel)]
 
 
-@given(hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c), hs.sampled_from(Branch), hs.floats(0.0, 1.0))
-def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, branch, fraction):
-    p_min, p_max = sorted(_stroke_outputs(temperature_c, branch))
+@given(hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c), hs.sampled_from(Branch), hs.floats(0.0, 1.0),
+       hs.sampled_from(CHROMA.wavelengths) | hs.floats(CHROMA.wavelengths[0], CHROMA.wavelengths[2]))
+def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, branch, fraction, wavelength):
+    p_min, p_max = sorted(_stroke_outputs(temperature_c, branch, wavelength))
     target = max(p_min, 1e-6) + fraction * (p_max - max(p_min, 1e-6))
-    x = temperature_corrected_position(target, temperature_c, THERMAL, MAP, branch)
-    achieved = apply_temperature(setting_on_branch(x, branch, MAP), temperature_c, THERMAL)
+    x = corrected_position(ActuatorState(temperature_c=temperature_c, branch=branch, wavelength=wavelength), target)
+    achieved = _unfolded_output(x, temperature_c, branch, wavelength)
     # The output is affine in x, so the solver's x tolerance maps through its slope; plus rounding.
     slope = (p_max - p_min) / (2 * MAP.max_travel)
     assert abs(achieved - target) <= slope * (1e-15 + 1e-15 * abs(x)) + 4 * math.ulp(p_max)
 
     def excess(y):
-        u = setting_on_branch(y, branch, MAP)
-        return u + THERMAL.deviation(u, temperature_c) - target
+        return _unfolded_output(y, temperature_c, branch, wavelength) - target
 
     root = brentq(excess, -MAP.max_travel, MAP.max_travel, xtol=1e-15, rtol=1e-15)
     assert abs(x - root) <= 1e-15 + 1e-15 * abs(root)
@@ -539,7 +544,7 @@ def test_lookup_table_rejects_targets_outside_the_stroke(temperature_c, branch, 
     # The reachable outputs can run below zero; a target there is no angle at all.
     error, message = (TravelRangeError, "exceeds travel range") if target > 0 else (ValueError, "finite and > 0")
     with pytest.raises(error, match=message):
-        temperature_corrected_position(target, temperature_c, THERMAL, MAP, branch)
+        corrected_position(ActuatorState(temperature_c=temperature_c, branch=branch), target)
 
 
 class TestActualDivergence:

@@ -656,6 +656,23 @@ class TestSimulateCommand:
         assert row["theta_commanded_rad"] == 90e-6
         assert row["theta_actual_rad"] == 1e-4
 
+    @pytest.mark.parametrize("text", [
+        # A 20 C start lies below this qualified range, and the pass used to exit 3 on it.
+        "[thermal]\nreference_temperature_c = 30\ncold_temperature_c = 25\n",
+        # A 20 C start lay 5 C off this reference, and the pass lost 60 % of its bits.
+        "[thermal]\nreference_temperature_c = 25\n",
+    ], ids=["cold_end_above_20_c", "reference_at_25_c"])
+    def test_the_actuator_starts_at_its_thermal_reference(self, text, tmp_path, capsys):
+        # No deviation at the reference: the pass is the design pass, byte for byte.
+        assert main(["simulate"]) == 0
+        design = capsys.readouterr()
+        path = tmp_path / "reference.ini"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 0
+        got = capsys.readouterr()
+        assert got.err == design.err
+        assert got.out.splitlines() == design.out.splitlines()  # a list diff stays short where a text diff does not
+
     def test_seed_flag_overrides(self, design_ini, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", design_ini, "--seed", "9", "--out", str(out)]) == 0

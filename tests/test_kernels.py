@@ -24,8 +24,8 @@ from beamdiv.actuator import (
     actual_divergence,
     apply_temperature,
     apply_wavelength,
+    corrected_position,
     divergence_from_position,
-    temperature_corrected_position,
 )
 from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 from beamdiv.link_budget import (
@@ -94,7 +94,7 @@ def test_scalar_forms_return_python_floats():
         divergence_from_position(-1e-3, DMAP),
         apply_temperature(1e-3, -10.0, ThermalModel()),
         apply_wavelength(1e-3, 1.53e-6, ChromaticModel()),
-        temperature_corrected_position(1e-3, 40.0, ThermalModel(), DMAP),
+        corrected_position(ActuatorState(temperature_c=40.0, wavelength=1.53e-6), 1e-3),
         achieved_divergence(ActuatorState(), 1e-3),
     ]
     assert [type(value) for value in values] == [float] * len(values)

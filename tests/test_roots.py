@@ -108,12 +108,12 @@ def test_import_leaves_scipy_optimize_unloaded():
         "assert 'configparser' not in sys.modules",
         "assert beamdiv.beam_optics._leggauss.cache_info().currsize == 0",
         "assert threading.active_count() == 1, threading.enumerate()",
-        "from beamdiv.actuator import DivergenceMap, ThermalModel, temperature_corrected_position",
+        "from beamdiv.actuator import ActuatorState, corrected_position",
         "design = beamdiv.AperturedBeam(beamdiv.GaussianBeam(0.0178, 1.55e-6), 0.02)",
         "beamdiv.truncated_fwhm(design)",
         "beamdiv.farfield_intensity(design, [i * 1e-7 for i in range(2000)])",
         "assert threading.active_count() == 1, threading.enumerate()",
-        "temperature_corrected_position(90e-6, -30.0, ThermalModel(), DivergenceMap())",
+        "corrected_position(ActuatorState(temperature_c=-30.0), 90e-6)",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy.optimize'))",
         "assert not loaded, loaded",
     ])

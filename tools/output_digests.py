@@ -15,6 +15,11 @@ same ones.  The outputs are:
 - the ``pass_fine`` pass of seeds 1-3 through ``run_pass`` and ``write_steps_csv``:
   the CSV and the summary;
 - ``emulate`` on a script of commands and steps, as CSV and as JSON;
+- ``budget`` at both design points and ``optimize`` at a 20 urad sigma
+  against the 90 urad reference, each as a table and as JSON;
+- ``calibrate`` on each bench campaign of ``perfbench/inputs.py``'s
+  ``design_bench`` inputs of seed 51, run from their directory with relative
+  paths, so that the table's provenance names no temporary directory;
 - the standard output of every demo, each run in a fresh interpreter with
   matplotlib hidden, so that no demo plots and its text is the same whether
   matplotlib is installed or not.
@@ -24,7 +29,8 @@ The result is one JSON object, output name to hex digest, on standard output.
 
     python3 tools/output_digests.py > tests/golden/digests.json
 
-and the tier-1 suite checks the demo and ``emulate`` digests against it.
+and the tier-1 suite checks the digests of the demo, ``emulate``, ``budget``,
+``optimize`` and ``calibrate`` outputs against it.
 """
 
 import argparse
@@ -64,6 +70,15 @@ steer 1e-5 -2e-5
 step 0.9
 """
 
+# The budget at the two design points, and the optimum at a 20 urad sigma against the collimated beam;
+# each is digested as a table and as JSON.
+REPORT_ARGS = [
+    ["budget", "--distance", "600e3", "--rate", "10e9"],
+    ["budget", "--distance", "1200e3", "--rate", "2.5e9"],
+    ["optimize", "--sigma", "20e-6", "--reference-divergence", "90e-6"],
+]
+CALIBRATION_SEED = 51
+
 # Runs the script named by the first argument as __main__, with ``import matplotlib`` failing.
 RUN_WITHOUT_MATPLOTLIB = (
     "import runpy, sys; sys.modules['matplotlib'] = None; runpy.run_path(sys.argv[1], run_name='__main__')"
@@ -72,6 +87,12 @@ RUN_WITHOUT_MATPLOTLIB = (
 
 def sha256(text) -> str:
     return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+def calibrate_argv(campaign) -> list:
+    """``calibrate`` on a bench campaign's four files, named relative to their directory."""
+    kinds = ("positions", "profiler", "thermal", "chromatic")
+    return ["calibrate", *(arg for kind in kinds for arg in (f"--{kind}", os.path.basename(getattr(campaign, kind))))]
 
 
 def main() -> None:
@@ -119,6 +140,18 @@ def main() -> None:
         script.write_text(EMULATOR_SCRIPT)
         for fmt in ("csv", "json"):
             cli(f"emulate {fmt}", ["emulate", "--script", str(script), "--format", fmt])
+
+        for argv in REPORT_ARGS:
+            for fmt in ("table", "json"):
+                cli(" ".join([*argv, fmt]), [*argv, "--format", fmt])
+
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for k, campaign in enumerate(inputs.design_bench(CALIBRATION_SEED, tmp).campaigns):
+                cli(f"calibrate campaign{k}", calibrate_argv(campaign))
+        finally:
+            os.chdir(home)
 
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         for demo in sorted((checkout / "demos").glob("*.py")):
