@@ -10,8 +10,9 @@ Temperature and wavelength shift the achieved divergence away from the
 nominal setting.  Both effects are modeled as deviations that are linear in
 the nominal setting between two measured anchors (the collimated beam and the
 5 mrad setting): temperature deviation is piecewise linear in T on each side
-of the thermal model's reference (where a fresh :class:`ActuatorState`
-starts), wavelength deviation is quadratic through three sampled wavelengths.
+of the thermal model's reference, wavelength deviation is quadratic through
+three sampled wavelengths, zero at the chromatic model's optimization
+wavelength.  A fresh :class:`ActuatorState` starts at both references.
 
 The lookup-table correction, :func:`corrected_position`, cancels thermal and
 chromatic drift together by inverting the law :func:`achieved_divergence`
@@ -271,6 +272,12 @@ class ChromaticModel:
                 "one sampled wavelength must carry zero offset at both anchors (the optimization wavelength)"
             )
 
+    @property
+    def optimization_wavelength(self) -> float:
+        """The sampled wavelength with zero offset at both anchors (the shortest, if several), meters."""
+        return next(w for w, low, high in zip(self.wavelengths, self.offsets_low, self.offsets_high)
+                    if low == high == 0.0)
+
     def check_wavelength(self, wavelength: float) -> None:
         """Raise ``ValueError`` unless the wavelength lies in the sampled band."""
         finite("wavelength", wavelength, ge=self.wavelengths[0], le=self.wavelengths[2])
@@ -330,7 +337,7 @@ class ActuatorState:
     motor_speed: float = MOTOR_SPEED_M_PER_S
     step_size: float = 1e-6
     temperature_c: Optional[float] = None  # the thermal model's reference temperature
-    wavelength: float = 1.55e-6
+    wavelength: Optional[float] = None  # the chromatic model's optimization wavelength
     tip: float = 0.0
     tilt: float = 0.0
     time_s: float = 0.0
@@ -338,6 +345,8 @@ class ActuatorState:
     def __post_init__(self) -> None:
         if self.temperature_c is None:
             self.temperature_c = self.thermal.reference_temperature_c
+        if self.wavelength is None:
+            self.wavelength = self.chromatic.optimization_wavelength
         self.validate()
 
     @property
@@ -488,20 +497,21 @@ def corrected_position(state: ActuatorState, theta_target: float) -> float:
     """Lens position on the state's branch whose divergence, before the fold, equals ``theta_target``.
 
     The lookup-table correction: it inverts, at the state's temperature and
-    wavelength, the law :func:`achieved_divergence` folds, so a target at or
-    above the collimated minimum is what the lens then achieves.  That law is
-    affine in the position, so the position interpolates linearly between
-    the outputs at the two stroke ends.  The solution may sit past the
-    nominal collimation point (a virtual setting).
+    wavelength, the law :func:`achieved_divergence` folds, so the target is
+    what the lens then achieves.  That law is affine in the position, so the
+    position interpolates linearly between the outputs at the two stroke
+    ends.  The solution may sit past the nominal collimation point (a
+    virtual setting).
 
     Raises
     ------
     ValueError
-        If the target is not finite and > 0.
+        If the target is not finite and at or above the collimated minimum,
+        below which the fold makes nothing reachable.
     TravelRangeError
         If no position within +-max_travel realizes the target.
     """
-    target = finite("theta_target", theta_target, gt=0)
+    target = finite("theta_target", theta_target, ge=state.dmap.collimated_divergence)
     lo, hi = -state.dmap.max_travel, state.dmap.max_travel
     p_lo, p_hi = _unfolded_divergence(state, lo), _unfolded_divergence(state, hi)
     _check_travel(f"correction exceeds travel range: theta_target at {state.temperature_c} C "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer, member
+from ._checks import finite, member
 from ._roots import brentq
 
 __all__ = [
@@ -163,7 +163,7 @@ CHECK_TOL = 1e-9
 # Rows of the far-field kernel evaluated at a time.  A multiple of 4, so that
 # every full block meets the matrix-vector product's row unrolling the same way.
 # Blocks are independent and run on every core the process may use, each lane
-# holding one block buffer at a time (256 KB at the default 2n = 512 nodes);
+# holding one block buffer at a time (256 KB over the 512-node rule);
 # a block's floats do not depend on which lane computes it.
 _BLOCK_ROWS = 64
 
@@ -186,39 +186,35 @@ def j0(x, out=None):
     return _scipy_j0()(x, out=out)
 
 
-# The default rule and its doubling check (n_nodes = 256 and 512), stored as
-# ``leggauss`` computes them: row 0 the nodes, row 1 the weights, the 256-node
-# rule first.  ``leggauss`` solves a dense n x n eigenproblem, O(n^3) time and
-# O(n^2) memory, and its bits come from the host's LAPACK.  The file is written
-# by ``tools/write_leggauss_table.py`` and read on first use.
-_STORED_RULES = {256: slice(0, 256), 512: slice(256, 768)}
-_STORED_RULES_FILE = os.path.join(os.path.dirname(__file__), "leggauss_256_512.npy")
+# The far field's one quadrature: the 512-node Gauss-Legendre rule, checked
+# against the 256-node rule, both as ``leggauss`` computes them (a dense n x n
+# eigenproblem, whose bits come from the host's LAPACK) and stored by
+# ``tools/write_leggauss_table.py``: row 0 the nodes, row 1 the weights, the
+# 256-node rule in the first ``_N_NODES`` columns.
+_N_NODES = 256
+_RULES_FILE = os.path.join(os.path.dirname(__file__), "leggauss_256_512.npy")
 
 
-@functools.lru_cache(maxsize=16)
-def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, read-only: every later solve shares them."""
-    if n_nodes in _STORED_RULES:
-        x, wt = np.load(_STORED_RULES_FILE)[:, _STORED_RULES[n_nodes]]
-    else:
-        x, wt = np.polynomial.legendre.leggauss(n_nodes)
-    x.flags.writeable = wt.flags.writeable = False
-    return x, wt
+@functools.cache
+def _rules() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The (nodes, weights) of the 256- and the 512-node rule, read-only, read on first use."""
+    table = np.load(_RULES_FILE)
+    table.flags.writeable = False
+    return (table[0, :_N_NODES], table[1, :_N_NODES]), (table[0, _N_NODES:], table[1, _N_NODES:])
 
 
-def _radial_rule(apertured: AperturedBeam, n_nodes: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule for ``U(theta) = int_0^a exp(-(r/w)^2) J0(k r theta) r dr``.
+def _radial_rules(apertured: AperturedBeam) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The 256- and 512-node rules for ``U(theta) = int_0^a exp(-(r/w)^2) J0(k r theta) r dr``.
 
-    Returns ``(k, r, weights)`` with the field and the ``r dr`` measure folded
-    into the weights, so ``U(theta) = J0(k theta r) @ weights``.  The
+    Each is ``(k, r, weights)`` with the field and the ``r dr`` measure
+    folded into the weights, so ``U(theta) = J0(k theta r) @ weights``.  The
     integrand is smooth, so the rule converges spectrally.
     """
     a = 0.5 * apertured.aperture_diameter
     w = apertured.beam.waist_radius_1e2
-    x, wt = _leggauss(n_nodes)
-    r = 0.5 * a * (x + 1.0)
-    weights = np.exp(-((r / w) ** 2)) * r * (0.5 * a * wt)
-    return 2.0 * math.pi / apertured.beam.wavelength, r, weights
+    k = 2.0 * math.pi / apertured.beam.wavelength
+    radii = [(0.5 * a * (x + 1.0), wt) for x, wt in _rules()]
+    return [(k, r, np.exp(-((r / w) ** 2)) * r * (0.5 * a * wt)) for r, wt in radii]
 
 
 def _lanes(blocks: int) -> int:
@@ -277,20 +273,16 @@ def _intensity(rule: tuple[float, np.ndarray, np.ndarray], angles: np.ndarray) -
     return (_amplitude(rule, angles) / _block(rule, _ON_AXIS)[0]) ** 2
 
 
-def _check_converged(coarse: np.ndarray, fine: np.ndarray, n_nodes: int) -> None:
+def _check_converged(coarse: np.ndarray, fine: np.ndarray) -> None:
     worst = float(np.max(np.abs(fine - coarse), initial=0.0))
     if worst > CHECK_TOL:
         raise QuadratureError(
-            f"far-field quadrature not converged at n_nodes={n_nodes}: "
-            f"grid doubling moved intensity by {worst:.3e}"
+            f"far-field quadrature not converged: doubling {_N_NODES} to {2 * _N_NODES} nodes "
+            f"moved intensity by {worst:.3e}"
         )
 
 
-def farfield_intensity(
-    apertured: AperturedBeam,
-    angles,
-    n_nodes: int = 256,
-) -> np.ndarray:
+def farfield_intensity(apertured: AperturedBeam, angles) -> np.ndarray:
     """Normalized far-field intensity of the truncated Gaussian beam.
 
     Parameters
@@ -299,43 +291,38 @@ def farfield_intensity(
         Beam and clear aperture.
     angles : array_like
         Off-axis angles in radians, non-negative and sorted ascending.
-    n_nodes : int
-        Radial quadrature resolution, >= 1.  Convergence is self-checked by
-        recomputing with ``2 * n_nodes`` nodes.
 
     Returns
     -------
     ndarray
-        Intensity normalized to 1 at theta = 0.
+        Intensity normalized to 1 at theta = 0, from the 512-node radial rule.
 
     Raises
     ------
     QuadratureError
-        If grid doubling moves any returned value by more than ``CHECK_TOL``.
+        If the 256-node rule moves any returned value by more than ``CHECK_TOL``.
     """
-    integer("n_nodes", n_nodes, ge=1)
     th = np.asarray(angles, dtype=float)
     if th.ndim != 1 or th.size == 0:
         raise ValueError("angles must be a non-empty 1-D sequence")
     finite("angles", th, ge=0)
     if np.any(np.diff(th) < 0.0):
         raise ValueError("angles must be sorted ascending")
-    fine = _intensity(_radial_rule(apertured, 2 * n_nodes), th)
-    _check_converged(_intensity(_radial_rule(apertured, n_nodes), th), fine, n_nodes)
+    coarse_rule, fine_rule = _radial_rules(apertured)
+    fine = _intensity(fine_rule, th)
+    _check_converged(_intensity(coarse_rule, th), fine)
     return fine
 
 
-def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAngle:
+def truncated_fwhm(apertured: AperturedBeam) -> DivergenceAngle:
     """Half-intensity full width of the truncated-Gaussian far field.
 
-    Root-finds the angle where the ``2 * n_nodes`` intensity crosses 0.5 and
+    Root-finds the angle where the 512-node intensity crosses 0.5 and
     doubles it.  Every angle the search visits is then checked against the
-    ``n_nodes`` rule in one batch, under the same bound as
-    :func:`farfield_intensity`.  Deterministic for a fixed quadrature
-    resolution.
+    256-node rule in one batch, under the same bound as
+    :func:`farfield_intensity`.  Deterministic.
     """
-    integer("n_nodes", n_nodes, ge=1)
-    fine_rule = _radial_rule(apertured, 2 * n_nodes)
+    coarse_rule, fine_rule = _radial_rules(apertured)
     u0 = _block(fine_rule, _ON_AXIS)[0]
     visited: list[float] = []
     fine: list[float] = []
@@ -361,8 +348,7 @@ def truncated_fwhm(apertured: AperturedBeam, n_nodes: int = 256) -> DivergenceAn
         half_angle = brentq(half_excess, lo, hi, xtol=1e-14, rtol=1e-13)
     finally:
         # An unconverged rule outranks whatever the search made of its values.
-        coarse = _intensity(_radial_rule(apertured, n_nodes), np.array(visited))
-        _check_converged(coarse, np.array(fine), n_nodes)
+        _check_converged(_intensity(coarse_rule, np.array(visited)), np.array(fine))
     return DivergenceAngle(2.0 * half_angle, _FWHM)
 
 

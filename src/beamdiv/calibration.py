@@ -356,12 +356,11 @@ class ChromaticFit:
 
     model: ChromaticModel
     raw_offsets: dict
-    reference_wavelength_m: float
 
     def to_dict(self) -> dict:
         return {
             **_model_dict("chromatic", self.model),
-            "reference_wavelength_m": self.reference_wavelength_m,
+            "reference_wavelength_m": self.model.optimization_wavelength,
             "raw_offsets_rad": {k: v for k, v in self.raw_offsets.items()},
         }
 
@@ -407,7 +406,7 @@ def build_chromatic_model(observations) -> ChromaticFit:
         offsets_low=offsets_low,
         offsets_high=offsets_high,
     )
-    return ChromaticFit(model=model, raw_offsets=raw, reference_wavelength_m=ref_wl)
+    return ChromaticFit(model=model, raw_offsets=raw)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from beamdiv.pointing import (
     sweep_optimal_divergence,
 )
 from beamdiv.sim import ControlPolicy, PassGeometry, Strategy, run_pass, steps_to_csv
+from farfield_reference import reference_fwhm
 
 
 def criterion(number, title):
@@ -77,8 +78,8 @@ def design_link():
 def test_farfield_design_point():
     t0 = time.perf_counter()
     apertured = AperturedBeam(GaussianBeam(0.0178, 1.55e-6), 0.02)
-    coarse = truncated_fwhm(apertured, n_nodes=256).value
-    fine = truncated_fwhm(apertured, n_nodes=512).value
+    coarse = truncated_fwhm(apertured).value
+    fine, _ = reference_fwhm(apertured, n_nodes=512)
     elapsed = time.perf_counter() - t0
     assert coarse == pytest.approx(90e-6, rel=0.10)
     assert abs(fine - coarse) / coarse < 1e-3

@@ -456,6 +456,20 @@ class TestChromaticModel:
             ChromaticModel(offsets_low=(0.0, 1e-6, 3e-6))
         ChromaticModel(offsets_low=(10e-6, -0.0, 3e-6))
 
+    def test_a_fresh_state_starts_in_a_band_without_1p55_um(self):
+        model = ChromaticModel(wavelengths=(1.30e-6, 1.31e-6, 1.32e-6))
+        assert model.optimization_wavelength == 1.31e-6
+        assert ActuatorState(chromatic=model).wavelength == 1.31e-6
+
+    @pytest.mark.parametrize("model", [
+        ChromaticModel(wavelengths=(1.53e-6, 1.545e-6, 1.565e-6)),
+        ChromaticModel(offsets_low=(0.0, 10e-6, 3e-6), offsets_high=(0.0, 171e-6, 130e-6)),
+    ], ids=["zero_at_1.545um", "zero_at_the_short_end"])
+    def test_a_fresh_state_starts_at_the_zero_offset(self, model):
+        state = ActuatorState(chromatic=model)
+        assert state.wavelength == model.optimization_wavelength
+        assert actual_divergence(state) == MAP.collimated_divergence
+
     def test_out_of_band_rejected(self):
         with pytest.raises(ValueError):
             apply_wavelength(90e-6, 1.52e-6, CHROMA)
@@ -501,8 +515,8 @@ class TestTemperatureCorrection:
 
     @pytest.mark.parametrize("target", [-1e-3, 0.0, math.nan, math.inf])
     def test_target_checked_at_entry(self, target):
-        # -1 mrad lies inside the reachable outputs, which run below zero.
-        with pytest.raises(ValueError, match="theta_target must be finite and > 0"):
+        # -1 mrad lies inside the outputs the unfolded law reaches, which run below zero.
+        with pytest.raises(ValueError, match=r"theta_target must be finite and >= 9e-05, got "):
             corrected_position(ActuatorState(), target)
 
 
@@ -522,7 +536,8 @@ def _stroke_outputs(temperature_c, branch, wavelength=CHROMA.wavelengths[1]):
        hs.sampled_from(CHROMA.wavelengths) | hs.floats(CHROMA.wavelengths[0], CHROMA.wavelengths[2]))
 def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, branch, fraction, wavelength):
     p_min, p_max = sorted(_stroke_outputs(temperature_c, branch, wavelength))
-    target = max(p_min, 1e-6) + fraction * (p_max - max(p_min, 1e-6))
+    lowest = max(p_min, MAP.collimated_divergence)  # the fold makes nothing below the collimated minimum reachable
+    target = lowest + fraction * (p_max - lowest)
     x = corrected_position(ActuatorState(temperature_c=temperature_c, branch=branch, wavelength=wavelength), target)
     achieved = _unfolded_output(x, temperature_c, branch, wavelength)
     # The output is affine in x, so the solver's x tolerance maps through its slope; plus rounding.
@@ -541,10 +556,25 @@ def test_lookup_table_realizes_its_target_anywhere_in_the_stroke(temperature_c, 
 def test_lookup_table_rejects_targets_outside_the_stroke(temperature_c, branch, excess, above):
     p_min, p_max = sorted(_stroke_outputs(temperature_c, branch))
     target = p_max * (1.0 + excess) if above else p_min - excess * abs(p_min) - 1e-9
-    # The reachable outputs can run below zero; a target there is no angle at all.
-    error, message = (TravelRangeError, "exceeds travel range") if target > 0 else (ValueError, "finite and > 0")
+    # The unfolded outputs can run below the collimated minimum, even below
+    # zero; the fold achieves no angle there.
+    if target >= MAP.collimated_divergence:
+        error, message = TravelRangeError, "exceeds travel range"
+    else:
+        error, message = ValueError, "theta_target must be finite and >= 9e-05"
     with pytest.raises(error, match=message):
         corrected_position(ActuatorState(temperature_c=temperature_c, branch=branch), target)
+
+
+@given(hs.floats(THERMAL.cold_temperature_c, THERMAL.hot_temperature_c), hs.sampled_from(Branch),
+       hs.sampled_from(CHROMA.wavelengths) | hs.floats(CHROMA.wavelengths[0], CHROMA.wavelengths[2]),
+       hs.floats(0.0, MAP.collimated_divergence, exclude_min=True, exclude_max=True))
+def test_lookup_table_rejects_targets_below_the_collimated_minimum(temperature_c, branch, wavelength, target):
+    # Below the floor the fold makes nothing reachable, though the unfolded law may pass there.
+    state = ActuatorState(temperature_c=temperature_c, branch=branch, wavelength=wavelength)
+    with pytest.raises(ValueError, match=r"^theta_target must be finite and >= 9e-05, got ") as raised:
+        corrected_position(state, target)
+    assert not isinstance(raised.value, TravelRangeError)
 
 
 class TestActualDivergence:

@@ -1,5 +1,4 @@
 import fnmatch
-import functools
 import math
 import os
 import subprocess
@@ -32,6 +31,7 @@ from beamdiv.beam_optics import (
     truncated_fwhm,
     untruncated_divergence,
 )
+from farfield_reference import reference_amplitude, reference_fwhm
 
 DESIGN_BEAM = GaussianBeam(waist_diameter_1e2=0.0178, wavelength=1.55e-6)
 DESIGN = AperturedBeam(beam=DESIGN_BEAM, aperture_diameter=0.02)
@@ -132,89 +132,49 @@ class TestFarfieldIntensity:
             farfield_intensity(DESIGN, [])
 
     def test_unconverged_quadrature_reported(self):
-        # A 4-node rule cannot resolve the kernel; the self-check must raise
-        # instead of returning a wrong profile.
-        with pytest.raises(QuadratureError):
-            farfield_intensity(DESIGN, np.linspace(0.0, 200e-6, 9), n_nodes=4)
+        # At 0.03 rad the kernel oscillates faster than the 256-node rule
+        # resolves (doubling moves the intensity by about 5e-6); the
+        # self-check must raise instead of returning a wrong profile.
+        with pytest.raises(QuadratureError, match="not converged"):
+            farfield_intensity(DESIGN, [0.0, 0.03])
 
 
-@functools.lru_cache(maxsize=None)
-def _nodes(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _reference_amplitude(apertured, angles, n):
-    a = 0.5 * apertured.aperture_diameter
-    w = apertured.beam.waist_radius_1e2
-    k = 2.0 * math.pi / apertured.beam.wavelength
-    x, wt = _nodes(n)
-    r = 0.5 * a * (x + 1.0)
-    base = np.exp(-((r / w) ** 2)) * r * (0.5 * a * wt)
-    return j0(k * np.outer(np.asarray(angles, dtype=float), r)) @ base
-
-
-def _reference_fwhm(apertured, n_nodes=256):
-    """The per-evaluation solver: every angle the search visits runs the full n / 2n self-check.
-
-    Returns the FWHM and the visited angles.  ``truncated_fwhm`` must give
-    the same float and raise ``QuadratureError`` on the same inputs.
-    """
-    visited = []
-
-    def half_excess(theta):
-        visited.append(theta)
-        coarse, fine = (
-            (_reference_amplitude(apertured, [theta], n) / _reference_amplitude(apertured, [0.0], n)[0]) ** 2
-            for n in (n_nodes, 2 * n_nodes)
-        )
-        if float(np.max(np.abs(fine - coarse))) > 1e-9:
-            raise QuadratureError("not converged")
-        return float(fine[0]) - 0.5
-
-    lo, hi = 0.0, 0.5 * untruncated_divergence(apertured.beam).value
-    for _ in range(80):
-        if half_excess(hi) < 0.0:
-            break
-        lo, hi = hi, hi * 1.4
-    else:
-        raise QuadratureError("failed to bracket the half-intensity angle")
-    return 2.0 * brentq(half_excess, lo, hi, xtol=1e-14, rtol=1e-13), visited
-
-
-@given(
-    hs.floats(0.6, 40.0),
-    hs.floats(1.50e-6, 1.60e-6),
-    hs.sampled_from([8, 16, 64, 256]),
-)
-def test_fwhm_equals_the_per_evaluation_solver(truncation, wavelength, n_nodes):
+# Truncation ratios up to 2000: the stored rules pass their check up to
+# about 800 and fail it from about 1000, so both outcomes are drawn.
+@given(hs.floats(0.6, 2000.0), hs.floats(1.50e-6, 1.60e-6))
+def test_fwhm_equals_the_per_evaluation_solver(truncation, wavelength):
     apertured = AperturedBeam(GaussianBeam(0.02 / truncation, wavelength), 0.02)
     try:
-        expected, _ = _reference_fwhm(apertured, n_nodes)
+        expected, _ = reference_fwhm(apertured)
     except QuadratureError:
         with pytest.raises(QuadratureError):
-            truncated_fwhm(apertured, n_nodes)
+            truncated_fwhm(apertured)
         return
-    assert truncated_fwhm(apertured, n_nodes).value == expected  # bit for bit
+    assert truncated_fwhm(apertured).value == expected  # bit for bit
 
 
-@pytest.mark.parametrize("n_nodes", [1, 4])
-def test_unconverged_fwhm_raises(n_nodes):
-    with pytest.raises(QuadratureError, match=f"not converged at n_nodes={n_nodes}"):
-        truncated_fwhm(DESIGN, n_nodes=n_nodes)
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_unconverged_fwhm_raises(lanes):
+    # At truncation ratio 1000 doubling the rule moves the intensity by about 3e-8.
+    # Four-row blocks split the check over the visited angles across the lanes.
+    with mock.patch.object(beam_optics, "_BLOCK_ROWS", 4):
+        with mock.patch.object(beam_optics, "_lanes", lambda blocks: min(lanes, blocks)):
+            with pytest.raises(QuadratureError, match="not converged: doubling 256 to 512 nodes"):
+                truncated_fwhm(AperturedBeam(GaussianBeam(0.02 / 1000, 1.55e-6), 0.02))
 
 
 def test_fwhm_solve_evaluates_the_kernel_once_per_visited_angle():
     # U(0) at n and 2n, one 2n row per visited angle, one batch of n rows for the check.
-    _, visited = _reference_fwhm(DESIGN)
+    _, visited = reference_fwhm(DESIGN)
     with mock.patch.object(beam_optics, "j0", wraps=j0) as counted:
         truncated_fwhm(DESIGN)
     assert counted.call_count == len(visited) + 3
 
 
-def _unblocked_profile(apertured, angles, n_nodes=256):
+def _unblocked_profile(apertured, angles):
     coarse, fine = (
-        (_reference_amplitude(apertured, angles, n) / _reference_amplitude(apertured, [0.0], n)[0]) ** 2
-        for n in (n_nodes, 2 * n_nodes)
+        (reference_amplitude(apertured, angles, n) / reference_amplitude(apertured, [0.0], n)[0]) ** 2
+        for n in (256, 512)
     )
     assert np.max(np.abs(fine - coarse)) <= 1e-9
     return fine
@@ -230,30 +190,29 @@ def test_blocked_profile_equals_unblocked(block_rows, n_angles):
     assert np.max(np.abs(blocked - _unblocked_profile(DESIGN, angles))) <= 1e-15
 
 
-def _design_profile(n_angles, n_nodes=256):
-    return farfield_intensity(DESIGN, np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, n_angles), n_nodes=n_nodes)
+def _design_profile(n_angles):
+    return farfield_intensity(DESIGN, np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, n_angles))
 
 
 @pytest.mark.parametrize("lanes", ["host", "more than cores"])
-@pytest.mark.parametrize("n_nodes", [64, 256])
 @pytest.mark.parametrize("block_rows", [4, 256])
 @pytest.mark.parametrize("n_angles", [1, 255, 256, 257, 700, 2000])
-def test_lanes_give_the_one_lane_bytes(lanes, n_nodes, block_rows, n_angles):
+def test_lanes_give_the_one_lane_bytes(lanes, block_rows, n_angles):
     # "host" runs on the cores this process may use.  "more than cores" forces
     # threads on any host and switches between them as often as the interpreter
     # allows: a block lost or taken twice from the shared iterator changes the bytes.
     with mock.patch.object(beam_optics, "_BLOCK_ROWS", block_rows):
         with mock.patch.object(beam_optics, "_lanes", lambda blocks: 1):
-            expected = _design_profile(n_angles, n_nodes)
+            expected = _design_profile(n_angles)
         if lanes == "host":
-            got = _design_profile(n_angles, n_nodes)
+            got = _design_profile(n_angles)
         else:
             forced = 4 * (os.cpu_count() or 1)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
                 with mock.patch.object(beam_optics, "_lanes", lambda blocks: min(forced, blocks)):
-                    got = _design_profile(n_angles, n_nodes)
+                    got = _design_profile(n_angles)
             finally:
                 sys.setswitchinterval(interval)
     assert got.tobytes() == expected.tobytes()
@@ -315,11 +274,15 @@ def test_profile_memory_is_one_block_buffer_per_lane():
     assert peak <= lanes * fine_block_bytes + 0.5e6
 
 
-@pytest.mark.parametrize("n_nodes", sorted(beam_optics._STORED_RULES))
+def _stored_rule(n_nodes):
+    return dict(zip((256, 512), beam_optics._rules()))[n_nodes]
+
+
+@pytest.mark.parametrize("n_nodes", [256, 512])
 def test_each_stored_rule_is_leggauss_bit_for_bit(n_nodes):
     # A stale or misplaced table fails here; tools/write_leggauss_table.py rewrites it.
-    beam_optics._leggauss.cache_clear()
-    stored = beam_optics._leggauss(n_nodes)
+    beam_optics._rules.cache_clear()
+    stored = _stored_rule(n_nodes)
     computed = np.polynomial.legendre.leggauss(n_nodes)
     assert [a.tobytes() for a in stored] == [a.tobytes() for a in computed]
 
@@ -331,22 +294,16 @@ class _Eigenproblem(Exception):
 def test_the_default_rules_are_read_not_computed():
     angles = np.linspace(0.0, 4.0 * 1.55e-6 / 0.02, 9)
     fwhm, profile = truncated_fwhm(DESIGN).value, farfield_intensity(DESIGN, angles)
-    beam_optics._leggauss.cache_clear()
-    try:
-        with mock.patch.object(np.polynomial.legendre, "leggauss", side_effect=_Eigenproblem) as leggauss:
-            assert truncated_fwhm(DESIGN).value == fwhm
-            assert farfield_intensity(DESIGN, angles).tobytes() == profile.tobytes()
-            leggauss.assert_not_called()
-            with pytest.raises(_Eigenproblem):
-                farfield_intensity(DESIGN, angles, n_nodes=64)
-            leggauss.assert_called_once_with(128)
-    finally:
-        beam_optics._leggauss.cache_clear()
+    beam_optics._rules.cache_clear()
+    with mock.patch.object(np.polynomial.legendre, "leggauss", side_effect=_Eigenproblem) as leggauss:
+        assert truncated_fwhm(DESIGN).value == fwhm
+        assert farfield_intensity(DESIGN, angles).tobytes() == profile.tobytes()
+    leggauss.assert_not_called()
 
 
 def test_a_first_fwhm_solve_stays_small():
     truncated_fwhm(DESIGN)  # SciPy's j0 is loaded
-    beam_optics._leggauss.cache_clear()
+    beam_optics._rules.cache_clear()
     tracemalloc.start()
     try:
         truncated_fwhm(DESIGN)
@@ -356,9 +313,9 @@ def test_a_first_fwhm_solve_stays_small():
     assert peak < 0.5e6
 
 
-@pytest.mark.parametrize("n_nodes", [64, 256, 512])
+@pytest.mark.parametrize("n_nodes", [256, 512])
 def test_the_cached_rules_are_read_only(n_nodes):
-    for array in beam_optics._leggauss(n_nodes):
+    for array in _stored_rule(n_nodes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -367,8 +324,8 @@ def test_the_stored_rules_ship_with_the_package():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
         declared = tomllib.load(f)["tool"]["setuptools"]["package-data"]["beamdiv"]
-    assert os.path.dirname(beam_optics._STORED_RULES_FILE) == os.path.dirname(beam_optics.__file__)
-    assert any(fnmatch.fnmatch(os.path.basename(beam_optics._STORED_RULES_FILE), p) for p in declared)
+    assert os.path.dirname(beam_optics._RULES_FILE) == os.path.dirname(beam_optics.__file__)
+    assert any(fnmatch.fnmatch(os.path.basename(beam_optics._RULES_FILE), p) for p in declared)
 
 
 class TestTruncatedFwhm:
@@ -378,8 +335,8 @@ class TestTruncatedFwhm:
         assert fwhm.value == pytest.approx(90e-6, rel=0.10)
 
     def test_quadrature_doubling_stable(self):
-        coarse = truncated_fwhm(DESIGN, n_nodes=256).value
-        fine = truncated_fwhm(DESIGN, n_nodes=512).value
+        coarse = truncated_fwhm(DESIGN).value
+        fine, _ = reference_fwhm(DESIGN, n_nodes=512)
         assert abs(fine - coarse) / coarse < 1e-3
 
     def test_untruncated_limit(self):

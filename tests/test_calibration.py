@@ -236,7 +236,7 @@ class TestChromaticFit:
     def test_recovers_design_offsets(self):
         design = ChromaticModel()
         fit = build_chromatic_model(chromatic_sweep_rows(design))
-        assert fit.reference_wavelength_m == 1.55e-6
+        assert fit.model.optimization_wavelength == 1.55e-6
         assert fit.model.offsets_low == pytest.approx(design.offsets_low, rel=1e-9)
         assert fit.model.offsets_high == pytest.approx(design.offsets_high, rel=1e-9)
 
@@ -351,7 +351,7 @@ class TestCsvInterfaces:
             for row in chromatic_sweep_rows(design):
                 writer.writerow([repr(v) for v in row])
         fit = build_chromatic_model(read_chromatic_csv(path))
-        assert fit.reference_wavelength_m == 1.55e-6
+        assert fit.model.optimization_wavelength == 1.55e-6
         assert fit.model.offsets_low == pytest.approx(design.offsets_low, rel=1e-9)
         assert fit.model.offsets_high == pytest.approx(design.offsets_high, rel=1e-9)
 

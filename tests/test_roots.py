@@ -106,7 +106,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy.special'))",
         "assert not loaded, loaded",
         "assert 'configparser' not in sys.modules",
-        "assert beamdiv.beam_optics._leggauss.cache_info().currsize == 0",
+        "assert beamdiv.beam_optics._rules.cache_info().currsize == 0",
         "assert threading.active_count() == 1, threading.enumerate()",
         "from beamdiv.actuator import ActuatorState, corrected_position",
         "design = beamdiv.AperturedBeam(beamdiv.GaussianBeam(0.0178, 1.55e-6), 0.02)",

@@ -4,11 +4,11 @@ Run from the root of a source checkout::
 
     python3 tools/write_leggauss_table.py
 
-The file holds ``np.polynomial.legendre.leggauss(n)`` for each node count in
-``beam_optics._STORED_RULES``, bit for bit: row 0 the nodes, row 1 the
-weights, each rule in the columns its slice names.  This script is the file's
-only writer; ``tests/test_beam_optics.py`` fails when the file no longer
-equals ``leggauss`` on the host that runs it.
+The file holds ``np.polynomial.legendre.leggauss(n)`` for the far field's
+rule, ``n = beam_optics._N_NODES``, and for its doubling check, ``2 * n``,
+bit for bit: row 0 the nodes, row 1 the weights, the ``n``-node rule first.
+This script is the file's only writer; ``tests/test_beam_optics.py`` fails
+when the file no longer equals ``leggauss`` on the host that runs it.
 """
 
 import sys
@@ -22,11 +22,10 @@ from beamdiv import beam_optics  # noqa: E402
 
 
 def main() -> None:
-    table = np.empty((2, max(cols.stop for cols in beam_optics._STORED_RULES.values())))
-    for n_nodes, cols in beam_optics._STORED_RULES.items():
-        table[:, cols] = np.polynomial.legendre.leggauss(n_nodes)
-    np.save(beam_optics._STORED_RULES_FILE, table)
-    print(f"wrote {beam_optics._STORED_RULES_FILE}: rules {sorted(beam_optics._STORED_RULES)}")
+    n = beam_optics._N_NODES
+    table = np.hstack([np.polynomial.legendre.leggauss(n), np.polynomial.legendre.leggauss(2 * n)])
+    np.save(beam_optics._RULES_FILE, table)
+    print(f"wrote {beam_optics._RULES_FILE}: rules {[n, 2 * n]}")
 
 
 if __name__ == "__main__":
