@@ -8,13 +8,7 @@ generated from.
 
 import numpy as np
 
-from beamdiv.actuator import (
-    ChromaticModel,
-    DivergenceMap,
-    ThermalModel,
-    apply_temperature,
-    apply_wavelength,
-)
+from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam
 from beamdiv.calibration import (
     DESIGN_EFFECTIVE_FOCAL_LENGTH_M,
@@ -71,7 +65,7 @@ print()
 print("=== Thermal and chromatic sweeps -> lookup-table models ===")
 thermal_truth = ThermalModel()
 thermal_rows = [
-    (theta, t, apply_temperature(theta, t, thermal_truth))
+    (theta, t, theta + thermal_truth.deviation(theta, t))
     for theta in thermal_truth.anchor_settings
     for t in (-30.0, -20.0, 20.0, 40.0, 60.0)
 ]
@@ -81,7 +75,7 @@ print(f"cold collimated slope {thermal_fit.slopes['cold_anchor0'] * 1e6:6.2f} ur
 
 chroma_truth = ChromaticModel()
 chroma_rows = [
-    (theta, wl, apply_wavelength(theta, wl, chroma_truth))
+    (theta, wl, theta + chroma_truth.offset(theta, wl))
     for theta in chroma_truth.anchor_settings
     for wl in chroma_truth.wavelengths
 ]

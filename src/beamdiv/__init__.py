@@ -19,10 +19,8 @@ from .beam_optics import (
     Convention,
     DivergenceAngle,
     GaussianBeam,
-    convert_divergence,
     farfield_intensity,
     footprint,
-    transmit_gain,
     transmit_gain_db,
     truncated_fwhm,
     untruncated_divergence,
@@ -33,7 +31,6 @@ from .link_budget import (
     SensitivityModel,
     calibrate_sensitivity,
     free_space_loss_db,
-    link_margin_db,
     max_rate,
     received_power_dbm,
 )
@@ -41,7 +38,6 @@ from .pointing import (
     GainConvention,
     gain_improvement_db,
     optimal_divergence,
-    pointing_loss,
     pointing_loss_db,
     rule_of_thumb_divergence,
 )
@@ -54,15 +50,12 @@ __all__ = [
     "DivergenceAngle",
     "GaussianBeam",
     "AperturedBeam",
-    "convert_divergence",
     "untruncated_divergence",
     "farfield_intensity",
     "truncated_fwhm",
-    "transmit_gain",
     "transmit_gain_db",
     "footprint",
     "GainConvention",
-    "pointing_loss",
     "pointing_loss_db",
     "rule_of_thumb_divergence",
     "optimal_divergence",
@@ -72,7 +65,6 @@ __all__ = [
     "BudgetReport",
     "free_space_loss_db",
     "received_power_dbm",
-    "link_margin_db",
     "max_rate",
     "calibrate_sensitivity",
 ]

@@ -8,7 +8,8 @@ and bounds, lower (``gt``, ``ge``) and upper (``lt``, ``le``), through
 :func:`finite`; a caller that handles bad elements its own way asks
 :func:`rejected` for their indices: ``run_pass`` names the tick of a bad
 jitter value, and marks as outages the ticks whose rate is not finite and
-positive.  A count, such as a quadrature's node number, goes through
+positive.  A count, such as the replicates per station of
+``calibration.simulate_profiler_samples``, goes through
 :func:`integer`, and a choice, such as a policy's strategy, through
 :func:`member`.
 """

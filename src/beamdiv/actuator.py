@@ -52,11 +52,8 @@ __all__ = [
     "MOTOR_SPEED_M_PER_S",
     "FULL_TRAVERSE_S",
     "STEERING_RANGE_RAD",
-    "divergence_from_position",
     "position_from_divergence",
     "setting_on_branch",
-    "apply_temperature",
-    "apply_wavelength",
     "corrected_position",
     "command_divergence",
     "track",
@@ -145,19 +142,15 @@ def _check_travel(what: str, x, lo: float, hi: float) -> None:
         raise TravelRangeError(*exc.args) from None
 
 
-def divergence_from_position(x: float, dmap: DivergenceMap) -> float:
-    """Nominal divergence at lens position ``x`` (signed, meters): the setting on ``x``'s own side."""
-    return setting_on_branch(x, _DIVERGING if x >= 0.0 else _CONVERGING, dmap)
-
-
 def position_from_divergence(
     theta: Union[float, np.ndarray], branch: Branch, dmap: DivergenceMap
 ) -> Union[float, np.ndarray]:
     """Signed lens position realizing ``theta`` on the given branch.
 
-    Exact inverse of :func:`divergence_from_position` on that branch.  An
-    array of angles gives the array of positions, element for element the
-    same floats.
+    Inverse of :func:`setting_on_branch` on that branch's own side, to one
+    ulp: the round trip rounds twice, and about one angle in twenty comes
+    back one ulp off.  An array of angles gives the array of positions,
+    element for element the same floats.
     """
     member("branch", branch, Branch)
     finite(f"divergence on the {branch.value} branch", theta,
@@ -221,7 +214,8 @@ class ThermalModel:
 
         ``theta_set`` may lie outside the anchor interval (including virtual
         settings below the collimated value); the linear interpolation in the
-        setting extrapolates.  An array of settings gives an array.
+        setting extrapolates.  An array of settings gives an array; a
+        setting that is not finite raises ``ValueError``.
         """
         self.check_temperature(temperature_c)
         ref = self.reference_temperature_c
@@ -232,7 +226,8 @@ class ThermalModel:
             frac = (temperature_c - ref) / (self.hot_temperature_c - ref)
             outputs = self.hot_outputs
         a0, a1 = self.anchor_settings
-        return frac * _between_anchors(self.anchor_settings, outputs[0] - a0, outputs[1] - a1, theta_set)
+        return frac * _between_anchors(self.anchor_settings, outputs[0] - a0, outputs[1] - a1,
+                                       finite("theta_set", theta_set))
 
     def cold_slope(self, anchor_index: int) -> float:
         """Deviation growth per degree below reference, radians/C."""
@@ -283,11 +278,11 @@ class ChromaticModel:
         finite("wavelength", wavelength, ge=self.wavelengths[0], le=self.wavelengths[2])
 
     def offset(self, theta_set, wavelength: float):
-        """Divergence offset (radians, >= 0 at the band edges) at a setting or an array of them."""
+        """Divergence offset (radians, >= 0 at the band edges) at a finite setting or an array of them."""
         self.check_wavelength(wavelength)
         off0 = _quadratic_through(self.wavelengths, self.offsets_low, wavelength)
         off1 = _quadratic_through(self.wavelengths, self.offsets_high, wavelength)
-        return _between_anchors(self.anchor_settings, off0, off1, theta_set)
+        return _between_anchors(self.anchor_settings, off0, off1, finite("theta_set", theta_set))
 
 
 def _entries(name: str, values, count: int):
@@ -312,16 +307,6 @@ def _quadratic_through(xs: tuple[float, float, float], ys: tuple[float, float, f
         + y1 * (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
         + y2 * (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))
     )
-
-
-def apply_temperature(theta_set: float, temperature_c: float, model: ThermalModel) -> float:
-    """Divergence actually achieved at a nominal setting and temperature; finite and > 0."""
-    return finite("divergence angle", theta_set + model.deviation(theta_set, temperature_c), gt=0)
-
-
-def apply_wavelength(theta_set: float, wavelength: float, model: ChromaticModel) -> float:
-    """Divergence actually achieved at a nominal setting and wavelength; finite and > 0."""
-    return finite("divergence angle", theta_set + model.offset(theta_set, wavelength), gt=0)
 
 
 @dataclass
@@ -578,6 +563,7 @@ def steering_residual(disturbance_frequency_hz: float, amplitude_rad: float) -> 
 
 def snapshot(state: ActuatorState, command: str = "") -> dict:
     """JSON-serializable snapshot of the state (one trace row)."""
+    x = state.lens_position
     return {
         "time_s": state.time_s,
         "command": command,
@@ -585,7 +571,7 @@ def snapshot(state: ActuatorState, command: str = "") -> dict:
         "target_position_m": state.target_position,
         "in_motion": state.in_motion,
         "branch": state.branch.value,
-        "nominal_divergence_rad": divergence_from_position(state.lens_position, state.dmap),
+        "nominal_divergence_rad": setting_on_branch(x, _DIVERGING if x >= 0.0 else _CONVERGING, state.dmap),
         "actual_divergence_rad": actual_divergence(state),
         "temperature_c": state.temperature_c,
         "wavelength_m": state.wavelength,

@@ -35,11 +35,9 @@ __all__ = [
     "AperturedBeam",
     "QuadratureError",
     "FWHM_PER_FULL_1E2",
-    "convert_divergence",
     "untruncated_divergence",
     "farfield_intensity",
     "truncated_fwhm",
-    "transmit_gain",
     "transmit_gain_db",
     "footprint",
 ]
@@ -82,7 +80,15 @@ class DivergenceAngle:
         member("divergence convention", self.convention, Convention)
 
     def to(self, target: Convention) -> "DivergenceAngle":
-        return convert_divergence(self, target)
+        """The same angle quoted in ``target``'s convention.
+
+        For a Gaussian far field ``FWHM = FULL_1E2 * sqrt(ln 2 / 2)``.  Each
+        direction rounds once, so a round trip returns the angle to within one
+        ulp, not always exactly.
+        """
+        if self.convention is target:
+            return self
+        return DivergenceAngle(self.fwhm if target is _FWHM else self.full_1e2, target)
 
     @property
     def fwhm(self) -> float:
@@ -137,18 +143,6 @@ class AperturedBeam:
     @property
     def truncation_ratio(self) -> float:
         return self.aperture_diameter / self.beam.waist_diameter_1e2
-
-
-def convert_divergence(angle: DivergenceAngle, target: Convention) -> DivergenceAngle:
-    """Convert between FWHM and full-1/e^2 divergence conventions.
-
-    For a Gaussian far field ``FWHM = FULL_1E2 * sqrt(ln 2 / 2)``.  Each
-    direction rounds once, so a round trip returns the angle to within one
-    ulp, not always exactly.
-    """
-    if angle.convention is target:
-        return angle
-    return DivergenceAngle(angle.fwhm if target is _FWHM else angle.full_1e2, target)
 
 
 def untruncated_divergence(beam: GaussianBeam) -> DivergenceAngle:
@@ -352,17 +346,12 @@ def truncated_fwhm(apertured: AperturedBeam) -> DivergenceAngle:
     return DivergenceAngle(2.0 * half_angle, _FWHM)
 
 
-def transmit_gain(theta: DivergenceAngle) -> float:
-    """On-axis transmit antenna gain ``16 / theta^2``, ``theta`` the full 1/e^2 angle.
-
-    An angle quoted in another convention is converted first.  ``gain *
-    theta^2`` is 16 to within one ulp of 16, not always exactly.
-    """
-    return 16.0 / theta.full_1e2**2
-
-
 def transmit_gain_db(theta: DivergenceAngle) -> float:
-    """Transmit gain in dB: the link budget's gain kernel at ``theta``'s full 1/e^2 angle."""
+    """On-axis transmit antenna gain ``10 log10(16 / theta^2)``, dB, ``theta`` the full 1/e^2 angle.
+
+    An angle quoted in another convention is converted first.  This is the
+    link budget's gain kernel, so the budget's column form gives the same floats.
+    """
     return float(_tx_gain_kernel(theta.full_1e2))
 
 

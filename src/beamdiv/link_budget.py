@@ -42,7 +42,6 @@ __all__ = [
     "receive_gain_db",
     "received_power_dbm",
     "received_power_column",
-    "link_margin_db",
     "budget_report",
     "max_rate",
     "max_rate_column",
@@ -250,16 +249,6 @@ def _terms(config: LinkConfig, tx_gain, pointing_loss_db, path) -> tuple:
 def _sum(terms: tuple):
     # Left to right from the first addend: starting from 0.0 would turn a -0.0 into +0.0.
     return functools.reduce(operator.add, terms)
-
-
-def link_margin_db(
-    config: LinkConfig,
-    distance: float,
-    rate: float,
-    pointing_loss_db: float = 0.0,
-) -> float:
-    """Received power minus receiver sensitivity at the given rate, dB."""
-    return budget_report(config, distance, rate, pointing_loss_db).margin_db
 
 
 def budget_report(

@@ -24,7 +24,6 @@ from ._checks import finite, member
 
 __all__ = [
     "GainConvention",
-    "pointing_loss",
     "pointing_loss_db",
     "rule_of_thumb_divergence",
     "optimal_divergence",
@@ -46,11 +45,6 @@ class GainConvention(enum.Enum):
 
     QUADRATIC = "quadratic"  # G proportional to 1/theta^2
     LINEAR = "linear"        # G proportional to 1/theta
-
-
-def pointing_loss(sigma: float, theta_d: float) -> float:
-    """Mean pointing-loss fraction ``10**(-2 beta^2)``, in [0, 1]."""
-    return 10.0 ** (pointing_loss_db(sigma, theta_d) / 10.0)
 
 
 def pointing_loss_db(sigma, theta_d):

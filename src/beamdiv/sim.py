@@ -63,7 +63,11 @@ MU_EARTH_M3_PER_S2 = 3.986004418e14
 
 @dataclass(frozen=True)
 class PassGeometry:
-    """Circular-orbit overhead-pass parameters."""
+    """Circular-orbit overhead-pass parameters.
+
+    A geometry whose peak elevation lies below its clip (by elevation or by
+    range) gives an empty pass and raises ``ValueError``.
+    """
 
     altitude_m: float = 600e3
     min_elevation_deg: float = 5.0
@@ -78,6 +82,12 @@ class PassGeometry:
         finite("max_elevation_deg", self.max_elevation_deg, gt=0.0, le=90.0)
         if self.max_range_m is not None:
             finite("max_range_m", self.max_range_m, gt=self.altitude_m)
+        psi_peak, psi_end = _central_angles(self)
+        if psi_end < psi_peak:
+            raise ValueError(
+                "empty pass: peak elevation lies below the clipping limit "
+                f"(peak central angle {psi_peak:.4f} rad, clip {psi_end:.4f} rad)"
+            )
 
     @property
     def orbit_radius_m(self) -> float:
@@ -118,6 +128,18 @@ def _central_angle_for_elevation(elevation_deg: float, geometry: PassGeometry) -
     return math.acos(min(1.0, max(-1.0, cos_psi)))
 
 
+def _central_angles(geometry: PassGeometry) -> tuple[float, float]:
+    """The pass's central angles at culmination and at its clip (elevation or range, whichever comes first)."""
+    # Cross-track central angle fixes the peak elevation.
+    psi_peak = _central_angle_for_elevation(geometry.max_elevation_deg, geometry)
+    psi_end = _central_angle_for_elevation(geometry.min_elevation_deg, geometry)
+    # A range clip at or beyond the elevation clip's range (even past the horizon) is never reached.
+    if geometry.max_range_m is not None and geometry.max_range_m < slant_range(geometry.min_elevation_deg, geometry):
+        psi_range = _central_angle_for_elevation(elevation_for_range_deg(geometry.max_range_m, geometry), geometry)
+        psi_end = min(psi_end, psi_range)
+    return psi_peak, psi_end
+
+
 # One float64 field per CSV column, in CSV order: ``steps["rate_bps"]`` is a
 # column of a pass and ``steps[i]`` one tick.
 STEP_DTYPE = np.dtype(
@@ -140,18 +162,7 @@ def pass_profile(geometry: PassGeometry) -> np.ndarray:
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
     omega = geometry.angular_rate_rad_per_s
-    # Cross-track central angle fixes the peak elevation.
-    psi_peak = _central_angle_for_elevation(geometry.max_elevation_deg, geometry)
-    psi_end = _central_angle_for_elevation(geometry.min_elevation_deg, geometry)
-    # A range clip at or beyond the elevation clip's range (even past the horizon) is never reached.
-    if geometry.max_range_m is not None and geometry.max_range_m < slant_range(geometry.min_elevation_deg, geometry):
-        psi_range = _central_angle_for_elevation(elevation_for_range_deg(geometry.max_range_m, geometry), geometry)
-        psi_end = min(psi_end, psi_range)
-    if psi_end < psi_peak:
-        raise ValueError(
-            "empty pass: peak elevation lies below the clipping limit "
-            f"(peak central angle {psi_peak:.4f} rad, clip {psi_end:.4f} rad)"
-        )
+    psi_peak, psi_end = _central_angles(geometry)  # never an empty pass: the geometry rejects one
     # cos(psi(t)) = cos(psi_peak) * cos(omega t)  [spherical right triangle]
     cos_ratio = math.cos(psi_end) / math.cos(psi_peak)
     t_end = math.acos(min(1.0, max(-1.0, cos_ratio))) / omega

@@ -15,12 +15,11 @@ from beamdiv.actuator import (
     ChromaticModel,
     DivergenceMap,
     ThermalModel,
-    apply_temperature,
-    apply_wavelength,
+    achieved_divergence,
     axis_deviation,
     command_divergence,
     corrected_position,
-    divergence_from_position,
+    position_from_divergence,
     setting_on_branch,
     step,
 )
@@ -32,12 +31,12 @@ from beamdiv.beam_optics import (
     footprint,
     truncated_fwhm,
 )
-from beamdiv.link_budget import LinkConfig, calibrate_sensitivity, link_margin_db, max_rate
+from beamdiv.link_budget import LinkConfig, budget_report, calibrate_sensitivity, max_rate
 from beamdiv.pointing import (
     GainConvention,
     gain_improvement_db,
     optimal_divergence,
-    pointing_loss,
+    pointing_loss_db,
     rule_of_thumb_divergence,
     sweep_optimal_divergence,
 )
@@ -89,7 +88,7 @@ def test_farfield_design_point():
 
 @criterion(2, "pointing loss, 5-sigma rule, and closed-form optimum vs brute force")
 def test_pointing_math():
-    assert pointing_loss(100e-6, 200e-6) == 0.01  # beta = 1, exact
+    assert pointing_loss_db(100e-6, 200e-6) == -20.0  # beta = 1: a loss fraction of 1 %, exact
     rule = rule_of_thumb_divergence(math.radians(0.021))
     assert rule == pytest.approx(1.833e-3, rel=0.03)
     worst = 0.0
@@ -117,7 +116,7 @@ def test_gain_accounting():
 @criterion(4, "link budget closes both design operating points after one calibration")
 def test_link_budget_consistency():
     cfg = design_link()
-    margin_far = link_margin_db(cfg, 1200e3, 2.5e9)
+    margin_far = budget_report(cfg, 1200e3, 2.5e9).margin_db
     assert margin_far == pytest.approx(5.0, abs=0.01)
     near = max_rate(cfg, 600e3, 5.0)
     far = max_rate(cfg, 1200e3, 5.0)
@@ -131,8 +130,8 @@ def test_link_budget_consistency():
 @criterion(5, "actuator map anchors and constant-speed timing")
 def test_actuator_map_and_timing():
     dmap = DivergenceMap()
-    assert divergence_from_position(3.5e-3, dmap) == pytest.approx(6.14e-3, rel=1e-12)
-    assert divergence_from_position(-3.5e-3, dmap) == pytest.approx(6.25e-3, rel=1e-12)
+    assert setting_on_branch(3.5e-3, Branch.DIVERGING, dmap) == pytest.approx(6.14e-3, rel=1e-12)
+    assert setting_on_branch(-3.5e-3, Branch.CONVERGING, dmap) == pytest.approx(6.25e-3, rel=1e-12)
     st = ActuatorState(lens_position=-3.5e-3, target_position=-3.5e-3)
     command_divergence(st, 6.14e-3, Branch.DIVERGING)
     dt, ticks = 0.01, 0
@@ -153,14 +152,20 @@ def test_actuator_map_and_timing():
 def test_thermal_and_chromatic_models():
     thermal = ThermalModel()
     chroma = ChromaticModel()
+
+    def achieved_at(theta, **at):
+        # The lens commanded to ``theta`` on the diverging branch, at a temperature or wavelength.
+        state = ActuatorState(thermal=thermal, chromatic=chroma, **at)
+        return achieved_divergence(state, position_from_divergence(theta, Branch.DIVERGING, state.dmap))
+
     for theta, temp, expected in (
         (90e-6, -30.0, 675e-6),
         (90e-6, 60.0, 423e-6),
         (5e-3, -30.0, 5e-3 / 1.2),
         (5e-3, 60.0, 5.5e-3),
     ):
-        assert apply_temperature(theta, temp, thermal) == pytest.approx(expected, rel=1e-12)
-    assert apply_temperature(5e-3, -30.0, thermal) == pytest.approx(4.167e-3, abs=5e-7)
+        assert achieved_at(theta, temperature_c=temp) == pytest.approx(expected, rel=1e-12)
+    assert achieved_at(5e-3, temperature_c=-30.0) == pytest.approx(4.167e-3, abs=5e-7)
 
     dmap = DivergenceMap()
     worst = 0.0
@@ -179,7 +184,7 @@ def test_thermal_and_chromatic_models():
         (5e-3, 1.53e-6, 5.171e-3),
         (5e-3, 1.565e-6, 5.13e-3),
     ):
-        assert apply_wavelength(theta, wl, chroma) == pytest.approx(expected, rel=1e-12)
+        assert achieved_at(theta, wavelength=wl) == pytest.approx(expected, rel=1e-12)
     return f"worst lookup-table round-trip residual {worst:.2e}"
 
 

@@ -19,12 +19,9 @@ from beamdiv.actuator import (
     TravelRangeError,
     achieved_divergence,
     actual_divergence,
-    apply_temperature,
-    apply_wavelength,
     axis_deviation,
     command_divergence,
     corrected_position,
-    divergence_from_position,
     position_from_divergence,
     run_script,
     set_temperature,
@@ -46,6 +43,17 @@ CHROMA = ChromaticModel()
 ROUND_TRIP_STARTS = [90e-6, 350e-6, 3.115e-3, 6.1e-3]
 
 
+def nominal(x):
+    """The nominal divergence a trace row reports at lens position ``x``: the setting on ``x``'s own side."""
+    return snapshot(ActuatorState(lens_position=x, target_position=x))["nominal_divergence_rad"]
+
+
+def achieved_at(theta, **at):
+    """What the lens achieves commanded to ``theta`` on the diverging branch, at a temperature or wavelength."""
+    state = ActuatorState(**at)
+    return achieved_divergence(state, position_from_divergence(theta, Branch.DIVERGING, state.dmap))
+
+
 def assert_travel_time(seconds, theta, lens_position=0.0):
     """An unquantized lens commanded to ``theta`` on the diverging branch arrives in one
     tick of ``seconds`` (to rel 1e-9), and not in a tick that much shorter."""
@@ -59,13 +67,13 @@ def assert_travel_time(seconds, theta, lens_position=0.0):
 
 class TestDivergenceMap:
     def test_collimated_point(self):
-        assert divergence_from_position(0.0, MAP) == 90e-6
+        assert nominal(0.0) == 90e-6
 
     def test_diverging_endpoint(self):
-        assert divergence_from_position(3.5e-3, MAP) == pytest.approx(6.14e-3, rel=1e-12)
+        assert nominal(3.5e-3) == pytest.approx(6.14e-3, rel=1e-12)
 
     def test_converging_endpoint(self):
-        assert divergence_from_position(-3.5e-3, MAP) == pytest.approx(6.25e-3, rel=1e-12)
+        assert nominal(-3.5e-3) == pytest.approx(6.25e-3, rel=1e-12)
 
     def test_design_slopes(self):
         # 6.05 mrad over 3.5 mm and 6.16 mrad over 3.5 mm.
@@ -74,7 +82,7 @@ class TestDivergenceMap:
 
     def test_out_of_travel(self):
         with pytest.raises(TravelRangeError):
-            divergence_from_position(3.6e-3, MAP)
+            setting_on_branch(3.6e-3, Branch.DIVERGING, MAP)
 
     @pytest.mark.parametrize("branch", list(Branch))
     @pytest.mark.parametrize("theta", ROUND_TRIP_STARTS)
@@ -86,7 +94,7 @@ class TestDivergenceMap:
         hi = next((start for start in ROUND_TRIP_STARTS if start > theta), MAP.branch_max(branch))
         target = min(theta + fraction * (hi - theta), hi)
         x = position_from_divergence(target, branch, MAP)
-        assert abs(divergence_from_position(x, MAP) - target) <= math.ulp(target)
+        assert abs(setting_on_branch(x, branch, MAP) - target) <= math.ulp(target)
 
     def test_inverse_examples(self):
         assert position_from_divergence(90e-6, Branch.DIVERGING, MAP) == 0.0
@@ -116,7 +124,7 @@ class TestDivergenceMap:
     def test_virtual_setting_extends_below_collimation(self):
         u = setting_on_branch(-1e-3, Branch.DIVERGING, MAP)
         assert u == pytest.approx(90e-6 - MAP.diverging_slope * 1e-3, rel=1e-12)
-        assert setting_on_branch(1e-3, Branch.DIVERGING, MAP) == divergence_from_position(1e-3, MAP)
+        assert setting_on_branch(1e-3, Branch.DIVERGING, MAP) == nominal(1e-3)
 
 
 class TestMotion:
@@ -354,11 +362,11 @@ class TestThermalModel:
         (5e-3, 60.0, 5.5e-3),
     ])
     def test_qualification_anchors(self, theta, temp, expected):
-        assert apply_temperature(theta, temp, THERMAL) == pytest.approx(expected, rel=1e-12)
+        assert achieved_at(theta, temperature_c=temp) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [90e-6, 1e-3, 5e-3, 6.14e-3])
     def test_identity_at_reference(self, theta):
-        assert apply_temperature(theta, 20.0, THERMAL) == theta
+        assert THERMAL.deviation(theta, 20.0) == 0.0
 
     def test_deviation_linear_in_temperature_per_side(self):
         dev_10 = THERMAL.deviation(90e-6, 10.0)
@@ -391,9 +399,9 @@ class TestThermalModel:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            apply_temperature(90e-6, -31.0, THERMAL)
+            THERMAL.deviation(90e-6, -31.0)
         with pytest.raises(ValueError):
-            apply_temperature(90e-6, 61.0, THERMAL)
+            THERMAL.deviation(90e-6, 61.0)
 
     # A third entry used to be ignored, and a wrong-length anchor pair failed on unpacking.
     @pytest.mark.parametrize("field,values", [
@@ -417,11 +425,11 @@ class TestChromaticModel:
         (5e-3, 1.565e-6, 5.13e-3),
     ])
     def test_band_edge_anchors(self, theta, wl, expected):
-        assert apply_wavelength(theta, wl, CHROMA) == pytest.approx(expected, rel=1e-12)
+        assert achieved_at(theta, wavelength=wl) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [90e-6, 2e-3, 5e-3])
     def test_identity_at_optimized_wavelength(self, theta):
-        assert apply_wavelength(theta, 1.55e-6, CHROMA) == theta
+        assert CHROMA.offset(theta, 1.55e-6) == 0.0
 
     def test_offsets_nonnegative_at_band_edges(self):
         for theta in np.linspace(90e-6, 6.25e-3, 20):
@@ -472,9 +480,9 @@ class TestChromaticModel:
 
     def test_out_of_band_rejected(self):
         with pytest.raises(ValueError):
-            apply_wavelength(90e-6, 1.52e-6, CHROMA)
+            CHROMA.offset(90e-6, 1.52e-6)
         with pytest.raises(ValueError):
-            apply_wavelength(90e-6, 1.58e-6, CHROMA)
+            CHROMA.offset(90e-6, 1.58e-6)
 
 
 class TestTemperatureCorrection:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_temperature, apply_wavelength
+from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam
 from beamdiv.cli import main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
@@ -172,7 +172,7 @@ def thermal_sweep_rows(model, temps=(-30.0, -20.0, 20.0, 40.0, 60.0)):
     rows = []
     for theta in model.anchor_settings:
         for t in temps:
-            rows.append((theta, t, apply_temperature(theta, t, model)))
+            rows.append((theta, t, theta + model.deviation(theta, t)))
     return rows
 
 
@@ -190,8 +190,8 @@ class TestThermalFit:
 
     def test_recovered_model_reproduces_anchors(self):
         fit = build_thermal_model(thermal_sweep_rows(ThermalModel()))
-        assert apply_temperature(90e-6, -30.0, fit.model) == pytest.approx(675e-6, rel=1e-9)
-        assert apply_temperature(5e-3, 60.0, fit.model) == pytest.approx(5.5e-3, rel=1e-9)
+        assert 90e-6 + fit.model.deviation(90e-6, -30.0) == pytest.approx(675e-6, rel=1e-9)
+        assert 5e-3 + fit.model.deviation(5e-3, 60.0) == pytest.approx(5.5e-3, rel=1e-9)
 
     def test_no_deviation_gives_zero_slopes(self):
         rows = [(s, t, s) for s in (90e-6, 5e-3) for t in (-30.0, -20.0, 40.0, 60.0)]
@@ -226,7 +226,7 @@ class TestThermalFit:
 
 def chromatic_sweep_rows(model):
     return [
-        (theta, wl, apply_wavelength(theta, wl, model))
+        (theta, wl, theta + model.offset(theta, wl))
         for theta in model.anchor_settings
         for wl in model.wavelengths
     ]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamdiv.actuator import ChromaticModel, DivergenceMap, ThermalModel, apply_temperature, apply_wavelength
+from beamdiv.actuator import ActuatorState, DivergenceMap, ThermalModel, achieved_divergence
 from beamdiv.calibration import sample_position_map
 from beamdiv.cli import build_parser, main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
@@ -103,9 +103,9 @@ class TestConfigLoading:
         assert cfg.seed == 7
         assert cfg.dmap.max_travel == 3.5e-3
         # Default anchor calibration reproduces the design margin.
-        from beamdiv.link_budget import link_margin_db
+        from beamdiv.link_budget import budget_report
 
-        assert link_margin_db(cfg.link, 600e3, 10e9) == pytest.approx(5.0, abs=1e-9)
+        assert budget_report(cfg.link, 600e3, 10e9).margin_db == pytest.approx(5.0, abs=1e-9)
 
 
 # Every config key, with a distinct valid value as written in a file and the
@@ -289,13 +289,13 @@ class TestSchemaTable:
         assert design == load_config(str(tmp_path / "empty.json"))
 
     def test_none_is_the_design_point(self):
-        from beamdiv.link_budget import link_margin_db
+        from beamdiv.link_budget import budget_report
 
         cfg = load_config(None)
         assert (cfg.link.tx_power_w, cfg.link.wavelength, cfg.link.rx_aperture_diameter) == (2.0, 1.55e-6, 0.35)
         assert cfg.link.tx_divergence.value == 90e-6
         assert cfg.policy.margin_floor_db == 5.0
-        assert link_margin_db(cfg.link, 600e3, 10e9) == pytest.approx(5.0, abs=1e-9)
+        assert budget_report(cfg.link, 600e3, 10e9).margin_db == pytest.approx(5.0, abs=1e-9)
 
     @pytest.mark.parametrize("name,text,named", [
         ("anchor.ini", "[anchor]\nrate_bps = -1\n", "[anchor]"),
@@ -494,7 +494,7 @@ class TestEmulateCommand:
         trace = json.loads(capsys.readouterr().out)
         assert trace[-1]["command"] == "set-wavelength 1.53e-6"
         assert trace[-1]["wavelength_m"] == 1.53e-6
-        assert trace[-1]["actual_divergence_rad"] == apply_wavelength(90e-6, 1.53e-6, ChromaticModel())
+        assert trace[-1]["actual_divergence_rad"] == achieved_divergence(ActuatorState(wavelength=1.53e-6), 0.0)
 
 
 class TestCalibrateCommand:
@@ -533,7 +533,7 @@ class TestCalibrateCommand:
             writer.writerow(["theta_set_rad", "temp_c", "theta_meas_rad"])
             for theta in model.anchor_settings:
                 for t in (-30.0, -20.0, 20.0, 40.0, 60.0):
-                    writer.writerow([repr(theta), repr(t), repr(apply_temperature(theta, t, model))])
+                    writer.writerow([repr(theta), repr(t), repr(theta + model.deviation(theta, t))])
         code = main(["calibrate", "--thermal", str(path)])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
@@ -566,7 +566,7 @@ class TestCalibrateCommand:
     def test_sweep_that_does_not_straddle_the_reference_exits_3(self, tmp_path, capsys):
         path = tmp_path / "thermal.csv"
         model = ThermalModel()
-        rows = [(theta, t, apply_temperature(theta, t, model))
+        rows = [(theta, t, theta + model.deviation(theta, t))
                 for theta in model.anchor_settings for t in (25.0, 30.0, 40.0, 60.0)]
         path.write_text("theta_set_rad,temp_c,theta_meas_rad\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
         assert main(["calibrate", "--thermal", str(path)]) == 3
@@ -644,6 +644,19 @@ class TestSimulateCommand:
         path.write_text(text)
         assert main(["simulate", "--config", str(path)]) == 2
         assert section in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("text", [
+        "[geometry]\nmin_elevation_deg = 30\nmax_elevation_deg = 20\n",
+        "[geometry]\nmax_range_m = 650e3\nmax_elevation_deg = 60\n",
+    ], ids=["elevation_clip", "range_clip"])
+    def test_a_geometry_with_an_empty_pass_exits_2_naming_the_file(self, text, tmp_path, capsys):
+        # The pass used to be found empty only once it ran, and exited 3 naming neither file nor section.
+        path = tmp_path / "geometry.ini"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(f"{path}: invalid [geometry] section: empty pass")
 
     def test_link_wavelength_drives_the_chromatic_model(self, tmp_path, capsys):
         # At 1.53 um the design chromatic model adds 10 urad at collimation.

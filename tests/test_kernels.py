@@ -17,15 +17,14 @@ from hypothesis import strategies as hs
 
 from beamdiv.actuator import (
     ActuatorState,
+    Branch,
     ChromaticModel,
     DivergenceMap,
     ThermalModel,
     achieved_divergence,
     actual_divergence,
-    apply_temperature,
-    apply_wavelength,
     corrected_position,
-    divergence_from_position,
+    setting_on_branch,
 )
 from beamdiv.beam_optics import FWHM_PER_FULL_1E2, Convention, DivergenceAngle, _tx_gain_kernel, transmit_gain_db
 from beamdiv.link_budget import (
@@ -39,7 +38,7 @@ from beamdiv.link_budget import (
     received_power_column,
     watts_to_dbm,
 )
-from beamdiv.pointing import pointing_loss, pointing_loss_db
+from beamdiv.pointing import pointing_loss_db
 
 WAVELENGTH = 1.55e-6
 MARGIN_DB = 5.0
@@ -86,14 +85,13 @@ def test_scalar_forms_return_python_floats():
     # An np.float64 would reach a repr as "np.float64(...)".
     values = [
         pointing_loss_db(1e-5, 90e-6),
-        pointing_loss(1e-5, 90e-6),
         free_space_loss_db(600e3, WAVELENGTH),
         transmit_gain_db(DivergenceAngle(90e-6, Convention.FWHM).to(Convention.FULL_1E2)),
         max_rate(LINK, 600e3, MARGIN_DB),
         actual_divergence(ActuatorState(lens_position=1e-3)),
-        divergence_from_position(-1e-3, DMAP),
-        apply_temperature(1e-3, -10.0, ThermalModel()),
-        apply_wavelength(1e-3, 1.53e-6, ChromaticModel()),
+        setting_on_branch(-1e-3, Branch.CONVERGING, DMAP),
+        ThermalModel().deviation(1e-3, -10.0),
+        ChromaticModel().offset(1e-3, 1.53e-6),
         corrected_position(ActuatorState(temperature_c=40.0, wavelength=1.53e-6), 1e-3),
         achieved_divergence(ActuatorState(), 1e-3),
     ]

@@ -19,7 +19,6 @@ from beamdiv.link_budget import (
     budget_report,
     calibrate_sensitivity,
     free_space_loss_db,
-    link_margin_db,
     max_rate,
     received_power_dbm,
     watts_to_dbm,
@@ -115,30 +114,30 @@ class TestBudgetReport:
 class TestMarginAndRate:
     def test_anchor_margin(self):
         cfg = calibrated_config()
-        assert link_margin_db(cfg, 600e3, 10e9) == pytest.approx(5.0, abs=1e-9)
+        assert budget_report(cfg, 600e3, 10e9).margin_db == pytest.approx(5.0, abs=1e-9)
 
     def test_second_operating_point_consistency(self):
         # +6.02 dB of path loss at double distance is exactly offset by the
         # -6.02 dB sensitivity shift at a quarter of the rate.
         cfg = calibrated_config()
-        assert link_margin_db(cfg, 1200e3, 2.5e9) == pytest.approx(5.0, abs=1e-9)
+        assert budget_report(cfg, 1200e3, 2.5e9).margin_db == pytest.approx(5.0, abs=1e-9)
 
     def test_rate_doubling_costs_3_db(self):
         cfg = calibrated_config()
-        base = link_margin_db(cfg, 600e3, 10e9)
-        assert link_margin_db(cfg, 600e3, 20e9) == pytest.approx(base - DB3, abs=1e-9)
+        base = budget_report(cfg, 600e3, 10e9).margin_db
+        assert budget_report(cfg, 600e3, 20e9).margin_db == pytest.approx(base - DB3, abs=1e-9)
 
     def test_sensitivity_scaling_law(self):
         # margin(L, R') = margin(L, R) - 10 log10(R'/R) for all rate pairs.
         cfg = calibrated_config()
         for r1, r2 in [(1e9, 7e9), (2.5e9, 40e9)]:
-            lhs = link_margin_db(cfg, 900e3, r1) - 10.0 * math.log10(r2 / r1)
-            assert lhs == pytest.approx(link_margin_db(cfg, 900e3, r2), abs=1e-9)
+            lhs = budget_report(cfg, 900e3, r1).margin_db - 10.0 * math.log10(r2 / r1)
+            assert lhs == pytest.approx(budget_report(cfg, 900e3, r2).margin_db, abs=1e-9)
 
     def test_joint_distance_rate_scaling(self):
         cfg = calibrated_config()
-        assert link_margin_db(cfg, 2 * 700e3, 8e9) == pytest.approx(
-            link_margin_db(cfg, 700e3, 4 * 8e9), abs=1e-9
+        assert budget_report(cfg, 2 * 700e3, 8e9).margin_db == pytest.approx(
+            budget_report(cfg, 700e3, 4 * 8e9).margin_db, abs=1e-9
         )
 
     def test_max_rate_design_points(self):
@@ -154,7 +153,7 @@ class TestMarginAndRate:
         cfg = calibrated_config()
         for distance in (600e3, 950e3, 1200e3):
             rate = max_rate(cfg, distance, 5.0)
-            assert link_margin_db(cfg, distance, rate) == pytest.approx(5.0, abs=1e-6)
+            assert budget_report(cfg, distance, rate).margin_db == pytest.approx(5.0, abs=1e-6)
 
     def test_link_closed_error(self):
         cfg = calibrated_config()
@@ -165,14 +164,14 @@ class TestMarginAndRate:
 
     def test_requires_sensitivity(self):
         with pytest.raises(ValueError):
-            link_margin_db(design_config(), 600e3, 10e9)
+            budget_report(design_config(), 600e3, 10e9).margin_db
 
 
 class TestCalibration:
     def test_anchor_reproduced_exactly(self):
         cfg = design_config(misc_loss_db=2.0)
         model = calibrate_sensitivity(cfg, 600e3, 10e9, 5.0)
-        assert link_margin_db(cfg.with_sensitivity(model), 600e3, 10e9) == pytest.approx(5.0, abs=1e-9)
+        assert budget_report(cfg.with_sensitivity(model), 600e3, 10e9).margin_db == pytest.approx(5.0, abs=1e-9)
 
     def test_idempotent(self):
         cfg = design_config()
@@ -186,7 +185,7 @@ class TestCalibration:
         for misc in (0.0, 1.0, 4.0):
             cfg = design_config(misc_loss_db=misc)
             cfg = cfg.with_sensitivity(calibrate_sensitivity(cfg, 600e3, 10e9, 5.0))
-            assert link_margin_db(cfg, 1200e3, 2.5e9) == pytest.approx(5.0, abs=1e-9)
+            assert budget_report(cfg, 1200e3, 2.5e9).margin_db == pytest.approx(5.0, abs=1e-9)
 
     def test_sensitivity_model_validation(self):
         with pytest.raises(ValueError):

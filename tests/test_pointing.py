@@ -10,7 +10,6 @@ from beamdiv.pointing import (
     GainConvention,
     gain_improvement_db,
     optimal_divergence,
-    pointing_loss,
     pointing_loss_db,
     rule_of_thumb_divergence,
     sweep_optimal_divergence,
@@ -34,42 +33,37 @@ def assert_matches_sweep(sigma, convention):
 
 class TestPointingLoss:
     def test_no_jitter(self):
-        assert pointing_loss(0.0, 1e-3) == 1.0
         assert pointing_loss_db(0.0, 1e-3) == 0.0
 
     def test_beta_one_is_exactly_one_percent(self):
         # theta_d = 2 sigma puts beta at 1.
-        assert pointing_loss(100e-6, 200e-6) == 0.01
         assert pointing_loss_db(100e-6, 200e-6) == -20.0
 
     def test_five_sigma_point(self):
-        assert pointing_loss(100e-6, 500e-6) == pytest.approx(0.4786300923226383, rel=1e-12)
         assert pointing_loss_db(100e-6, 500e-6) == pytest.approx(-3.2, abs=1e-12)
 
     def test_monotone_in_divergence(self):
         thetas = np.linspace(50e-6, 5e-3, 200)
-        losses = [pointing_loss(100e-6, t) for t in thetas]
+        losses = [pointing_loss_db(100e-6, t) for t in thetas]
         assert losses == sorted(losses)
-        assert all(l < 1.0 for l in losses)
+        assert all(l < 0.0 for l in losses)
 
     @pytest.mark.parametrize("sigma,theta", [(1e200, 1e-4), (1e155, 1.0)])
     def test_saturates_where_the_square_overflows(self, sigma, theta):
         # (2 sigma / theta)**2 is past the float range: the loss is total.
         with pytest.raises(OverflowError):
             (2.0 * sigma / theta) ** 2
-        assert pointing_loss(sigma, theta) == 0.0
         assert pointing_loss_db(sigma, theta) == -math.inf
 
     def test_largest_finite_square_keeps_its_bytes(self):
         beta = 1.3e154
         assert pointing_loss_db(beta / 2.0, 1.0) == -20.0 * beta**2
-        assert pointing_loss(beta / 2.0, 1.0) == 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            pointing_loss(1e-6, 0.0)
+            pointing_loss_db(1e-6, 0.0)
         with pytest.raises(ValueError):
-            pointing_loss(-1e-6, 1e-3)
+            pointing_loss_db(-1e-6, 1e-3)
 
 
 class TestRuleOfThumb:

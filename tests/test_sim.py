@@ -34,7 +34,6 @@ from beamdiv.link_budget import (
     budget_report,
     calibrate_sensitivity,
     free_space_loss_db,
-    link_margin_db,
     max_rate,
     receive_gain_db,
     received_power_column,
@@ -45,7 +44,6 @@ from beamdiv.pointing import (
     GainConvention,
     gain_improvement_db,
     optimal_divergence,
-    pointing_loss,
     pointing_loss_db,
     rule_of_thumb_divergence,
     sweep_optimal_divergence,
@@ -176,9 +174,8 @@ class TestPassProfile:
         assert np.max(profile["elevation_deg"]) == pytest.approx(45.0, abs=1e-9)
 
     def test_empty_pass_rejected(self):
-        geom = PassGeometry(altitude_m=600e3, min_elevation_deg=50.0, max_elevation_deg=30.0, dt_s=5.0)
         with pytest.raises(ValueError, match="empty pass"):
-            pass_profile(geom)
+            PassGeometry(altitude_m=600e3, min_elevation_deg=50.0, max_elevation_deg=30.0, dt_s=5.0)
 
 
 class TestAdaptivePolicy:
@@ -362,8 +359,6 @@ class TestRunPass:
         lambda: PassGeometry(altitude_m=math.inf),
         lambda: PassGeometry(max_range_m=math.nan),
         lambda: PassGeometry(max_range_m=math.inf),
-        lambda: pointing_loss(math.nan, 1e-3),
-        lambda: pointing_loss(1e-5, math.nan),
         lambda: pointing_loss_db(math.nan, 1e-3),
         lambda: pointing_loss_db(1e-5, math.nan),
         lambda: pointing_loss_db(np.array([1e-5, math.nan]), np.array([1e-4, 1e-4])),
@@ -386,8 +381,8 @@ class TestRunPass:
         lambda: actuator.steer(ActuatorState(), math.nan, math.nan),
         lambda: actuator.steering_residual(math.nan, 1e-5),
         lambda: actuator.steering_residual(10.0, math.nan),
-        lambda: actuator.apply_temperature(math.nan, 20.0, ThermalModel()),
-        lambda: actuator.apply_wavelength(-1.0, 1.55e-6, ChromaticModel()),
+        lambda: ThermalModel().deviation(math.nan, 20.0),
+        lambda: ChromaticModel().offset(math.inf, 1.55e-6),
         lambda: fit_divergence([(math.nan, math.nan)]),
         lambda: fit_divergence([(3.0, math.nan)]),
         lambda: simulate_profiler_samples(5e-3, 0.0178, (3.0, 5.0, 10.0), replicates=2.5, rng=0),
@@ -406,7 +401,6 @@ class TestRunPass:
         lambda: received_power_dbm(design_link(), math.inf),
         lambda: received_power_dbm(design_link(), 600e3, math.nan),
         lambda: received_power_column(design_link(), np.array([600e3, math.nan]), np.zeros(2), np.full(2, 90e-6)),
-        lambda: link_margin_db(design_link(), 600e3, math.nan),
         lambda: budget_report(design_link(), math.nan, 10e9),
         lambda: budget_report(design_link(), 600e3, math.nan),
         lambda: optimal_divergence(math.nan, GainConvention.QUADRATIC),
@@ -426,13 +420,14 @@ class TestRunPass:
         "insertion_loss_nan", "misc_loss_nan", "misc_loss_inf", "margin_floor_nan", "margin_floor_inf",
         "fixed_divergence_nan", "fixed_divergence_inf", "ladder_nan", "ladder_inf", "dt_nan", "dt_inf",
         "altitude_nan", "altitude_inf", "max_range_nan", "max_range_inf",
-        "pointing_loss_sigma_nan", "pointing_loss_theta_nan", "pointing_loss_db_sigma_nan",
+        "pointing_loss_db_sigma_nan",
         "pointing_loss_db_theta_nan", "pointing_loss_db_sigma_column_nan", "pointing_loss_db_theta_column_negative",
         "map_collimated_nan", "map_diverging_slope_nan",
         "map_converging_slope_inf", "map_max_travel_inf", "thermal_output_nan", "thermal_hot_inf",
         "thermal_anchor_inf", "chromatic_offset_nan", "chromatic_wavelength_inf", "motor_speed_nan",
         "motor_speed_inf", "step_size_nan", "step_dt_nan", "track_dt_inf", "steer_nan",
-        "steering_frequency_nan", "steering_amplitude_nan", "apply_temperature_nan", "apply_wavelength_negative",
+        "steering_frequency_nan", "steering_amplitude_nan", "thermal_deviation_setting_nan",
+        "chromatic_offset_setting_inf",
         "profiler_sample_nan", "profiler_spot_nan",
         "profiler_replicates_fraction", "profiler_replicates_bool", "position_points_fraction",
         "position_points_bool",
@@ -440,7 +435,7 @@ class TestRunPass:
         "sensitivity_rate_nan", "watts_nan", "path_loss_distance_nan", "path_loss_wavelength_inf",
         "rx_gain_wavelength_nan", "received_power_distance_nan", "received_power_distance_inf",
         "received_power_pointing_nan",
-        "received_power_column_distance_nan", "link_margin_rate_nan", "budget_distance_nan", "budget_rate_nan",
+        "received_power_column_distance_nan", "budget_distance_nan", "budget_rate_nan",
         "optimal_divergence_nan", "sweep_sigma_nan", "sweep_sigma_negative", "sweep_lo_nan", "sweep_hi_inf",
         "optimal_divergence_array_nan", "rule_of_thumb_nan",
         "rule_of_thumb_array_inf", "gain_improvement_nan", "footprint_distance_nan",
