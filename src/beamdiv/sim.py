@@ -5,9 +5,10 @@ sweeps a symmetric arc over the ground station, parametrized by the central
 angle between the sub-satellite point and the station.  The station's
 cross-track offset sets the peak elevation.  The pass ends at its minimum
 elevation or, if one is set, at its maximum slant range, whichever is reached
-first; a range clip reached first puts the first and last ticks exactly at
-the range limit, which is convenient when a design is specified by its
-nearest/farthest operating distances.
+first; a range clip reached first puts the first and last ticks at the range
+limit (within 1 mm), which is convenient when a design is specified by its
+nearest/farthest operating distances.  Each clip's central angle comes from
+its slant range by one law, ``_central_angle``.
 
 A pass is one structured array, ``STEP_DTYPE``, with a column per CSV field:
 ``pass_profile`` sets its geometry, and ``run_pass`` fills the rest as
@@ -50,7 +51,6 @@ __all__ = [
     "STEP_DTYPE",
     "PassResult",
     "slant_range",
-    "elevation_for_range_deg",
     "pass_profile",
     "adaptive_policy",
     "run_pass",
@@ -61,12 +61,27 @@ __all__ = [
 EARTH_RADIUS_M = 6371e3
 MU_EARTH_M3_PER_S2 = 3.986004418e14
 
+# The bounds a pass is built within; PassGeometry's docstring gives the reasons.
+_MIN_ALTITUDE_M, _MAX_ALTITUDE_M = 100e3, 100e6
+_MAX_DT_S = 86400.0
+_MAX_TICKS = 10**7
+
+
 @dataclass(frozen=True)
 class PassGeometry:
     """Circular-orbit overhead-pass parameters.
 
-    A geometry whose peak elevation lies below its clip (by elevation or by
-    range) gives an empty pass and raises ``ValueError``.
+    ``altitude_m`` lies in 100 km (about the lowest orbit) to 100,000 km
+    (well past GEO): from about 1e154 m the orbit radius's square
+    overflows, and at millimetre altitudes the culmination range rounds to
+    0.  ``dt_s`` is at
+    most a day: a pass at the top altitude lasts about two, and each tick
+    counts ``rate * dt_s`` bits, which overflow at 1e300 s.  A pass has at
+    most 10**7 ticks, a 720 MB ``STEP_DTYPE`` array and about 350 times a
+    10 ms pass, so a mistyped ``dt_s`` is rejected before anything is
+    allocated.  A geometry whose peak elevation lies below its clip (by
+    elevation or by range) gives an empty pass.  Each of these raises
+    ``ValueError``.
     """
 
     altitude_m: float = 600e3
@@ -76,18 +91,15 @@ class PassGeometry:
     max_range_m: Optional[float] = None  # clips at this slant range or min_elevation_deg, whichever is reached first
 
     def __post_init__(self) -> None:
-        for name in ("altitude_m", "dt_s"):
-            finite(name, getattr(self, name), gt=0)
+        finite("altitude_m", self.altitude_m, ge=_MIN_ALTITUDE_M, le=_MAX_ALTITUDE_M)
+        finite("dt_s", self.dt_s, gt=0, le=_MAX_DT_S)
         finite("min_elevation_deg", self.min_elevation_deg, gt=0.0, lt=90.0)
         finite("max_elevation_deg", self.max_elevation_deg, gt=0.0, le=90.0)
         if self.max_range_m is not None:
             finite("max_range_m", self.max_range_m, gt=self.altitude_m)
-        psi_peak, psi_end = _central_angles(self)
-        if psi_end < psi_peak:
-            raise ValueError(
-                "empty pass: peak elevation lies below the clipping limit "
-                f"(peak central angle {psi_peak:.4f} rad, clip {psi_end:.4f} rad)"
-            )
+        if 2 * _span(self)[2] + 1 > _MAX_TICKS:
+            raise ValueError(f"dt_s = {self.dt_s} s gives a pass of more than {_MAX_TICKS} ticks, "
+                             "the most a pass may have (a 720 MB array)")
 
     @property
     def orbit_radius_m(self) -> float:
@@ -110,34 +122,39 @@ def slant_range(elevation_deg: float, geometry: PassGeometry) -> float:
     return math.sqrt(r**2 - (re * math.cos(el)) ** 2) - re * math.sin(el)
 
 
-def elevation_for_range_deg(range_m: float, geometry: PassGeometry) -> float:
-    """Elevation at which the slant range equals ``range_m`` (inverse of slant_range)."""
+def _central_angle(range_m: float, geometry: PassGeometry) -> float:
+    """The central angle between station and satellite at a slant range."""
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
-    finite("range_m", range_m, ge=geometry.altitude_m, le=math.sqrt(r**2 - re**2))  # above the horizon
-    sin_el = (r**2 - re**2 - range_m**2) / (2.0 * re * range_m)
-    return math.degrees(math.asin(sin_el))
-
-
-def _central_angle_for_elevation(elevation_deg: float, geometry: PassGeometry) -> float:
-    re = EARTH_RADIUS_M
-    r = geometry.orbit_radius_m
-    d = slant_range(elevation_deg, geometry)
     # cos(psi) from the triangle station / Earth center / satellite.
-    cos_psi = (re**2 + r**2 - d**2) / (2.0 * re * r)
+    cos_psi = (re**2 + r**2 - range_m**2) / (2.0 * re * r)
     return math.acos(min(1.0, max(-1.0, cos_psi)))
 
 
-def _central_angles(geometry: PassGeometry) -> tuple[float, float]:
-    """The pass's central angles at culmination and at its clip (elevation or range, whichever comes first)."""
+def _span(geometry: PassGeometry) -> tuple[float, float, int]:
+    """The pass's central angle at culmination, its half duration (s) and its half tick count.
+
+    The pass ends at its elevation clip, or at its range clip if that is
+    reached first.  A range clip at or beyond the elevation clip's range
+    (even past the horizon) is never reached, and is not squared: a huge one
+    would overflow.  Raises ``ValueError`` for an empty pass.
+    """
     # Cross-track central angle fixes the peak elevation.
-    psi_peak = _central_angle_for_elevation(geometry.max_elevation_deg, geometry)
-    psi_end = _central_angle_for_elevation(geometry.min_elevation_deg, geometry)
-    # A range clip at or beyond the elevation clip's range (even past the horizon) is never reached.
-    if geometry.max_range_m is not None and geometry.max_range_m < slant_range(geometry.min_elevation_deg, geometry):
-        psi_range = _central_angle_for_elevation(elevation_for_range_deg(geometry.max_range_m, geometry), geometry)
-        psi_end = min(psi_end, psi_range)
-    return psi_peak, psi_end
+    psi_peak = _central_angle(slant_range(geometry.max_elevation_deg, geometry), geometry)
+    end_range = slant_range(geometry.min_elevation_deg, geometry)
+    if geometry.max_range_m is not None and geometry.max_range_m < end_range:
+        end_range = geometry.max_range_m
+    psi_end = _central_angle(end_range, geometry)
+    if psi_end < psi_peak:
+        raise ValueError(
+            "empty pass: peak elevation lies below the clipping limit "
+            f"(peak central angle {psi_peak:.4f} rad, clip {psi_end:.4f} rad)"
+        )
+    # cos(psi(t)) = cos(psi_peak) * cos(omega t)  [spherical right triangle]
+    cos_ratio = math.cos(psi_end) / math.cos(psi_peak)
+    t_end = math.acos(min(1.0, max(-1.0, cos_ratio))) / geometry.angular_rate_rad_per_s
+    # A quotient past the cap (infinite for a subnormal dt_s) is cut to it; the geometry rejects such a pass.
+    return psi_peak, t_end, max(1, round(min(t_end / geometry.dt_s, _MAX_TICKS)))
 
 
 # One float64 field per CSV column, in CSV order: ``steps["rate_bps"]`` is a
@@ -161,14 +178,9 @@ def pass_profile(geometry: PassGeometry) -> np.ndarray:
     """
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
-    omega = geometry.angular_rate_rad_per_s
-    psi_peak, psi_end = _central_angles(geometry)  # never an empty pass: the geometry rejects one
-    # cos(psi(t)) = cos(psi_peak) * cos(omega t)  [spherical right triangle]
-    cos_ratio = math.cos(psi_end) / math.cos(psi_peak)
-    t_end = math.acos(min(1.0, max(-1.0, cos_ratio))) / omega
-    n_half = max(1, round(t_end / geometry.dt_s))
+    psi_peak, t_end, n_half = _span(geometry)
     t = np.linspace(-t_end, t_end, 2 * n_half + 1)
-    cos_psi = math.cos(psi_peak) * np.cos(omega * t)
+    cos_psi = math.cos(psi_peak) * np.cos(geometry.angular_rate_rad_per_s * t)
     rng = np.sqrt(re**2 + r**2 - 2.0 * re * r * cos_psi)
     steps = np.empty(len(t), STEP_DTYPE)
     steps.view(np.float64).fill(math.nan)  # every field is a float64: one flat fill

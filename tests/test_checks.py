@@ -25,7 +25,7 @@ from beamdiv.actuator import (
 from beamdiv.beam_optics import Convention, DivergenceAngle, GaussianBeam, footprint
 from beamdiv.config import load_config
 from beamdiv.pointing import gain_improvement_db, optimal_divergence, sweep_optimal_divergence
-from beamdiv.sim import ControlPolicy, PassGeometry, elevation_for_range_deg, run_pass, slant_range
+from beamdiv.sim import ControlPolicy, PassGeometry, run_pass, slant_range
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "beamdiv"
 MODULES = [path for path in sorted(SRC.glob("*.py")) if path.name != "_checks.py"]
@@ -138,10 +138,14 @@ def test_every_bound_given_is_named():
     lambda: PassGeometry(min_elevation_deg=90.0),
     lambda: PassGeometry(max_elevation_deg=90.5),
     lambda: slant_range(0.0, PassGeometry()),
-    lambda: elevation_for_range_deg(599e3, PassGeometry()),
+    lambda: PassGeometry(altitude_m=600e3, max_range_m=599e3),
+    lambda: PassGeometry(altitude_m=5e-3),
+    lambda: PassGeometry(altitude_m=1e300),
+    lambda: PassGeometry(dt_s=1e300),
 ], ids=["c_band", "footprint_small_angle", "branch_range", "branch_range_array", "thermal_reference",
         "thermal_anchor_order", "chromatic_wavelength_order", "chromatic_anchor_positive", "temperature",
-        "wavelength", "steer", "min_elevation", "max_elevation", "slant_range_elevation", "range_below_altitude"])
+        "wavelength", "steer", "min_elevation", "max_elevation", "slant_range_elevation", "range_below_altitude",
+        "altitude_below_orbit", "altitude_past_geo", "tick_longer_than_a_day"])
 def test_interval_bound_rejected_through_the_helper(make):
     with pytest.raises(ValueError, match="must be finite and .*, got"):
         make()

@@ -1,20 +1,27 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from beamdiv.actuator import ActuatorState, DivergenceMap, ThermalModel, achieved_divergence
+from beamdiv.beam_optics import Convention
 from beamdiv.calibration import sample_position_map
 from beamdiv.cli import build_parser, main
 from beamdiv.config import _SCHEMA, ConfigError, load_config
 from beamdiv.link_budget import calibrate_sensitivity
+from beamdiv.pointing import GainConvention
 from beamdiv.sim import Strategy, adaptive_policy
 
 DESIGN_INI = """\
@@ -658,6 +665,35 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"].startswith(f"{path}: invalid [geometry] section: empty pass")
 
+    @pytest.mark.parametrize("text", [
+        # r**2 overflowed in slant_range: an OverflowError traceback, exit 1.
+        "[geometry]\naltitude_m = 1e300\n",
+        # The culmination range cancelled to 0: a numpy RuntimeWarning, then exit 3 naming no file or section.
+        "[geometry]\naltitude_m = 5e-3\n",
+    ], ids=["past_geo", "millimetre"])
+    def test_an_altitude_outside_its_range_exits_2_naming_the_section(self, text, tmp_path, capsys):
+        path = tmp_path / "altitude.ini"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(
+            f"{path}: invalid [geometry] section: altitude_m must be finite and >= 100000.0 and <= 100000000.0")
+
+    @pytest.mark.parametrize("text,error", [
+        # 625,321,063 ticks: numpy's allocation failed with a traceback, exit 1, or took 4.66 GiB.
+        ("[geometry]\ndt_s = 1e-6\n", "dt_s = 1e-06 s gives a pass of more than 10000000 ticks"),
+        # Each tick's bits overflowed: a numpy RuntimeWarning, then exit 0.
+        ("[geometry]\ndt_s = 1e300\n", "dt_s must be finite and > 0 and <= 86400.0, got 1e+300"),
+    ], ids=["over_the_tick_cap", "longer_than_a_day"])
+    def test_a_tick_outside_its_range_exits_2_naming_the_section(self, text, error, tmp_path, capsys):
+        path = tmp_path / "ticks.ini"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(f"{path}: invalid [geometry] section: {error}")
+
     def test_link_wavelength_drives_the_chromatic_model(self, tmp_path, capsys):
         # At 1.53 um the design chromatic model adds 10 urad at collimation.
         path = tmp_path / "wavelength.ini"
@@ -785,6 +821,54 @@ def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path,
     record = json.loads(captured.err)
     assert record["command"] == argv[0]
     assert named in record["error"]
+
+
+# The values a fuzzed key takes besides its KEY_PROBES value: zero, a sign, the ends of the float range, and
+# numbers no design uses.  None lies between 1e-9 and 1, nor does dt_s's probe (2.0), so no draw asks either
+# this tree or one without the tick cap for a pass of gigabytes.
+FUZZ_NUMBERS = ["0", "-1", "1e-300", "1e300", "1e-12", "1e12", "nan", "inf"]
+FUZZ_ENUMS = {
+    ("link", "tx_divergence_convention"): Convention,
+    ("policy", "strategy"): Strategy,
+    ("policy", "convention"): GainConvention,
+}
+
+
+def _fuzz_value(section_key):
+    """A value for one config key: an enum name, a list, or one number, as a file writes it."""
+    probe = KEY_PROBES[section_key][0]
+    if section_key in FUZZ_ENUMS:
+        return hs.sampled_from([kind.value for kind in FUZZ_ENUMS[section_key]] + FUZZ_NUMBERS)
+    if "," in probe:
+        entries = hs.sampled_from(FUZZ_NUMBERS + [entry.strip() for entry in probe.split(",")])
+        return hs.just(probe) | hs.lists(entries, min_size=1, max_size=4).map(", ".join)
+    return hs.sampled_from(FUZZ_NUMBERS + [probe])
+
+
+_FUZZ_KEYS = hs.lists(hs.sampled_from(sorted(KEY_PROBES)), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=100)  # about 1 s
+@given(entries=_FUZZ_KEYS.flatmap(lambda keys: hs.fixed_dictionaries({key: _fuzz_value(key) for key in keys})))
+@example(entries={("geometry", "altitude_m"): "1e300"})
+def test_every_config_runs_or_exits_with_one_json_line(entries, tmp_path_factory):
+    # One to three keys of any section: the run exits 0, or 2 or 3 with one JSON record on stderr, and
+    # nothing escapes main, no warning included.
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = workdir / "run.ini"
+    path.write_text("".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items()))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(path), "--out", str(workdir / "pass.csv")])
+    assert code in (0, 2, 3)
+    text = err.getvalue()
+    if text or code:
+        assert code and text.count("\n") == 1
+        assert isinstance(json.loads(text)["error"], str)
 
 
 class TestHelp:

@@ -55,7 +55,6 @@ from beamdiv.sim import (
     PassGeometry,
     Strategy,
     adaptive_policy,
-    elevation_for_range_deg,
     pass_profile,
     run_pass,
     slant_range,
@@ -94,20 +93,11 @@ class TestGeometry:
         ranges = [slant_range(e, GEOM) for e in els]
         assert ranges == sorted(ranges, reverse=True)
 
-    def test_1200_km_elevation_exists(self):
-        el = elevation_for_range_deg(1200e3, GEOM)
-        assert 0.0 < el < 90.0
-        assert slant_range(el, GEOM) == pytest.approx(1200e3, rel=1e-12)
-
     def test_elevation_domain(self):
         with pytest.raises(ValueError):
             slant_range(0.0, GEOM)
         with pytest.raises(ValueError):
             slant_range(91.0, GEOM)
-
-    def test_range_domain(self):
-        with pytest.raises(ValueError):
-            elevation_for_range_deg(100e3, GEOM)
 
 
 class TestPassProfile:
@@ -156,6 +146,7 @@ class TestPassProfile:
         (30.0, 2000e3, "elevation"),  # 2000 km lies at 9.04 deg
         (20.0, 1200e3, "range"),  # 1200 km lies at 25.4 deg
         (30.0, 3000e3, "elevation"),  # 3000 km lies beyond the 2829 km horizon range
+        (5.0, 1e300, "elevation"),  # never reached, so never squared: its square would overflow
     ])
     def test_both_clips_end_at_the_first_reached(self, min_elevation_deg, max_range_m, first):
         geom = PassGeometry(altitude_m=600e3, min_elevation_deg=min_elevation_deg, max_range_m=max_range_m, dt_s=5.0)
@@ -176,6 +167,20 @@ class TestPassProfile:
     def test_empty_pass_rejected(self):
         with pytest.raises(ValueError, match="empty pass"):
             PassGeometry(altitude_m=600e3, min_elevation_deg=50.0, max_elevation_deg=30.0, dt_s=5.0)
+
+    @pytest.mark.parametrize("dt_s", [1e-6, 1e-300, 5e-324])
+    def test_a_pass_over_the_tick_cap_is_rejected_when_built(self, dt_s):
+        # 1e-6 s asks for 625,321,063 ticks; 5e-324 s for a count past the float range.
+        with pytest.raises(ValueError, match=r"gives a pass of more than 10000000 ticks"):
+            PassGeometry(dt_s=dt_s)
+
+    def test_a_pass_at_the_tick_cap_is_built(self):
+        # 625.32 s in 4,999,999 half-steps: 9,999,999 ticks, one under the cap.
+        t_end = pass_profile(PassGeometry(dt_s=625.0))["t_s"][-1]
+        geometry = PassGeometry(dt_s=t_end / 4_999_999)
+        assert 2 * sim._span(geometry)[2] + 1 == 9_999_999
+        with pytest.raises(ValueError, match="more than 10000000 ticks"):
+            PassGeometry(dt_s=t_end / 5_000_001)
 
 
 class TestAdaptivePolicy:
@@ -547,11 +552,11 @@ def _passes(draw):
     else:
         low = draw(hs.floats(5.0, 60.0))
         clip = {"min_elevation_deg": low, "max_elevation_deg": draw(hs.floats(low + 1.0, 90.0))}
-    geometry = PassGeometry(altitude_m=altitude, dt_s=draw(hs.floats(0.2, 15.0)), **clip)
     try:
-        n = len(pass_profile(geometry))
+        geometry = PassGeometry(altitude_m=altitude, dt_s=draw(hs.floats(0.2, 15.0)), **clip)
     except ValueError:  # the peak lies below the clip
         assume(False)
+    n = len(pass_profile(geometry))
     assume(n <= 3000)
 
     strategy = draw(hs.sampled_from(Strategy))
