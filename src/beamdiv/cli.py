@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -35,7 +34,7 @@ EXIT_NUMERICAL = 3
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        _rewrite(out_path, (text if text.endswith("\n") else text + "\n",), newline=None)
+        _rewrite(out_path, (text if text.endswith("\n") else text + "\n",))
     else:
         print(text)
 
@@ -66,12 +65,9 @@ def cmd_budget(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.sigma is not None:
-        sigma = args.sigma
-    elif args.sigma_deg is not None:
-        sigma = math.radians(args.sigma_deg)
-    else:
-        raise ConfigError("provide --sigma (radians) or --sigma-deg")
+    sigma = args.sigma
+    if sigma is None:
+        raise ConfigError("provide --sigma (radians)")
     cfg, state = _config_and_actuator(args.config)
     convention = cfg.policy.convention
     # The closed loop's own law: zero jitter commands the collimated minimum, and
@@ -219,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("optimize", help="optimum divergence for a pointing accuracy sigma")
-    sigma = p.add_mutually_exclusive_group()
-    sigma.add_argument("--sigma", type=float, help="pointing accuracy sigma in radians")
-    sigma.add_argument("--sigma-deg", dest="sigma_deg", type=float, help="sigma in degrees (converted)")
+    p.add_argument("--sigma", type=float, help="pointing accuracy sigma in radians")
     p.add_argument("--config", help="config file (INI or .json) whose [policy] convention and [map] limits apply; "
                                     "defaults to the design point")
     p.add_argument("--reference-divergence", type=float,

@@ -66,24 +66,25 @@ from .sim import ControlPolicy, PassGeometry, Strategy
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "DESIGN_ANCHOR", "DESIGN_LINK", "DESIGN_POLICY"]
 
-# Design point, for the fields that have no dataclass default or whose
-# default differs from the design.  Sensitivity is calibrated at
-# DESIGN_ANCHOR (600 km, 10 Gbit/s, 5 dB margin) unless a file pins it, and
-# the policy holds that same margin as its floor.
-DESIGN_LINK = LinkConfig(
-    tx_power_w=2.0,
-    wavelength=1.55e-6,
-    tx_divergence=DivergenceAngle(90e-6, Convention.FWHM),
-    rx_aperture_diameter=0.35,
-)
-DESIGN_ANCHOR = (600e3, 10e9, 5.0)
-DESIGN_POLICY = ControlPolicy(margin_floor_db=DESIGN_ANCHOR[2])
-# The other models' design point is their dataclass defaults.  All are frozen,
-# so each is built and validated once, not on every load.
+# The device models' design point is their dataclass defaults.  All are
+# frozen, so each is built and validated once, not on every load.
 _DESIGN_MAP = DivergenceMap()
 _DESIGN_THERMAL = ThermalModel()
 _DESIGN_CHROMATIC = ChromaticModel()
 _DESIGN_GEOMETRY = PassGeometry()
+# Design point, for the fields that have no dataclass default or whose
+# default differs from the design.  The link transmits the lens's collimated
+# beam at the chromatic model's optimization wavelength.  Sensitivity is
+# calibrated at DESIGN_ANCHOR (600 km, 10 Gbit/s, 5 dB margin) unless a file
+# pins it, and the policy holds that same margin as its floor.
+DESIGN_LINK = LinkConfig(
+    tx_power_w=2.0,
+    wavelength=_DESIGN_CHROMATIC.optimization_wavelength,
+    tx_divergence=DivergenceAngle(_DESIGN_MAP.collimated_divergence, Convention.FWHM),
+    rx_aperture_diameter=0.35,
+)
+DESIGN_ANCHOR = (600e3, 10e9, 5.0)
+DESIGN_POLICY = ControlPolicy(margin_floor_db=DESIGN_ANCHOR[2])
 
 
 class ConfigError(ValueError):
@@ -204,11 +205,10 @@ class RunConfig:
     def make_actuator_state(self) -> ActuatorState:
         """A fresh actuator at the link's wavelength, which must lie in the chromatic band."""
         try:
-            self.chromatic.check_wavelength(self.link.wavelength)
+            return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic,
+                                 wavelength=self.link.wavelength)
         except ValueError as exc:
             raise ConfigError(f"[link] wavelength_m: {exc}") from exc
-        return ActuatorState(dmap=self.dmap, thermal=self.thermal, chromatic=self.chromatic,
-                             wavelength=self.link.wavelength)
 
 
 def _read_sections(path: str) -> dict:

@@ -62,24 +62,25 @@ def pointing_loss_db(sigma, theta_d):
 
 
 def rule_of_thumb_divergence(sigma):
-    """The 5-sigma rule of thumb for the operating divergence (of a sigma or an array of them).
+    """The 5-sigma rule of thumb for the operating divergence (of a sigma >= 0 or an array of them).
 
-    Raises for ``sigma == 0``: there is no finite optimum without jitter and
-    the caller must clamp to the hardware minimum instead.
+    Zero jitter gives 0.0, the limit of ``5 sigma``: no lens reaches it, so
+    the caller clamps the pick to the hardware minimum.
     """
     with np.errstate(over="ignore"):
-        return 5.0 * finite("sigma", sigma, gt=0)
+        return 5.0 * finite("sigma", sigma, ge=0)
 
 
 def optimal_divergence(sigma, convention: GainConvention):
-    """Exact maximizer of gain times pointing loss, for a sigma or an array of them.
+    """Exact maximizer of gain times pointing loss, for a sigma >= 0 or an array of them.
 
     QUADRATIC: ``theta* = sigma * sqrt(8 ln 10)`` (~4.2919 sigma).
     LINEAR:    ``theta* = 4 sigma * sqrt(ln 10)`` (~6.0697 sigma).
     Scale-invariant up to rounding: ``theta*(k sigma)`` and ``k theta*(sigma)``
-    differ by at most 2 ulps, since each side rounds twice.
+    differ by at most 2 ulps, since each side rounds twice.  Zero jitter gives
+    0.0, the limit of ``k sigma``, which the caller clamps to the hardware minimum.
     """
-    finite("sigma", sigma, gt=0)
+    finite("sigma", sigma, ge=0)
     quadratic = member("convention", convention, GainConvention) is GainConvention.QUADRATIC
     with np.errstate(over="ignore"):
         return sigma * (_OPT_FACTOR_QUADRATIC if quadratic else _OPT_FACTOR_LINEAR)

@@ -172,9 +172,11 @@ def pass_profile(geometry: PassGeometry) -> np.ndarray:
     """One overhead pass, clipped by elevation or range (whichever is reached first), as a ``STEP_DTYPE`` array.
 
     ``t_s``, ``elevation_deg`` and ``slant_range_m`` are set; the other
-    columns are NaN until ``run_pass`` fills them.  The grid is symmetric
-    around culmination (t = 0) and always contains the endpoints and the
-    peak exactly.
+    columns are NaN until ``run_pass`` fills them.  The end ticks are
+    exactly -t_end and t_end.  The grid is symmetric about culmination
+    only to within rounding: the middle tick lies within rounding of t = 0
+    (about 1e-14 s on a short pass), not always on it.  There the cosine
+    of the orbit angle rounds to 1, so the middle row is still the peak's.
     """
     re = EARTH_RADIUS_M
     r = geometry.orbit_radius_m
@@ -236,23 +238,18 @@ def adaptive_policy(
 ) -> Union[float, np.ndarray]:
     """Pick the divergence to command for a sigma, or for each of an array of them.
 
-    Each sigma must be finite and >= 0.  Zero jitter commands the collimated
-    minimum; every pick is clamped to the actuator limits of the state's
-    branch.
+    Each sigma must be finite and >= 0.  The strategy's law gives the raw
+    pick, and every pick is clamped to the actuator limits of the state's
+    branch, so zero jitter (a raw pick of 0.0) commands the collimated minimum.
     """
     sigma = finite("sigma_p", np.asarray(sigma_p, dtype=float), ge=0)
-    lo = state.dmap.collimated_divergence
-    hi = state.dmap.branch_max(state.branch)
     if policy.strategy is Strategy.FIXED:
         raw = np.full(sigma.shape, policy.fixed_divergence_rad)
+    elif policy.strategy is Strategy.RULE_5_SIGMA:
+        raw = rule_of_thumb_divergence(sigma)
     else:
-        raw = np.full(sigma.shape, lo)
-        jittered = sigma > 0.0
-        if policy.strategy is Strategy.RULE_5_SIGMA:
-            raw[jittered] = rule_of_thumb_divergence(sigma[jittered])
-        else:
-            raw[jittered] = optimal_divergence(sigma[jittered], policy.convention)
-    return np.minimum(np.maximum(raw, lo), hi)
+        raw = optimal_divergence(sigma, policy.convention)
+    return np.minimum(np.maximum(raw, state.dmap.collimated_divergence), state.dmap.branch_max(state.branch))
 
 
 @dataclass(frozen=True)
@@ -290,7 +287,8 @@ def run_pass(
     ``adaptive_policy``, ``actuator.command_divergence``, ``actuator.step``,
     ``actuator.actual_divergence``, ``pointing_loss_db`` and ``max_rate``
     tick by tick, with an outage where ``max_rate`` raises
-    :class:`~beamdiv.link_budget.LinkClosedError`.
+    :class:`~beamdiv.link_budget.LinkClosedError`.  A pass whose total bits
+    overflow the float range raises ``ValueError`` naming ``total_bits``.
 
     The loop is noise-free, so the result is deterministic for fixed inputs.
     ``seed`` draws nothing; it is recorded in the summary as the run's seed.
@@ -342,15 +340,17 @@ def run_pass(
     at_floor = steps["margin_db"] >= policy.margin_floor_db
     lag = np.abs(steps["theta_commanded_rad"] - steps["theta_actual_rad"])
     # Summed in tick order, as a running total would: np.sum's pairwise order
-    # changes the last digit.
-    bits = np.add.accumulate(np.where(at_floor, steps["rate_bps"] * geometry.dt_s, 0.0))
+    # changes the last digit.  A tick's bits or their total may overflow;
+    # the total is then rejected below.
+    with np.errstate(over="ignore"):
+        bits = np.add.accumulate(np.where(at_floor, steps["rate_bps"] * geometry.dt_s, 0.0))
     summary = {
         "ticks": n,
         "dt_s": geometry.dt_s,
         "duration_s": float(t_s[-1] - t_s[0]),
         "min_range_m": float(np.min(slant_range_m)),
         "max_range_m": float(np.max(slant_range_m)),
-        "total_bits": float(bits[-1]),
+        "total_bits": float(finite("total_bits", bits[-1])),
         "fraction_at_margin_floor": int(np.count_nonzero(at_floor)) / n,
         "mean_command_lag_rad": float(np.mean(lag)),
         "max_command_lag_rad": float(np.max(lag)),
@@ -384,17 +384,19 @@ def write_steps_csv(steps: np.ndarray, path) -> None:
     _rewrite(path, _csv_blocks(steps))
 
 
-def _rewrite(path, chunks, newline="") -> None:
+def _rewrite(path, chunks) -> None:
     """Write the text ``chunks`` over ``path``'s old bytes, then cut a regular file to their length.
 
-    The one writer of every output file.  Opening without ``O_TRUNC`` (a new
-    file gets mode ``0o666`` less the umask) writes over an existing file's
-    blocks where truncating would free and allocate them again, which costs
-    far more on some filesystems.  ``/dev/null`` and other files that are not
-    regular are not truncated.  Neither way is atomic: a write that fails
-    midway leaves the new prefix over the old tail, not a truncated prefix.
+    The one writer of every output file.  A ``"\\n"`` is written as itself,
+    not as the host's line separator, so a file's bytes are the same on any
+    host.  Opening without ``O_TRUNC`` (a new file gets mode ``0o666`` less
+    the umask) writes over an existing file's blocks where truncating would
+    free and allocate them again, which costs far more on some filesystems.
+    ``/dev/null`` and other files that are not regular are not truncated.
+    Neither way is atomic: a write that fails midway leaves the new prefix
+    over the old tail, not a truncated prefix.
     """
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
         fh.writelines(chunks)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()

@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import re
 import warnings
 from pathlib import Path
@@ -378,7 +377,7 @@ class TestBudgetCommand:
 
 class TestOptimizeCommand:
     def test_adcs_example(self, capsys):
-        code = main(["optimize", "--sigma-deg", "0.021", "--format", "json",
+        code = main(["optimize", "--sigma", "3.665e-4", "--format", "json",
                      "--reference-divergence", "1.833e-3"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
@@ -421,12 +420,15 @@ class TestOptimizeCommand:
 
     def test_missing_sigma_exits_2(self, capsys):
         assert main(["optimize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "provide --sigma (radians)", "command": "optimize"}
 
-    def test_sigma_is_given_one_way(self, capsys):
+    def test_sigma_is_given_in_radians_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--sigma", "1e-5", "--sigma-deg", "0.021"])
-        assert exc.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+            main(["optimize", "--help"])
+        assert exc.value.code == 0
+        assert "--sigma-deg" not in capsys.readouterr().out
 
     def test_answers_with_the_config_policy_and_map(self, tmp_path, capsys):
         path = tmp_path / "linear.ini"
@@ -745,8 +747,8 @@ def test_link_wavelength_outside_the_chromatic_band(argv, code, tmp_path, capsys
 
 def test_one_parser_serves_every_call(design_ini, capsys):
     assert build_parser() is build_parser()
-    assert main(["optimize", "--sigma-deg", "0.021", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["sigma_rad"] == math.radians(0.021)
+    assert main(["optimize", "--sigma", "3.665e-4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_rad"] == 3.665e-4
     # No argument of one call carries into the next.
     assert main(["optimize"]) == 2
     assert "--sigma" in json.loads(capsys.readouterr().err)["error"]
@@ -781,7 +783,7 @@ def test_input_file_that_is_not_utf8_exits_2_naming_it(name, argv, data, tmp_pat
     (["budget", "--distance", "600e3", "--rate", "nan", "--format", "json"], {}, 3, "rate"),
     (["optimize", "--sigma", "nan"], {}, 3, "sigma"),
     # argparse takes "-1e-5" for a flag but "-0.01" for a number.
-    (["optimize", "--sigma-deg", "-0.01"], {}, 3, "sigma"),
+    (["optimize", "--sigma", "-0.01"], {}, 3, "sigma"),
     (["optimize", "--sigma", "1e-5", "--reference-divergence", "-1"], {}, 3, "theta_ref"),
     (["optimize", "--sigma", "2e-5", "--reference-divergence", "0"], {}, 3, "theta_ref"),
     # The hardware limits come from [map]: the collimated minimum, and the
@@ -797,6 +799,12 @@ def test_input_file_that_is_not_utf8_exits_2_naming_it(name, argv, data, tmp_pat
     (["emulate", "--script", "{script}"], {"script": "set-temperature 61\n"}, 3, "temperature_c"),
     (["simulate", "--config", "{config}"], {"config": "[geometry]\nmax_elevation_deg = 95\n"}, 2,
      "max_elevation_deg"),
+    # The pass's bits overflow, in their running total or in one tick's rate * dt_s.
+    (["simulate", "--config", "{config}"],
+     {"config": "[sensitivity]\nref_rate_bps = 1e306\nref_sensitivity_dbm = -35\n"}, 3, "total_bits"),
+    (["simulate", "--config", "{config}"],
+     {"config": "[sensitivity]\nref_rate_bps = 1e303\nref_sensitivity_dbm = -35\n[geometry]\ndt_s = 86400\n"},
+     3, "total_bits"),
     (["calibrate", "--profiler", "{csv}"],
      {"csv": "distance_m,spot_diameter_m\n3.0,0.002\n6.0,0.003\n9.0,0.004\nnan,0.005\n"}, 2, "line 5"),
     (["calibrate", "--profiler", "{csv}"],
@@ -807,7 +815,7 @@ def test_input_file_that_is_not_utf8_exits_2_naming_it(name, argv, data, tmp_pat
      "distance_m must be finite and > 0"),
 ], ids=["budget_distance", "budget_distance_inf", "budget_rate", "optimize_sigma", "optimize_sigma_negative",
         "optimize_reference", "optimize_reference_zero", "optimize_min_nan", "optimize_max_inf", "optimize_min_above_max", "emulate_step", "emulate_steer",
-        "emulate_temperature", "simulate_elevation",
+        "emulate_temperature", "simulate_elevation", "simulate_bits_total_overflow", "simulate_bits_tick_overflow",
         "calibrate_profiler", "calibrate_profiler_below_resolution", "calibrate_profiler_distance_zero"])
 def test_bad_number_exits_with_a_json_record(argv, files, code, named, tmp_path, capsys):
     paths = {}
@@ -851,6 +859,10 @@ _FUZZ_KEYS = hs.lists(hs.sampled_from(sorted(KEY_PROBES)), min_size=1, max_size=
 @settings(max_examples=100)  # about 1 s
 @given(entries=_FUZZ_KEYS.flatmap(lambda keys: hs.fixed_dictionaries({key: _fuzz_value(key) for key in keys})))
 @example(entries={("geometry", "altitude_m"): "1e300"})
+# The bits of a pass overflow: in their running total, and in one tick's rate * dt_s.
+@example(entries={("sensitivity", "ref_rate_bps"): "1e306", ("sensitivity", "ref_sensitivity_dbm"): "-35"})
+@example(entries={("sensitivity", "ref_rate_bps"): "1e303", ("sensitivity", "ref_sensitivity_dbm"): "-35",
+                  ("geometry", "dt_s"): "86400"})
 def test_every_config_runs_or_exits_with_one_json_line(entries, tmp_path_factory):
     # One to three keys of any section: the run exits 0, or 2 or 3 with one JSON record on stderr, and
     # nothing escapes main, no warning included.

@@ -80,9 +80,14 @@ class TestRuleOfThumb:
     def test_linear(self):
         assert rule_of_thumb_divergence(1e-6) == pytest.approx(5e-6, rel=1e-15)
 
-    def test_zero_sigma_raises(self):
-        with pytest.raises(ValueError):
-            rule_of_thumb_divergence(0.0)
+    def test_zero_sigma_gives_zero(self):
+        # The limit of 5 sigma; the policy clamps it to the hardware minimum.
+        assert rule_of_thumb_divergence(0.0) == 0.0
+        assert rule_of_thumb_divergence(np.zeros(3)).tolist() == [0.0] * 3
+
+    def test_negative_sigma_raises(self):
+        with pytest.raises(ValueError, match="sigma"):
+            rule_of_thumb_divergence(-1e-6)
 
 
 class TestOptimalDivergence:
@@ -119,9 +124,16 @@ class TestOptimalDivergence:
         scaled, base = optimal_divergence(k * sigma, convention), k * optimal_divergence(sigma, convention)
         assert abs(scaled - base) <= 2.0 * math.ulp(max(scaled, base))
 
-    def test_zero_sigma_raises(self):
-        with pytest.raises(ValueError):
-            optimal_divergence(0.0, GainConvention.QUADRATIC)
+    def test_zero_sigma_gives_zero(self):
+        # The limit of k sigma; the policy clamps it to the hardware minimum.
+        for convention in GainConvention:
+            assert optimal_divergence(0.0, convention) == 0.0
+            assert optimal_divergence(np.zeros(3), convention).tolist() == [0.0] * 3
+
+    def test_negative_sigma_raises(self):
+        for convention in GainConvention:
+            with pytest.raises(ValueError, match="sigma"):
+                optimal_divergence(np.array([1e-6, -1e-6]), convention)
 
 
 class TestGainImprovement:

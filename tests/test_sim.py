@@ -208,6 +208,29 @@ class TestAdaptivePolicy:
                     assert adaptive_policy(policy, sigma, st) == st.dmap.diverging_max
                     assert adaptive_policy(policy, np.array([sigma]), st).tolist() == [st.dmap.diverging_max]
 
+    @pytest.mark.parametrize("branch", list(Branch))
+    @pytest.mark.parametrize("convention", list(GainConvention))
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @given(sigma=hs.lists(hs.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e300, sys.float_info.max])
+                          | hs.floats(0.0, 1e-2) | hs.floats(0.0, allow_infinity=False), min_size=1, max_size=8),
+           fixed=hs.floats(1e-6, 1e-1))
+    def test_a_clamped_law_is_the_masked_policy(self, branch, convention, strategy, sigma, fixed):
+        # The masked form sends zero jitter to the collimated minimum; the
+        # law's 0.0 there must clamp to the same bytes.
+        st = ActuatorState(branch=branch)
+        policy = ControlPolicy(strategy=strategy, convention=convention, fixed_divergence_rad=fixed)
+        column = np.array(sigma)
+        lo, hi = st.dmap.collimated_divergence, st.dmap.branch_max(branch)
+        if strategy is Strategy.FIXED:
+            raw = np.full(column.shape, fixed)
+        else:
+            law = rule_of_thumb_divergence if strategy is Strategy.RULE_5_SIGMA else (
+                lambda s: optimal_divergence(s, convention))
+            raw = np.where(column > 0.0, law(column), lo)
+        expected = np.clip(raw, lo, hi)
+        assert adaptive_policy(policy, column, st).tobytes() == expected.tobytes()
+        assert np.float64(adaptive_policy(policy, sigma[0], st)).tobytes() == expected[:1].tobytes()
+
     def test_fixed_strategy(self):
         st = ActuatorState()
         policy = ControlPolicy(strategy=Strategy.FIXED, fixed_divergence_rad=5e-3)
